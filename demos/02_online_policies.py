@@ -6,9 +6,9 @@
 # forever (so they were worth processing one per slot, alone) and expires the
 # rest (which the clairvoyant scheduler would have batched right now). The
 # ratio of those two profits is the local competitive ratio LCR_i.
-from speedscale import (INFINITE, Instance, Job, PolicyView, PowerLaw,
-                        beta_root, compute_m, greedy_decide, lcr_breakdown,
-                        min_lcr_decide, run_policy, sim_lcr_decide)
+from speedscale import (INFINITE, POLICIES, Instance, Job, PolicyView,
+                        PowerLaw, beta_root, compute_m, lcr_breakdown,
+                        min_lcr_decide, run_policy)
 
 cost = PowerLaw(2.0)
 view = PolicyView(slot=1, candidates=((0, 10.0), (1, 6.0), (2, 3.0)))
@@ -27,8 +27,8 @@ print("min-lcr processes", count, "jobs (argmin of the LCR column)")
 # sim-lcr skips the full argmin: it probes floor/ceil of beta*m where beta
 # solves x^a + x^(a-1) = 1.
 print("beta(2) =", beta_root(2.0))
-print("sim-lcr processes", sim_lcr_decide(view, cost), "jobs")
-print("greedy processes ", greedy_decide(view, cost), "jobs (always m)")
+print("sim-lcr processes", POLICIES["sim-lcr"].decide(view, cost).count, "jobs")
+print("greedy processes ", POLICIES["greedy"].decide(view, cost).count, "jobs (always m)")
 
 # Full runs keep an audit ledger per processing slot.
 inst = Instance((

@@ -36,9 +36,8 @@ from .offline import (OfflineJob, OfflineProblem, OfflineSizeError,
                       solve_offline_bruteforce, solve_offline_flow)
 from .policies import (Decision, LcrBreakdown, Policy, POLICIES, PolicyView,
                        SlotLedger, UnsupportedCostError, beta_root, compute_m,
-                       get_policy, greedy_decide, inner_greedy_profit,
-                       lcr_breakdown, min_lcr_decide, run_policy,
-                       sim_lcr_decide)
+                       get_policy, inner_greedy_profit, lcr_breakdown,
+                       min_lcr_decide, run_policy)
 from .reports import RatioReport, SlotLcr, build_report
 
 __version__ = "0.1.0"

@@ -58,8 +58,8 @@ class Job:
             raise ModelError(f"job id must be a non-negative integer, got {self.id}")
         if self.arrival < 1 or self.arrival != int(self.arrival):
             raise ModelError(f"arrival must be an integer slot >= 1, got {self.arrival}")
-        if not (self.value >= 0.0):
-            raise ModelError(f"value must be non-negative, got {self.value}")
+        if not (0.0 <= self.value < INFINITE):
+            raise ModelError(f"value must be non-negative and finite, got {self.value}")
         if self.deadline != INFINITE:
             if not (math.isfinite(self.deadline) and self.deadline >= 1
                     and self.deadline == int(self.deadline)):
@@ -176,12 +176,6 @@ class Instance:
     @property
     def last_arrival(self) -> int:
         return self.jobs[-1].arrival if self.jobs else 0
-
-    def job_by_id(self, job_id: int) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise ModelError(f"no job with id {job_id}")
 
 
 def available_jobs(instance: Instance, slot: int, already_processed: Iterable[int] = ()) -> list[Job]:
@@ -306,6 +300,29 @@ def job_to_obj(job: Job) -> dict:
     return {"id": job.id, "arrival": job.arrival, "value": job.value, "deadline": deadline}
 
 
+def _is_json_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _json_int(obj: Mapping, name: str, line: int) -> int:
+    raw = obj[name]
+    if not _is_json_int(raw):
+        raise InstanceFormatError(f"{name} must be an integer, got {raw!r}", line)
+    return raw
+
+
+def _json_finite_number(obj: Mapping, name: str, line: int) -> float:
+    raw = obj[name]
+    if isinstance(raw, float) or _is_json_int(raw):
+        try:
+            number = float(raw)
+        except OverflowError:  # an integer literal beyond the float range
+            number = INFINITE
+        if math.isfinite(number):
+            return number
+    raise InstanceFormatError(f"{name} must be a finite number, got {raw!r}", line)
+
+
 def _job_from_obj(obj: Mapping, line: int) -> Job:
     if not isinstance(obj, Mapping):
         raise InstanceFormatError("expected a JSON object", line)
@@ -315,14 +332,16 @@ def _job_from_obj(obj: Mapping, line: int) -> Job:
     raw_deadline = obj["deadline"]
     if raw_deadline == "inf":
         deadline: float = INFINITE
-    elif isinstance(raw_deadline, int) and not isinstance(raw_deadline, bool):
+    elif _is_json_int(raw_deadline):
         deadline = raw_deadline
     else:
         raise InstanceFormatError(f'deadline must be an integer or "inf", got {raw_deadline!r}', line)
+    job_id = _json_int(obj, "id", line)
+    arrival = _json_int(obj, "arrival", line)
+    value = _json_finite_number(obj, "value", line)
     try:
-        return Job(id=int(obj["id"]), arrival=int(obj["arrival"]),
-                   value=float(obj["value"]), deadline=deadline)
-    except (ModelError, TypeError, ValueError) as exc:
+        return Job(id=job_id, arrival=arrival, value=value, deadline=deadline)
+    except ModelError as exc:
         raise InstanceFormatError(str(exc), line) from exc
 
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Sequence
 
-import numpy as np
-
-from .model import (CostModel, Instance, ModelError, PowerLaw, SlotDecision,
-                    Trace, available_jobs, effective_cost)
+from .model import (CostModel, Instance, Job, ModelError, PowerLaw,
+                    SlotDecision, Trace, _value_order_key, effective_cost)
 
 
 class UnsupportedCostError(ModelError):
@@ -148,48 +147,47 @@ def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     return LcrBreakdown(i=i, M=M, P=P, c_greedy=cg, lcr=(M + cg) / P)
 
 
-# Above this many (i, leftover) cells the full ledger is built with numpy.
-_VECTOR_THRESHOLD = 20_000
+def _prefix_ledger(values: Sequence[float], cost: CostModel, m: int) -> list[LcrBreakdown]:
+    """The breakdowns for i = 1..m in one pass over prefix sums.
 
-
-def _g_values(cost: CostModel, kmax: int) -> np.ndarray:
-    if isinstance(cost, PowerLaw):
-        return np.arange(kmax + 1, dtype=float) ** cost.alpha
-    return np.array([cost.g(k) for k in range(kmax + 1)], dtype=float)
-
-
-def _ledger_vectorized(values: Sequence[float], cost: CostModel, m: int) -> list[LcrBreakdown]:
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    prefix = np.concatenate(([0.0], np.cumsum(v)))
-    g = _g_values(cost, n)
-    i = np.arange(1, m + 1)
-    M = prefix[i] - i * g[1]
-    P = prefix[i] - g[i]
-    # c_greedy[i] = max over l in i..n of (prefix[l] - prefix[i] - g(l - i))
-    l = np.arange(n + 1)
-    span = l[None, :] - i[:, None]
-    cell = prefix[None, :] - prefix[i][:, None] - g[np.clip(span, 0, n)]
-    cell[span < 0] = -np.inf
-    cg = cell.max(axis=1)
-    lcr = (M + cg) / P
-    return [LcrBreakdown(i=int(i[k]), M=float(M[k]), P=float(P[k]),
-                         c_greedy=float(cg[k]), lcr=float(lcr[k]))
-            for k in range(m)]
+    c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
+    peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
+    never grows with i, so one pointer walked downwards serves every i. g is
+    tabulated as far as lcr_breakdown evaluates it, so a cost table that is
+    too short fails the same way.
+    """
+    n = len(values)
+    g = [cost.g(k) for k in range(max(m, n - 1) + 1)]
+    prefix = [0.0]
+    for v in values:
+        prefix.append(prefix[-1] + v)
+    j = 0
+    while j < n - 1 and values[1 + j] - (g[j + 1] - g[j]) > 0.0:
+        j += 1
+    ledger = []
+    for i in range(1, m + 1):
+        j = min(j, n - i)
+        while j > 0 and not values[i + j - 1] - (g[j] - g[j - 1]) > 0.0:
+            j -= 1
+        top = prefix[i]
+        M = top - i * g[1]
+        P = top - g[i]
+        cg = max(prefix[i + j] - top - g[j], 0.0)
+        ledger.append(LcrBreakdown(i=i, M=M, P=P, c_greedy=cg, lcr=(M + cg) / P))
+    return ledger
 
 
 def min_lcr_decide(view: PolicyView, cost: CostModel) -> tuple[int, tuple[LcrBreakdown, ...]]:
     """Argmin-LCR count over i = 1..m plus the full ledger of breakdowns.
 
+    The ledger comes from one O(n) pass over prefix sums (_prefix_ledger);
+    lcr_breakdown stays the single-candidate definition it is tested against.
     Returns (0, ()) when no count is profitable. Ties pick the smallest count.
     """
     m = compute_m(view, cost)
     if m == 0:
         return 0, ()
-    if m * (len(view) + 1) >= _VECTOR_THRESHOLD:
-        ledger = _ledger_vectorized(view.values, cost, m)
-    else:
-        ledger = [lcr_breakdown(view, cost, i) for i in range(1, m + 1)]
+    ledger = _prefix_ledger(view.values, cost, m)
     best = min(ledger, key=lambda b: (b.lcr, b.i))
     return best.i, tuple(ledger)
 
@@ -237,17 +235,6 @@ def _sim_lcr_with_ledger(view: PolicyView, cost: CostModel) -> tuple[int, tuple[
     breakdowns = tuple(lcr_breakdown(view, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
     best = min(breakdowns, key=lambda b: (b.lcr, b.i))
     return best.i, breakdowns
-
-
-def sim_lcr_decide(view: PolicyView, cost: CostModel) -> int:
-    """Lower-LCR choice between floor(beta*m) and ceil(beta*m), clamped to [1, m]."""
-    count, _ = _sim_lcr_with_ledger(view, cost)
-    return count
-
-
-def greedy_decide(view: PolicyView, cost: CostModel) -> int:
-    """Process every profitable job: the count is always m."""
-    return compute_m(view, cost)
 
 
 class Policy:
@@ -304,36 +291,62 @@ def get_policy(policy) -> Policy:
 
 
 def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
-    """Simulate a policy over an instance slot by slot.
+    """Simulate a policy over an instance, visiting only slots where something can happen.
 
-    Only this harness sees deadlines (to maintain availability); the policy
-    receives a PolicyView. Slots where nothing is processed contribute no
-    decision and no ledger entry. The loop ends at the first slot past the
-    last arrival where the policy processes nothing: with no future arrivals
-    the view can never change again.
+    Only this harness sees deadlines; the policy receives a PolicyView of the
+    live jobs, kept in value order (model._value_order_key). Arrivals are
+    merged in once per visited slot. Processed jobs leave from the front,
+    since a policy always takes a top prefix. Expired jobs leave lazily: a
+    min-heap of window ends tells when one has closed, and the live list is
+    then filtered, at the cost of building one view.
+
+    Slots where nothing is processed add no decision and no ledger entry.
+    After such a slot the loop jumps to the next arrival, or ends once every
+    job has arrived. That rests on the invariant the slot-by-slot loop already
+    stopped on: until a job arrives the live set only shrinks, and a policy
+    that processes nothing keeps doing so on a shrinking set (every shipped
+    policy processes nothing exactly when no job beats g(1)).
     """
     policy = get_policy(policy)
-    processed: set[int] = set()
+    jobs = instance.jobs
+    n = len(jobs)
+    hard_stop = instance.last_arrival + n + 1
+    live: list[tuple[tuple, float, Job]] = []  # (_value_order_key(job), expiry, job)
+    expiries: list[float] = []  # min-heap of the windows' last slots
     decisions: list[SlotDecision] = []
     ledgers: list[SlotLedger] = []
-    last_arrival = instance.last_arrival
-    hard_stop = last_arrival + len(instance) + 1
+    arrived = 0
     slot = 1
     while slot <= hard_stop:
-        live = available_jobs(instance, slot, processed)
-        view = PolicyView(slot, tuple((j.id, j.value) for j in live))
+        first = arrived
+        while arrived < n and jobs[arrived].arrival <= slot:
+            job = jobs[arrived]
+            live.append((_value_order_key(job), job.expiry, job))
+            if job.expires:
+                heappush(expiries, job.expiry)
+            arrived += 1
+        if arrived > first:
+            live.sort()
+        if expiries and expiries[0] < slot:
+            while expiries and expiries[0] < slot:
+                heappop(expiries)
+            live = [entry for entry in live if entry[1] >= slot]
+        view = PolicyView(slot, tuple((j.id, j.value) for _, _, j in live))
         decision = policy.decide(view, cost)
-        if decision.count > len(live):
+        count = decision.count
+        if count > len(live):
             raise ModelError(
-                f"slot {slot}: policy {policy.name!r} chose {decision.count} jobs, "
+                f"slot {slot}: policy {policy.name!r} chose {count} jobs, "
                 f"only {len(live)} available")
-        if decision.count > 0:
-            chosen = live[:decision.count]
-            processed.update(j.id for j in chosen)
-            decisions.append(SlotDecision.build(slot, chosen, cost))
+        if count > 0:
+            decisions.append(SlotDecision.build(slot, [j for _, _, j in live[:count]], cost))
+            del live[:count]
         if decision.breakdowns:
-            ledgers.append(SlotLedger(slot, decision.count, decision.breakdowns))
-        if decision.count == 0 and slot > last_arrival:
+            ledgers.append(SlotLedger(slot, count, decision.breakdowns))
+        if count != 0:
+            slot += 1
+        elif arrived < n:
+            slot = jobs[arrived].arrival
+        else:
             break
-        slot += 1
     return Trace.build(decisions, ledgers)

@@ -1,0 +1,26 @@
+"""Smoke test: each demo script runs to completion against the package in src/.
+
+Demo 05 is left out: it spends ~8 s in the lower-bound refinement, which the
+acceptance tests already exercise at a larger grid.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_jobs_costs_and_traces.py", "02_online_policies.py",
+         "03_clairvoyant_oracle.py", "04_adversarial_games.py",
+         "06_bound_verifiers.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -65,6 +65,11 @@ class TestJob:
         with pytest.raises(ModelError):
             Job(0, 1, 1.0, 0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_value_must_be_finite(self, value):
+        with pytest.raises(ModelError, match="finite"):
+            Job(0, 1, value, 1)
+
 
 class TestAvailableJobs:
     def test_expired_job_excluded(self):
@@ -192,6 +197,19 @@ class TestInstanceFiles:
     def test_bad_deadline_type(self):
         with pytest.raises(InstanceFormatError):
             loads_instance('{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1.5}\n')
+
+    @pytest.mark.parametrize("field, raw", [
+        ("id", "true"), ("id", "1.7"), ("arrival", "true"), ("arrival", "1.7"),
+        ("value", '"3"'), ("value", "true"), ("value", "Infinity"), ("value", "NaN"),
+        ("value", "1e400"), pytest.param("value", "1" + "0" * 400, id="value-400-digit-int"),
+    ])
+    def test_field_rejected_not_coerced(self, field, raw):
+        good = {"id": 1, "arrival": 2, "value": 3.0, "deadline": 2}
+        bad = ", ".join(f'"{k}": {raw if k == field else json.dumps(v)}' for k, v in good.items())
+        text = '{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}\n{' + bad + '}\n'
+        with pytest.raises(InstanceFormatError, match=field) as err:
+            loads_instance(text)
+        assert err.value.line == 2
 
     def test_missing_field(self):
         with pytest.raises(InstanceFormatError) as err:

@@ -3,19 +3,62 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import PHI_PLUS_1
+from speedscale.adversary import PHI_PLUS_1, FixedCountPolicy
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
-                              TabulatedConvex, effective_cost, evaluate_trace)
-from speedscale.policies import (POLICIES, PolicyView, UnsupportedCostError,
-                                 _ledger_vectorized, beta_root, compute_m,
-                                 greedy_decide, inner_greedy_profit,
-                                 lcr_breakdown, min_lcr_decide, run_policy,
-                                 sim_lcr_decide)
+                              SlotDecision, TabulatedConvex, Trace,
+                              available_jobs, effective_cost, evaluate_trace)
+from speedscale.policies import (POLICIES, Decision, Policy, PolicyView,
+                                 SlotLedger, UnsupportedCostError, beta_root,
+                                 compute_m, get_policy, inner_greedy_profit,
+                                 lcr_breakdown, min_lcr_decide, run_policy)
 
 from conftest import mk_instance
+
+
+def _reference_run_policy(instance, policy, cost):
+    """The slot-by-slot simulator that run_policy replaced: it visits every slot
+    up to the last arrival and rescans every job for availability in each."""
+    policy = get_policy(policy)
+    processed = set()
+    decisions, ledgers = [], []
+    last_arrival = instance.last_arrival
+    hard_stop = last_arrival + len(instance) + 1
+    slot = 1
+    while slot <= hard_stop:
+        live = available_jobs(instance, slot, processed)
+        view = PolicyView(slot, tuple((j.id, j.value) for j in live))
+        decision = policy.decide(view, cost)
+        if decision.count > len(live):
+            raise ModelError(f"slot {slot}: chose {decision.count} of {len(live)} jobs")
+        if decision.count > 0:
+            chosen = live[:decision.count]
+            processed.update(j.id for j in chosen)
+            decisions.append(SlotDecision.build(slot, chosen, cost))
+        if decision.breakdowns:
+            ledgers.append(SlotLedger(slot, decision.count, decision.breakdowns))
+        if decision.count == 0 and slot > last_arrival:
+            break
+        slot += 1
+    return Trace.build(decisions, ledgers)
+
+
+@st.composite
+def sparse_instances(draw):
+    """Instances with idle gaps between arrivals, mixing expiring jobs,
+    never-expiring jobs and jobs worth at most g(1) = 1 (never profitable).
+
+    The reference pays for every slot of a gap, so drawn gaps stop at 500;
+    a gap of 10**5 is an explicit example."""
+    jobs, arrival = [], 1
+    for i in range(draw(st.integers(0, 8))):
+        arrival += draw(st.integers(0, 2) | st.integers(0, 500))
+        value = draw(st.floats(0, 1) | st.floats(0, 30))
+        deadline = draw(st.just(INFINITE) | st.integers(1, 6))
+        jobs.append(Job(i, arrival, value, deadline))
+    return Instance(tuple(jobs))
 
 
 def view_of(*values, slot=1):
@@ -152,18 +195,28 @@ class TestMinLcrDecide:
             assert all(chosen.lcr <= b.lcr + 1e-12 for b in ledger)
             assert all(chosen.i <= b.i for b in ledger if b.lcr == chosen.lcr)
 
-    def test_vectorized_ledger_matches_scalar(self, alpha2, rng):
-        values = np.sort(rng.uniform(0, 60, size=40))[::-1]
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
+           st.sampled_from([PowerLaw(2.0), PowerLaw(2.5), PowerLaw(3.0), PowerLaw(4.0),
+                            TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_ledger_matches_reference(self, values, cost):
+        # min_lcr_decide builds the ledger from prefix sums; lcr_breakdown is the
+        # per-candidate definition. M, P and c_greedy are sums of the view's
+        # values, so their rounding is bounded relative to the view's total and
+        # enters the LCR divided by P.
+        values = sorted(values, reverse=True)
         view = view_of(*values)
-        m = compute_m(view, alpha2)
-        fast = _ledger_vectorized(view.values, alpha2, m)
-        slow = [lcr_breakdown(view, alpha2, i) for i in range(1, m + 1)]
-        for a, b in zip(fast, slow):
-            assert a.i == b.i
-            assert math.isclose(a.M, b.M, abs_tol=1e-9)
-            assert math.isclose(a.P, b.P, abs_tol=1e-9)
-            assert math.isclose(a.c_greedy, b.c_greedy, abs_tol=1e-9)
-            assert math.isclose(a.lcr, b.lcr, abs_tol=1e-9)
+        count, ledger = min_lcr_decide(view, cost)
+        reference = [lcr_breakdown(view, cost, i) for i in range(1, compute_m(view, cost) + 1)]
+        assert [b.i for b in ledger] == [b.i for b in reference]
+        tol = 1e-12 * sum(values)
+        for a, b in zip(ledger, reference):
+            assert abs(a.M - b.M) <= tol
+            assert abs(a.P - b.P) <= tol
+            assert abs(a.c_greedy - b.c_greedy) <= tol
+            assert abs(a.lcr - b.lcr) <= tol * (2.0 + b.lcr) / b.P
+        expected = min(reference, key=lambda b: (b.lcr, b.i)).i if reference else 0
+        assert count == expected
 
 
 class TestBetaRoot:
@@ -187,22 +240,22 @@ class TestBetaRoot:
 class TestSimLcr:
     def test_compares_floor_and_ceil(self, alpha2):
         # m=2, beta*m ~ 1.236: candidates 1 and 2; i=2 has the lower LCR
-        assert sim_lcr_decide(view_of(10, 6, 3), alpha2) == 2
+        assert POLICIES["sim-lcr"].decide(view_of(10, 6, 3), alpha2).count == 2
 
     def test_m1_forces_single_candidate(self, alpha2):
-        assert sim_lcr_decide(view_of(10), alpha2) == 1
+        assert POLICIES["sim-lcr"].decide(view_of(10), alpha2).count == 1
 
     def test_m0(self, alpha2):
-        assert sim_lcr_decide(view_of(0.5), alpha2) == 0
+        assert POLICIES["sim-lcr"].decide(view_of(0.5), alpha2).count == 0
 
     def test_rejects_non_power_law(self):
         tab = TabulatedConvex((0.0, 1.0, 4.0, 9.0, 16.0))
         with pytest.raises(UnsupportedCostError):
-            sim_lcr_decide(view_of(10, 6, 3), tab)
+            POLICIES["sim-lcr"].decide(view_of(10, 6, 3), tab)
 
     def test_rejects_small_alpha(self):
         with pytest.raises(UnsupportedCostError):
-            sim_lcr_decide(view_of(10), PowerLaw(1.5))
+            POLICIES["sim-lcr"].decide(view_of(10), PowerLaw(1.5))
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
            st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]))
@@ -219,9 +272,10 @@ class TestSimLcr:
 
 class TestGreedy:
     def test_examples(self, alpha2):
-        assert greedy_decide(view_of(10, 6, 3), alpha2) == 2
-        assert greedy_decide(view_of(0.5), alpha2) == 0
-        assert greedy_decide(view_of(*[100] * 5), alpha2) == 5
+        greedy = POLICIES["greedy"]
+        assert greedy.decide(view_of(10, 6, 3), alpha2).count == 2
+        assert greedy.decide(view_of(0.5), alpha2).count == 0
+        assert greedy.decide(view_of(*[100] * 5), alpha2).count == 5
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
            st.sampled_from([2.0, 2.5, 3.0, 4.0]))
@@ -285,6 +339,45 @@ class TestRunPolicy:
         assert {"i", "M", "P", "c_greedy", "lcr"} <= set(entry["breakdowns"][0])
 
 
+    @given(sparse_instances(), st.sampled_from([2.0, 2.5, 3.0]),
+           st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:1", "fixed:3"]))
+    @example(mk_instance((1, 0.5, INFINITE), (1, 9.0, 2), (1, 7.0, INFINITE),
+                         (100_001, 9.0, 1), (100_001, 1.0, INFINITE)), 2.0, "min-lcr")
+    @settings(max_examples=40, deadline=None)
+    def test_matches_slot_by_slot_reference(self, inst, alpha, name):
+        policy = FixedCountPolicy(int(name[6:])) if name.startswith("fixed:") else name
+        cost = PowerLaw(alpha)
+        assert run_policy(inst, policy, cost) == _reference_run_policy(inst, policy, cost)
+
+    @pytest.mark.parametrize("idle", [(), ((1, 0.5, INFINITE),)])
+    def test_sparse_arrivals_cost_decisions_not_slots(self, alpha2, idle):
+        # an unprofitable never-expiring job stays live through the gap; the
+        # jump to the next arrival must not wait for an empty live set
+        class Counting(Policy):
+            name = "counting"
+            calls = 0
+
+            def decide(self, view, cost):
+                self.calls += 1
+                return POLICIES["min-lcr"].decide(view, cost)
+
+        inst = mk_instance((1, 5.0, INFINITE), (200_000, 5.0, INFINITE), *idle)
+        policy = Counting()
+        trace = run_policy(inst, policy, alpha2)
+        assert [d.slot for d in trace.decisions] == [1, 200_000]
+        assert policy.calls <= 4
+
+    def test_overlong_count_rejected(self, alpha2):
+        class Overreach(Policy):
+            name = "overreach"
+
+            def decide(self, view, cost):
+                return Decision(len(view) + 1)
+
+        with pytest.raises(ModelError, match="only 1 available"):
+            run_policy(mk_instance((1, 5.0, INFINITE)), Overreach(), alpha2)
+
+
 class TestInformationHiding:
     def test_view_carries_no_deadlines(self):
         view = view_of(3, 2, 1)
@@ -295,7 +388,6 @@ class TestInformationHiding:
         # same values, different deadlines: per-slot decisions agree as long as
         # the two runs have seen identical views
         from speedscale.analysis import random_instance
-        from speedscale.model import available_jobs
         for _ in range(20):
             a = random_instance(rng, alpha2, n_max=12)
             jobs_b = tuple(
