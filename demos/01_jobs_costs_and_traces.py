@@ -4,14 +4,13 @@
 # The marginal ("effective") cost of the k-th simultaneous job is
 # g(k) - g(k-1): convexity makes batching progressively more expensive.
 from speedscale import (INFINITE, Instance, Job, PowerLaw, SlotDecision,
-                        TabulatedConvex, Trace, dumps_instance, effective_cost,
-                        evaluate_trace, loads_instance, union_with_provenance)
+                        TabulatedConvex, Trace, dumps_instance, evaluate_trace, loads_instance, union_with_provenance)
 
 cost = PowerLaw(2.0)
-print("g(k) = k^2 marginals:", [effective_cost(cost, k) for k in range(1, 6)])
+print("g(k) = k^2 marginals:", [cost.effective_cost(k) for k in range(1, 6)])
 
 table = TabulatedConvex((0.0, 2.0, 5.0, 9.0, 14.0))
-print("tabulated marginals: ", [effective_cost(table, k) for k in range(1, 5)])
+print("tabulated marginals: ", [table.effective_cost(k) for k in range(1, 5)])
 
 # Two jobs land at slot 1. One must run immediately (deadline 1 slot), the
 # other never expires.

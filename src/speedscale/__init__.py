@@ -12,26 +12,23 @@ Library layout:
 * ``cli``       - the ``speedscale`` command
 """
 from .adversary import (DELTA, PHI, PHI_PLUS_1, SQRT2_PLUS_1,
-                        AdaptiveAdversaryState, FixedCountPolicy,
-                        InstanceTemplate, LowerBoundCurvePoint,
+                        FixedCountPolicy, InstanceTemplate, LowerBoundCurvePoint,
                         adversary_finalize, alpha2_game_ratio, lower_bound_ratio,
                         eval_lower_bound, gen_alpha2_lb_instance,
                         gen_sqrt2_lb_instance, run_adversarial_game,
                         sqrt2_job_value)
 from .analysis import (SweepConfig, VerificationError, competitive_report,
-                       gamma_root, heavy_tail_instance, mincran_ratio, psi,
-                       random_instance, sweep_experiment, sweep_max_ratios,
-                       theta,
+                       gamma_root, mincran_ratio, psi, random_instance,
+                       sweep_experiment, sweep_max_ratios, theta,
                        verify_alpha2_lcr_cases, verify_h_bound,
                        verify_mincran, verify_oracle_equivalence,
                        verify_small_m_cases, verify_subadditivity)
 from .model import (INFINITE, CostModel, InfeasibleTraceError, Instance,
                     InstanceFormatError, Job, ModelError, PowerLaw,
                     SlotDecision, TabulatedConvex, Trace, available_jobs,
-                    dumps_instance, effective_cost, evaluate_trace,
-                    job_to_obj, loads_instance, read_instance,
-                    trace_to_obj, union, union_with_provenance,
-                    write_instance)
+                    dumps_instance, evaluate_trace, job_to_obj,
+                    loads_instance, read_instance, trace_to_obj, union,
+                    union_with_provenance, write_instance)
 from .offline import (OfflineJob, OfflineProblem, OfflineSizeError,
                       solve_offline_bruteforce, solve_offline_flow)
 from .policies import (Decision, LcrBreakdown, Policy, POLICIES, PolicyView,

@@ -11,7 +11,7 @@ pool greedily at slot 1 and the chosen jobs one per later slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,37 +80,15 @@ def gen_sqrt2_lb_instance(alpha: float) -> InstanceTemplate:
     return InstanceTemplate(values=(v,) * 4, label=f"sqrt2-lb:alpha={alpha:g}")
 
 
-@dataclass
-class AdaptiveAdversaryState:
-    """Deadline bookkeeping for one game: every pending deadline is fixed exactly once."""
-
-    pending: dict[int, float]
-    committed: dict[int, Job] = field(default_factory=dict)
-    transcript: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-
-    @staticmethod
-    def from_template(template: InstanceTemplate) -> "AdaptiveAdversaryState":
-        return AdaptiveAdversaryState(pending=dict(enumerate(template.values)))
-
-    def commit(self, slot1_choice, label: str = "") -> Instance:
-        chosen = set(slot1_choice)
-        if self.committed:
-            raise ModelError("deadlines were already committed")
-        unknown = chosen - set(self.pending)
-        if unknown:
-            raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
-        for jid, value in self.pending.items():
-            deadline = INFINITE if jid in chosen else 1
-            self.committed[jid] = Job(id=jid, arrival=1, value=value, deadline=deadline)
-        self.pending = {}
-        self.transcript.append((1, tuple(sorted(chosen))))
-        return Instance(tuple(self.committed.values()), label=label)
-
-
 def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
     """Chosen jobs get an infinite deadline; every other job expires at slot 1."""
-    state = AdaptiveAdversaryState.from_template(template)
-    return state.commit(slot1_choice, label=template.label)
+    chosen = set(slot1_choice)
+    unknown = chosen.difference(range(len(template.values)))
+    if unknown:
+        raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
+    jobs = tuple(Job(id=jid, arrival=1, value=value, deadline=INFINITE if jid in chosen else 1)
+                 for jid, value in enumerate(template.values))
+    return Instance(jobs, label=template.label)
 
 
 class FixedCountPolicy(Policy):
@@ -229,9 +207,27 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     return best, best_k.astype(np.int64)
 
 
-def _inner_min_scalar(alpha: float, z: int, x: float) -> float:
-    value, _ = _inner_min_batch(alpha, np.array([z]), np.array([x]))
-    return float(value[0])
+def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float, float]:
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    Stops once b - a <= rtol * max(1, |b|) or after 200 steps; returns the
+    final bracket and max(f(c), f(d)) at its two interior points.
+    """
+    c = b - DELTA * (b - a)
+    d = a + DELTA * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a <= rtol * max(1.0, abs(b)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - DELTA * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + DELTA * (b - a)
+            fd = f(d)
+    return a, b, max(fc, fd)
 
 
 def _refine_peak(alpha: float, z: int, x_lo: float, x_hi: float) -> float:
@@ -241,24 +237,16 @@ def _refine_peak(alpha: float, z: int, x_lo: float, x_hi: float) -> float:
     kink where two branches cross; a grid alone cannot hit it to tight
     tolerance, hence this local search around the best grid point.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = x_lo, x_hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _inner_min_scalar(alpha, z, c)
-    fd = _inner_min_scalar(alpha, z, d)
-    for _ in range(200):
-        if b - a <= 1e-13 * max(1.0, abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _inner_min_scalar(alpha, z, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _inner_min_scalar(alpha, z, d)
-    return max(fc, fd)
+    zs = np.array([z])
+
+    def inner_min(x: float) -> float:
+        return float(_inner_min_batch(alpha, zs, np.array([x]))[0][0])
+
+    return golden_section_max(inner_min, x_lo, x_hi, rtol=1e-13)[2]
+
+
+_REFINE_TOP = 12  # grid rows (best first) refined by golden section
+_CHUNK = 256  # z rows evaluated per numpy batch
 
 
 def eval_lower_bound(
@@ -267,8 +255,6 @@ def eval_lower_bound(
     x_grid: int,
     keep_curve: bool = True,
     refine: bool = True,
-    refine_top: int = 12,
-    chunk: int = 256,
 ) -> tuple[list[LowerBoundCurvePoint], float]:
     """Sweep the lower-bound construction family over z = 1..z_max.
 
@@ -290,8 +276,8 @@ def eval_lower_bound(
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
 
-    for start in range(1, z_max + 1, chunk):
-        zs = np.arange(start, min(start + chunk, z_max + 1), dtype=np.int64)
+    for start in range(1, z_max + 1, _CHUNK):
+        zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
         xcap = _x_cap(alpha, zs)
         x = xcap[:, None] * frac[None, :]
         zz = np.broadcast_to(zs[:, None], x.shape)
@@ -309,7 +295,7 @@ def eval_lower_bound(
 
     if refine:
         h = 1.0 / x_grid
-        for value, z, x_at, xcap in sorted(row_best, reverse=True)[:refine_top]:
+        for value, z, x_at, xcap in sorted(row_best, reverse=True)[:_REFINE_TOP]:
             lo = max(xcap * h * 1e-6, x_at - xcap * h)
             hi = min(xcap, x_at + xcap * h)
             best = max(best, _refine_peak(alpha, z, lo, hi))

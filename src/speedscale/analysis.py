@@ -12,17 +12,14 @@ the check name and witness values) on the first violated inequality.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import (DELTA, PHI_PLUS_1, gen_alpha2_lb_instance,
-                        gen_sqrt2_lb_instance, run_adversarial_game,
-                        sqrt2_job_value)
-from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
-                    effective_cost, union)
+                        gen_sqrt2_lb_instance, golden_section_max,
+                        run_adversarial_game, sqrt2_job_value)
+from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, union
 from .offline import OfflineProblem, solve_offline_bruteforce, solve_offline_flow
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
                        lcr_breakdown, run_policy)
@@ -41,8 +38,7 @@ class VerificationError(AssertionError):
         super().__init__(f"[{check}] {message} ({detail})" if message else f"[{check}] ({detail})")
 
 
-def competitive_report(instance: Instance, policy, cost: CostModel,
-                       check_ledger: bool = True) -> RatioReport:
+def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioReport:
     """Run a policy, solve the clairvoyant problem, and assemble the ratio report.
 
     For the min-lcr and sim-lcr policies the empirical ratio is checked
@@ -53,7 +49,7 @@ def competitive_report(instance: Instance, policy, cost: CostModel,
     trace = run_policy(instance, policy, cost)
     off_profit, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
     report = build_report(instance.label, off_profit, trace)
-    if (check_ledger and policy.name in ("min-lcr", "sim-lcr")
+    if (policy.name in ("min-lcr", "sim-lcr")
             and report.has_lcr and math.isfinite(report.ratio)
             and report.ratio > report.max_lcr + LCR_SOUNDNESS_TOL):
         raise VerificationError(
@@ -82,22 +78,8 @@ def verify_mincran(z: int, delta: float = DELTA) -> tuple[float, float]:
     """
     if z < 1:
         raise ModelError(f"z must be >= 1, got {z}")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1e-9 * z, 2.0 * z - 1e-9 * z
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = mincran_ratio(z, c), mincran_ratio(z, d)
-    for _ in range(200):
-        if b - a <= 1e-12 * z:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = mincran_ratio(z, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = mincran_ratio(z, d)
+    a, b, _ = golden_section_max(lambda k: -mincran_ratio(z, k),
+                                 1e-9 * z, 2.0 * z - 1e-9 * z, rtol=1e-12)
     k_star = 0.5 * (a + b)
     value = mincran_ratio(z, k_star)
     if abs(k_star - delta * z) > 1e-6 * z:
@@ -156,7 +138,7 @@ def _case_m2_bounds(alpha: float) -> tuple[float, float]:
     return low_branch, high_branch
 
 
-def _case_bound(alpha: float, m: int, k: int) -> float:
+def _case_bound(alpha: float, m: int, k: float) -> float:
     # Prefix-count bound m/k + 1 + (g(k) + (m/k) g(k) - g(m) - k) / (k [g(m)-g(m-1)] - g(k)).
     gk = float(k) ** alpha
     gm = float(m) ** alpha
@@ -222,8 +204,8 @@ def verify_small_m_cases(alpha_grid, seed: int = 0, samples: int = 40) -> dict:
                         "case bound exceeds phi + 1")
                 rows.append({"alpha": alpha, "m": m, "branch": branch, "bound": bound})
 
-            cm = effective_cost(cost, m)
-            cm1 = effective_cost(cost, m + 1)
+            cm = cost.effective_cost(m)
+            cm1 = cost.effective_cost(m + 1)
             for _ in range(samples):
                 head = np.sort(cm * (1.0 + rng.uniform(1e-6, 3.0, size=m)))[::-1]
                 # leftover tail: values small enough to keep the profitable
@@ -254,15 +236,7 @@ def gamma_root(m: int) -> float:
 
 def psi(m: int, k: float) -> float:
     """m/k + 1 + (k^2 + mk - m^2 - k) / ((2m-1)k - k^2): the alpha=2 fallback bound."""
-    return m / k + 1.0 + (k * k + m * k - m * m - k) / ((2.0 * m - 1.0) * k - k * k)
-
-
-def _m3_case_value() -> float:
-    return 3.0 / 2.0 + 1.0 + (2.0 ** 2 + 3.0 * 2.0 - 3.0 ** 2 - 2.0) / ((2.0 * 3.0 - 1.0) * 2.0 - 2.0 ** 2)
-
-
-def _m4_case_value() -> float:
-    return 4.0 / 3.0 + 1.0 + (3.0 ** 2 + 4.0 * 3.0 - 4.0 ** 2 - 3.0) / ((2.0 * 4.0 - 1.0) * 3.0 - 3.0 ** 2)
+    return _case_bound(2.0, m, k)
 
 
 def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
@@ -307,12 +281,12 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
             bound = max(low, high)
             case = "split-value"
         elif m == 3:
-            bound = _m3_case_value()
+            bound = psi(3, 2)
             case = "closed-form"
             if abs(bound - 7.0 / 3.0) > 1e-9:
                 raise VerificationError("alpha2-m3", {"bound": bound}, "m=3 value drifted from 7/3")
         elif m == 4:
-            bound = _m4_case_value()
+            bound = psi(4, 3)
             case = "closed-form"
             if abs(bound - 2.5) > 1e-9:
                 raise VerificationError("alpha2-m4", {"bound": bound}, "m=4 value drifted from 5/2")
@@ -343,11 +317,11 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
 def random_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
                     label: str = "", infinite_prob: float = 0.15,
                     mean_gap: float = 0.8, max_deadline: int = 6,
-                    value_scale: float | None = None) -> Instance:
+                    heavy_tail: bool = False) -> Instance:
     """Bursty arrivals with a mix of profitable/unprofitable values and finite or
-    never-expiring deadlines."""
-    if value_scale is None:
-        value_scale = 4.0 * effective_cost(cost, 2)
+    never-expiring deadlines; values are uniform, or Pareto-tailed with
+    `heavy_tail`."""
+    scale = cost.effective_cost(2)
     n = int(rng.integers(1, n_max + 1))
     arrival = 1
     jobs = []
@@ -355,24 +329,10 @@ def random_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
         if i:
             arrival += int(rng.poisson(mean_gap))
         deadline = INFINITE if rng.random() < infinite_prob else int(rng.integers(1, max_deadline + 1))
-        value = float(rng.uniform(0.0, value_scale))
-        jobs.append(Job(i, arrival, value, deadline))
-    return Instance(tuple(jobs), label=label)
-
-
-def heavy_tail_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
-                        label: str = "", infinite_prob: float = 0.15,
-                        mean_gap: float = 0.8, max_deadline: int = 6) -> Instance:
-    """Same arrival process but Pareto-tailed values."""
-    scale = effective_cost(cost, 2)
-    n = int(rng.integers(1, n_max + 1))
-    arrival = 1
-    jobs = []
-    for i in range(n):
-        if i:
-            arrival += int(rng.poisson(mean_gap))
-        deadline = INFINITE if rng.random() < infinite_prob else int(rng.integers(1, max_deadline + 1))
-        value = float(scale * (rng.pareto(2.0) + 0.5))
+        if heavy_tail:
+            value = float(scale * (rng.pareto(2.0) + 0.5))
+        else:
+            value = float(rng.uniform(0.0, 4.0 * scale))
         jobs.append(Job(i, arrival, value, deadline))
     return Instance(tuple(jobs), label=label)
 
@@ -457,15 +417,6 @@ class SweepConfig:
     zs: tuple[int, ...] = (10, 100, 1000)
 
 
-def max_workers() -> int:
-    """Parallelism cap from SPEEDSCALE_THREADS (default 1 = serial)."""
-    raw = os.environ.get("SPEEDSCALE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _sweep_instances(config: SweepConfig, alpha: float) -> list:
     cost = PowerLaw(alpha)
     rng = np.random.default_rng(config.seed)
@@ -477,43 +428,30 @@ def _sweep_instances(config: SweepConfig, alpha: float) -> list:
         else:
             out.append(gen_sqrt2_lb_instance(alpha))
         return out
-    maker = random_instance if config.family == "random" else heavy_tail_instance
     if config.family not in ("random", "heavy-tail"):
         raise ModelError(f"unknown family {config.family!r}")
     for i in range(config.samples):
-        out.append(maker(rng, cost, n_max=config.n_max,
-                         label=f"{config.family}:seed={config.seed}:i={i}"))
+        out.append(random_instance(rng, cost, n_max=config.n_max,
+                                   label=f"{config.family}:seed={config.seed}:i={i}",
+                                   heavy_tail=config.family == "heavy-tail"))
     return out
 
 
 def sweep_experiment(config: SweepConfig) -> list[RatioReport]:
     """Deterministic batch of ratio reports over generated instance families.
 
-    Output order is canonical (sorted by alpha, policy, label) so a thread
-    pool, when enabled, never changes the result bytes.
+    Output order is canonical: sorted by alpha, policy, label.
     """
-    tasks = []
+    results = []
     for alpha in config.alphas:
         cost = PowerLaw(alpha)
         for item in _sweep_instances(config, alpha):
             for policy in config.policies:
-                tasks.append((alpha, policy, item, cost))
-
-    def run(task) -> tuple[float, str, RatioReport]:
-        alpha, policy, item, cost = task
-        if isinstance(item, Instance):
-            report = competitive_report(item, policy, cost)
-        else:
-            report = run_adversarial_game(policy, item, cost)
-        return alpha, policy, report
-
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
+                if isinstance(item, Instance):
+                    report = competitive_report(item, policy, cost)
+                else:
+                    report = run_adversarial_game(policy, item, cost)
+                results.append((alpha, policy, report))
     results.sort(key=lambda r: (r[0], r[1], r[2].label))
     out = []
     for alpha, policy, report in results:

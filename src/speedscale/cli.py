@@ -55,39 +55,58 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+GENERATOR_KEYS = {"random": ("n",), "heavy-tail": ("n",),
+                  "alpha2-lb": ("z", "k"), "sqrt2-lb": ("k",)}
+
+
+def _int_param(params: dict[str, str], key: str, default: int, lo: int, hi: float = math.inf) -> int:
+    raw = params.get(key)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise UsageError(f"generator parameter {key} must be an integer, got {raw!r}") from None
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise UsageError(f"generator parameter {key} must be {bound}, got {value}")
+    return value
+
+
 def _parse_gen(spec: str, alpha: float, seed: int):
     name, _, raw = spec.partition(":")
+    if name not in GENERATOR_KEYS:
+        raise UsageError(f"unknown generator {name!r}; valid: {', '.join(GENERATOR_KEYS)}")
     params: dict[str, str] = {}
     if raw:
         for part in raw.split(","):
             key, _, val = part.partition("=")
+            key = key.strip()
             if not val:
                 raise UsageError(f"bad generator parameter {part!r} in {spec!r}")
-            params[key.strip()] = val.strip()
+            if key not in GENERATOR_KEYS[name]:
+                raise UsageError(f"unknown parameter {key!r} for generator {name}; "
+                                 f"valid: {', '.join(GENERATOR_KEYS[name])}")
+            params[key] = val.strip()
     cost = PowerLaw(alpha)
     try:
-        if name == "random":
+        if name in ("random", "heavy-tail"):
             rng = np.random.default_rng(seed)
-            return analysis.random_instance(rng, cost, n_max=int(params.get("n", 30)),
-                                            label=f"random:seed={seed}")
-        if name == "heavy-tail":
-            rng = np.random.default_rng(seed)
-            return analysis.heavy_tail_instance(rng, cost, n_max=int(params.get("n", 30)),
-                                                label=f"heavy-tail:seed={seed}")
+            return analysis.random_instance(rng, cost, n_max=_int_param(params, "n", 30, 1),
+                                            label=f"{name}:seed={seed}",
+                                            heavy_tail=name == "heavy-tail")
         if name == "alpha2-lb":
             if "z" not in params:
                 raise UsageError("alpha2-lb generator needs z=<int>")
-            z = int(params["z"])
+            z = _int_param(params, "z", 0, 1)
             template = gen_alpha2_lb_instance(z)
-            k = int(params.get("k", max(1, math.floor(DELTA * z))))
-            return adversary_finalize(template, template.job_ids()[:k])
-        if name == "sqrt2-lb":
+            k = _int_param(params, "k", max(1, math.floor(DELTA * z)), 1, 2 * z)
+        else:
             template = gen_sqrt2_lb_instance(alpha)
-            k = int(params.get("k", 2))
-            return adversary_finalize(template, template.job_ids()[:k])
+            k = _int_param(params, "k", 2, 1, len(template.values))
+        return adversary_finalize(template, template.job_ids()[:k])
     except ModelError as exc:
         raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown generator {name!r}; valid: random, heavy-tail, alpha2-lb, sqrt2-lb")
 
 
 def _parse_policy(name: str):
@@ -107,7 +126,13 @@ def _parse_alphas(raw: str) -> list[float]:
     for part in raw.split(","):
         part = part.strip()
         if part:
-            out.append(float(part))
+            try:
+                alpha = float(part)
+            except ValueError:
+                raise UsageError(f"bad alpha value {part!r}") from None
+            if not math.isfinite(alpha):
+                raise UsageError(f"alpha values must be finite, got {part!r}")
+            out.append(alpha)
     if not out:
         raise UsageError("no alpha values given")
     return out
@@ -166,6 +191,8 @@ VERIFY_SUITES = ("mincran", "hbound", "smallm", "alpha2lcr", "subadd", "oracle")
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     lines = []
     failed = None

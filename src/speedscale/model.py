@@ -96,13 +96,13 @@ class CostModel:
 
 @dataclass(frozen=True)
 class PowerLaw(CostModel):
-    """g(k) = k ** alpha with alpha >= 1 (convex, strictly increasing marginals for alpha > 1)."""
+    """g(k) = k ** alpha with finite alpha >= 1 (convex, strictly increasing marginals for alpha > 1)."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha >= 1.0):
-            raise ModelError(f"power-law exponent must be >= 1, got {self.alpha}")
+        if not (1.0 <= self.alpha < math.inf):
+            raise ModelError(f"power-law exponent must be finite and >= 1, got {self.alpha}")
 
     def g(self, k: int) -> float:
         if k < 0:
@@ -138,11 +138,6 @@ class TabulatedConvex(CostModel):
         if k >= len(self.table):
             raise ModelError(f"cost table covers k <= {len(self.table) - 1}, got {k}")
         return self.table[k]
-
-
-def effective_cost(cost: CostModel, k: int) -> float:
-    """Marginal energy cost of the k-th job in a slot: g(k) - g(k-1)."""
-    return cost.effective_cost(k)
 
 
 def _job_sort_key(job: Job):

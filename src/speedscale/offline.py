@@ -26,8 +26,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 import numpy as np
 
-from .model import (EMPTY_TRACE, CostModel, Instance, ModelError, SlotDecision,
-                    Trace, effective_cost)
+from .model import EMPTY_TRACE, CostModel, Instance, ModelError, SlotDecision, Trace
 
 
 class OfflineSizeError(ModelError):
@@ -73,16 +72,8 @@ class OfflineProblem:
 
 
 def _trace_from_assignment(slot_jobs: dict[int, list[OfflineJob]], cost: CostModel) -> Trace:
-    decisions = []
-    for slot in sorted(slot_jobs):
-        batch = slot_jobs[slot]
-        if not batch:
-            continue
-        payoff = float(sum(j.value for j in batch))
-        energy = cost.g(len(batch))
-        decisions.append(SlotDecision(slot=slot, processed=frozenset(j.id for j in batch),
-                                      payoff_sum=payoff, energy=energy, profit=payoff - energy))
-    return Trace.build(decisions)
+    return Trace.build([SlotDecision.build(slot, slot_jobs[slot], cost)
+                        for slot in sorted(slot_jobs) if slot_jobs[slot]])
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +99,7 @@ class _FlowState:
             stack.sort()  # pop() yields highest value, smallest id on ties
         horizon = max(w[1] for w in self.pool)
         self.loads = np.zeros(horizon + 1, dtype=np.int64)
-        self.marginal = [effective_cost(self.cost, k) for k in range(1, n + 1)]
+        self.marginal = [self.cost.effective_cost(k) for k in range(1, n + 1)]
         self.assigned_slots: dict[tuple[int, int], list[int]] = {}
         self.slot_jobs: dict[int, dict[tuple[int, int], list[int]]] = {}
         self.placed: dict[int, int] = {}

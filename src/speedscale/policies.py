@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from .model import (CostModel, Instance, Job, ModelError, PowerLaw,
-                    SlotDecision, Trace, _value_order_key, effective_cost)
+                    SlotDecision, Trace, _value_order_key)
 
 
 class UnsupportedCostError(ModelError):
@@ -110,7 +110,7 @@ def compute_m(view: PolicyView, cost: CostModel) -> int:
     """
     m = 0
     for j, (_, v) in enumerate(view.candidates, start=1):
-        if v - effective_cost(cost, j) > 0.0:
+        if v - cost.effective_cost(j) > 0.0:
             m = j
         else:
             break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speedscale.model import INFINITE, Instance, Job, PowerLaw
+from speedscale.model import Instance, Job, PowerLaw
 
 
 def mk_instance(*specs, label=""):
@@ -18,18 +18,3 @@ def alpha2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_small_instance(rng, n_max=8, arrival_max=3, horizon_cap=6):
-    """Small instance whose clairvoyant horizon stays under the brute-force guard."""
-    n = int(rng.integers(1, n_max + 1))
-    arrivals = sorted(int(a) for a in rng.integers(1, arrival_max + 1, size=n))
-    allow_inf = arrivals[-1] + n <= horizon_cap
-    jobs = []
-    for i, a in enumerate(arrivals):
-        if allow_inf and rng.random() < 0.25:
-            d = INFINITE
-        else:
-            d = int(rng.integers(1, horizon_cap - a + 2))
-        jobs.append(Job(i, a, float(rng.uniform(0, 20)), d))
-    return Instance(tuple(jobs))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
-                                  AdaptiveAdversaryState, FixedCountPolicy,
+                                  FixedCountPolicy,
                                   adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance,
@@ -66,14 +66,6 @@ class TestFinalize:
         t = gen_alpha2_lb_instance(2)
         with pytest.raises(ModelError):
             adversary_finalize(t, (99,))
-
-    def test_state_commits_once(self):
-        t = gen_alpha2_lb_instance(2)
-        state = AdaptiveAdversaryState.from_template(t)
-        state.commit((0,))
-        assert state.transcript == [(1, (0,))]
-        with pytest.raises(ModelError):
-            state.commit((1,))
 
 
 class TestGames:

@@ -89,6 +89,18 @@ class TestSimulate:
                              "--instance", instance_file)
         assert code == 2
 
+    @pytest.mark.parametrize("gen", ["random:n=abc", "random:n=0", "random:m=5",
+                                     "alpha2-lb:z=4,k=9", "sqrt2-lb:k=5"])
+    def test_bad_generator_parameter_exits_2(self, capsys, gen):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "3", "--policy", "greedy",
+                                 "--gen", gen, "--no-header")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_infinite_alpha_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--alpha", "inf", "--policy", "greedy",
+                               "--gen", "random:n=5")
+        assert code == 2 and "finite" in err
+
 
 class TestLowerbound:
     def test_summary_row_near_phi_plus_1(self, capsys):
@@ -118,6 +130,10 @@ class TestLowerbound:
     def test_alpha_below_two_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "lowerbound", "--alpha", "1.5")
         assert code == 2
+
+    def test_non_numeric_alpha_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "lowerbound", "--alpha", "2,abc")
+        assert code == 2 and "'abc'" in err
 
     def test_byte_identical_without_header(self, capsys, tmp_path):
         args = ("lowerbound", "--alpha", "2.5", "--z-max", "20", "--x-grid", "16",
@@ -151,6 +167,11 @@ class TestVerify:
             assert code == 0, (suite, out)
             assert f"[PASS] {suite}" in out
 
+    @pytest.mark.parametrize("suite", ["subadd", "oracle"])
+    def test_zero_samples_exits_2(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", suite, "--samples", "0")
+        assert code == 2 and "[PASS]" not in out and "--samples" in err
+
 
 class TestGame:
     def test_alpha2_prediction_matches(self, capsys):
@@ -183,3 +204,36 @@ class TestGame:
                              "--policy", "min-lcr", "--out", str(out_path))
         assert code == 0
         assert "ratio:" in out_path.read_text()
+
+
+class TestGoldenOutput:
+    """Exact output pinned from the reference implementation: a change to any of
+    these numbers, however small, shows up as a changed byte."""
+
+    def test_verify_mincran(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "mincran")
+        assert code == 0
+        assert out == ("[PASS] mincran: z=10: k*=6.18034 value=2.61803399; "
+                       "z=100: k*=61.8034 value=2.61803399; "
+                       "z=10000: k*=6180.34 value=2.61803399\n")
+
+    def test_lowerbound_summary_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "lowerbound", "--alpha", "2,3", "--z-max", "12",
+                               "--x-grid", "8", "--no-header")
+        assert code == 0
+        summary = [line for line in out.splitlines()[1:] if line.split(",")[1] == ""]
+        assert summary == ["2,,,,2.56266024904", "3,,,,2.41421356237"]
+
+    @pytest.mark.parametrize("policy,row", [
+        ("min-lcr", "heavy-tail:seed=3,2.5,min-lcr,203.498044628,182.335400102,"
+                    "1.1160643765,1.969014987"),
+        ("sim-lcr", "heavy-tail:seed=3,2.5,sim-lcr,203.498044628,182.335400102,"
+                    "1.1160643765,1.969014987"),
+        ("greedy", "heavy-tail:seed=3,2.5,greedy,203.498044628,178.678545852,"
+                   "1.13890586952,2.57471544635"),
+    ])
+    def test_simulate_heavy_tail(self, capsys, policy, row):
+        code, out, _ = run_cli(capsys, "simulate", "--gen", "heavy-tail:n=30", "--seed", "3",
+                               "--alpha", "2.5", "--policy", policy, "--no-header")
+        assert code == 0
+        assert out == "label,alpha,policy,off,alg,ratio,max_lcr\n" + row + "\n"

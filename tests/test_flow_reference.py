@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from speedscale.model import INFINITE, Instance, Job, PowerLaw, effective_cost
+from speedscale.model import INFINITE, Instance, Job, PowerLaw
 from speedscale.offline import OfflineProblem, solve_offline_flow
 
 
@@ -37,7 +37,7 @@ def reference_offline(problem: OfflineProblem) -> float:
             g.add(1 + idx, n + t, 1, 0.0)
     for t in range(1, horizon + 1):
         for k in range(1, n + 1):
-            g.add(n + t, sink, 1, effective_cost(problem.cost, k))
+            g.add(n + t, sink, 1, problem.cost.effective_cost(k))
 
     total = 0.0
     while True:

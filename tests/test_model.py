@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from speedscale.model import (INFINITE, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace,
-                              available_jobs, dumps_instance, effective_cost,
-                              evaluate_trace, loads_instance, union,
+                              available_jobs, dumps_instance, evaluate_trace, loads_instance, union,
                               union_with_provenance)
 
 from conftest import mk_instance
@@ -18,13 +17,13 @@ from conftest import mk_instance
 
 class TestEffectiveCost:
     def test_power_law_examples(self):
-        assert effective_cost(PowerLaw(2.0), 3) == 5.0  # 9 - 4
-        assert effective_cost(PowerLaw(2.0), 1) == 1.0
-        assert effective_cost(PowerLaw(3.0), 2) == 7.0  # 8 - 1
+        assert PowerLaw(2.0).effective_cost(3) == 5.0  # 9 - 4
+        assert PowerLaw(2.0).effective_cost(1) == 1.0
+        assert PowerLaw(3.0).effective_cost(2) == 7.0  # 8 - 1
 
     def test_k_zero_rejected(self):
         with pytest.raises(ModelError):
-            effective_cost(PowerLaw(2.0), 0)
+            PowerLaw(2.0).effective_cost(0)
 
     def test_marginals_nondecreasing_on_grid(self):
         # strictly positive and non-decreasing over k = 1..10_000 for a grid of alpha
@@ -37,7 +36,7 @@ class TestEffectiveCost:
     def test_tabulated_convex(self):
         t = TabulatedConvex((0.0, 1.0, 4.0, 9.0))
         assert t.g(2) == 4.0
-        assert effective_cost(t, 3) == 5.0
+        assert t.effective_cost(3) == 5.0
         with pytest.raises(ModelError):
             t.g(4)  # beyond the table
 

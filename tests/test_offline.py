@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speedscale.analysis import _small_instance
 from speedscale.model import (INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
 from speedscale.offline import (OfflineProblem, OfflineSizeError,
                                 solve_offline_bruteforce, solve_offline_flow)
 from speedscale.policies import POLICIES, run_policy
 
-from conftest import mk_instance, random_small_instance
+from conftest import mk_instance
 
 
 def off_flow(instance, cost):
@@ -84,7 +85,7 @@ class TestOracleEquivalence:
     def test_random_instances(self, alpha, rng):
         cost = PowerLaw(alpha)
         for _ in range(150):
-            inst = random_small_instance(rng)
+            inst = _small_instance(rng)
             f, trace_f = off_flow(inst, cost)
             b, trace_b = off_brute(inst, cost)
             assert abs(f - b) <= 1e-6, (f, b, inst.jobs)

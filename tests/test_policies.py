@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from speedscale.adversary import PHI_PLUS_1, FixedCountPolicy
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace,
-                              available_jobs, effective_cost, evaluate_trace)
+                              available_jobs, evaluate_trace)
 from speedscale.policies import (POLICIES, Decision, Policy, PolicyView,
                                  SlotLedger, UnsupportedCostError, beta_root,
                                  compute_m, get_policy, inner_greedy_profit,
@@ -73,7 +73,7 @@ def brute_inner_greedy(values, cost):
 def brute_m(values, cost):
     # independent oracle: direct scan of v_j - c_j over every j
     hits = [j for j in range(1, len(values) + 1)
-            if values[j - 1] - effective_cost(cost, j) > 0]
+            if values[j - 1] - cost.effective_cost(j) > 0]
     return max(hits, default=0)
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from speedscale.analysis import _small_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError,
                               TabulatedConvex, evaluate_trace)
 from speedscale.offline import (OfflineProblem, solve_offline_bruteforce,
@@ -15,7 +16,7 @@ from speedscale.offline import (OfflineProblem, solve_offline_bruteforce,
 from speedscale.policies import (PolicyView, compute_m, lcr_breakdown,
                                  min_lcr_decide, run_policy)
 
-from conftest import mk_instance, random_small_instance
+from conftest import mk_instance
 
 TRIANGLE = TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(12)))  # marginals 1,2,3,...
 QUADRATIC = TabulatedConvex(tuple(float(k * k) for k in range(12)))
@@ -52,7 +53,7 @@ class TestPolicies:
 class TestOffline:
     def test_flow_equals_brute_on_randoms(self, rng):
         for _ in range(120):
-            inst = random_small_instance(rng)
+            inst = _small_instance(rng)
             prob = OfflineProblem.from_instance(inst, TRIANGLE)
             f, _ = solve_offline_flow(prob)
             b, _ = solve_offline_bruteforce(prob)
