@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw
+from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
+                    SlotDecision, Trace)
 from .offline import OfflineProblem, solve_offline_flow
-from .policies import Decision, Policy, PolicyView, get_policy, lcr_breakdown, compute_m, run_policy
+from .policies import (Decision, Policy, PolicyView, SlotLedger, compute_m, get_policy,
+                       lcr_breakdown)
 from .reports import RatioReport, build_report
 
 DELTA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,21 +114,22 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     """Play one adaptive round: observe the policy's slot-1 choice, fix deadlines,
     then score the finalized instance offline vs online.
 
-    The policy is deterministic and deadline-blind, so re-running it on the
-    finalized instance reproduces the observed slot-1 decision; the replay is
-    what gets scored.
+    The online run is that one slot: afterwards the chosen jobs are done and
+    every other job has expired.
     """
     policy = get_policy(policy)
     view = template.slot1_view()
     decision = policy.decide(view, cost)
+    if decision.count > len(view):
+        raise ModelError(f"slot 1: policy {policy.name!r} chose {decision.count} jobs, "
+                         f"only {len(view)} available")
     chosen = tuple(jid for jid, _ in view.candidates[: decision.count])
     instance = adversary_finalize(template, chosen)
-    trace = run_policy(instance, policy, cost)
-    first = trace.decisions[0].processed if trace.decisions else frozenset()
-    if first != frozenset(chosen):
-        raise ModelError("policy replay diverged from the observed slot-1 choice")
+    by_id = {j.id: j for j in instance.jobs}
+    decisions = [SlotDecision.build(1, [by_id[jid] for jid in chosen], cost)] if chosen else []
+    ledgers = [SlotLedger(1, decision.count, decision.breakdowns)] if decision.breakdowns else []
     off_profit, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
-    return build_report(template.label, off_profit, trace)
+    return build_report(template.label, off_profit, Trace.build(decisions, ledgers))
 
 
 def alpha2_game_ratio(z: int, k: int) -> float:

@@ -285,26 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "lower-bound games and curves, and bound verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, seed=False, table=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--no-header", action="store_true",
-                       help="suppress the timestamp header line for byte-identical reruns")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--no-header", action="store_true",
+                           help="suppress the timestamp header line for byte-identical reruns")
 
     p = sub.add_parser("simulate", help="run a policy on an instance and report the ratio")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--policy", required=True, help="|".join(sorted(POLICIES)))
     p.add_argument("--instance", help="instance file (JSON lines)")
     p.add_argument("--gen", help="generator spec, e.g. alpha2-lb:z=100 or random:n=20")
-    common(p)
+    common(p, seed=True, table=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lowerbound", help="numeric lower-bound curve over the construction family")
     p.add_argument("--alpha", required=True, help="comma-separated list, e.g. 2,2.5,3")
     p.add_argument("--z-max", type=int, default=200)
     p.add_argument("--x-grid", type=int, default=64)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("verify", help="run numeric verification suites")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--inject-delta", type=float, default=0.0,
                    help="negative-control offset added to the golden-section target")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("game", help="play the adaptive deadline game against a policy")

@@ -107,7 +107,11 @@ class PowerLaw(CostModel):
     def g(self, k: int) -> float:
         if k < 0:
             raise ModelError(f"g is defined for k >= 0, got {k}")
-        return float(k) ** self.alpha
+        try:
+            return float(k) ** self.alpha
+        except OverflowError:
+            raise ModelError(f"g(k) = k ** alpha overflows a float at k={k}, "
+                             f"alpha={self.alpha}") from None
 
 
 @dataclass(frozen=True)

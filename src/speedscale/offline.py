@@ -13,8 +13,13 @@ Every residual source-to-sink path has the shape
 
 where all reassignment hops are free and the only paid arc is the final one,
 costing the marginal c at slot T's current load. So the cheapest path for a
-job is "the smallest marginal over every slot reachable from its window by
-chains of reassignments", which is what `_cheapest_reachable` computes.
+job is the smallest marginal over every slot reachable from its window by
+chains of reassignments. Those slots form one interval (job windows make a
+convex bipartite graph): every job in a covered slot may move anywhere in its
+window, which overlaps the interval and so extends it.
+`_FlowState.cheapest_reachable` grows the interval from the job's window,
+reading each busy slot's hull of windows, and records each extension as a
+ring; `_FlowState.apply` walks the rings back to move the chain.
 
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
 all feasible assignments (organized as a subset DP per slot), guarded to
@@ -22,7 +27,6 @@ small inputs.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 import numpy as np
 
@@ -82,112 +86,90 @@ def _trace_from_assignment(slot_jobs: dict[int, list[OfflineJob]], cost: CostMod
 
 class _FlowState:
     def __init__(self, problem: OfflineProblem):
-        jobs = problem.jobs
-        n = len(jobs)
-        last_arrival = max(j.start for j in jobs)
-        cap = last_arrival + n  # lossless truncation, see OfflineProblem docstring
         self.cost = problem.cost
-        self.windows: dict[int, tuple[int, int]] = {}
-        self.values: dict[int, float] = {}
+        self.jobs = {j.id: j for j in problem.jobs}
         self.pool: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        for j in jobs:
-            w = (j.start, min(j.end, cap))
-            self.windows[j.id] = w
-            self.values[j.id] = j.value
-            self.pool.setdefault(w, []).append((j.value, -j.id))
+        for j in problem.jobs:
+            self.pool.setdefault(j.window, []).append((j.value, -j.id))
         for stack in self.pool.values():
             stack.sort()  # pop() yields highest value, smallest id on ties
-        horizon = max(w[1] for w in self.pool)
-        self.loads = np.zeros(horizon + 1, dtype=np.int64)
-        self.marginal = [self.cost.effective_cost(k) for k in range(1, n + 1)]
-        self.assigned_slots: dict[tuple[int, int], list[int]] = {}
-        self.slot_jobs: dict[int, dict[tuple[int, int], list[int]]] = {}
-        self.placed: dict[int, int] = {}
+        self.loads = np.zeros(max(w[1] for w in self.pool) + 1, dtype=np.int64)
+        self.marginal = [self.cost.effective_cost(k) for k in range(1, len(problem.jobs) + 1)]
+        self.slot_jobs: dict[int, list[int]] = {}
+        self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
+        self.payoff = 0.0  # values of the placed jobs, summed in placement order
 
     # -- reachability ------------------------------------------------------
 
     def cheapest_reachable(self, seed: tuple[int, int]):
         """Min marginal cost over all slots reachable from `seed` by reassignment chains.
 
-        Returns (marginal, target slot, interval list, index of target interval).
-        Intervals record which assigned job witnessed each expansion so the
-        augmenting chain can be replayed.
+        Returns (marginal, target slot, rings). A ring (first, last, slot) is
+        one extension of the interval: some job now in `slot` can move to any
+        slot of it. The search stops once the interval holds an idle slot.
         """
-        loads = self.loads
-        intervals: list[tuple[int, int, int, int, int]] = [(seed[0], seed[1], -1, -1, -1)]
-        added = {seed}
-        best_k = int(loads[seed[0]: seed[1] + 1].min())
-        best_idx = 0
-        progress = best_k > 0
-        while progress and best_k > 0:
-            progress = False
-            for w, slots in self.assigned_slots.items():
-                if w in added or not slots:
-                    continue
-                hit = self._hit(slots, intervals)
-                if hit is None:
-                    continue
-                hit_slot, hit_idx = hit
-                witness = self.slot_jobs[hit_slot][w][-1]
-                intervals.append((w[0], w[1], hit_idx, witness, hit_slot))
-                added.add(w)
-                k = int(loads[w[0]: w[1] + 1].min())
-                if k < best_k:
-                    best_k, best_idx = k, len(intervals) - 1
-                progress = True
-                if best_k == 0:
-                    break
-        lo, hi = intervals[best_idx][0], intervals[best_idx][1]
+        loads, spans = self.loads, self.spans
+        lo, hi = seed
+        rings: list[tuple[int, int, int]] = []
+        left, right = lo, lo - 1  # slots left..right are visited
+        busy = loads[lo: hi + 1].all()
+        while busy and (lo < left or right < hi):
+            if right < hi:
+                right = slot = right + 1
+            else:
+                left = slot = left - 1
+            start, end = spans[slot]
+            if start < lo:
+                rings.append((start, lo - 1, slot))
+                busy = loads[start: lo].all()
+                lo = start
+            if end > hi:
+                rings.append((hi + 1, end, slot))
+                busy = busy and loads[hi + 1: end + 1].all()
+                hi = end
         target = lo + int(np.argmin(loads[lo: hi + 1]))
-        return self.marginal[best_k], target, intervals, best_idx
-
-    @staticmethod
-    def _hit(slots: list[int], intervals) -> tuple[int, int] | None:
-        for idx, (lo, hi, _, _, _) in enumerate(intervals):
-            pos = bisect_left(slots, lo)
-            if pos < len(slots) and slots[pos] <= hi:
-                return slots[pos], idx
-        return None
+        return self.marginal[int(loads[target])], target, rings
 
     # -- mutation ----------------------------------------------------------
 
-    def _attach(self, job_id: int, w: tuple[int, int], slot: int) -> None:
-        self.slot_jobs.setdefault(slot, {}).setdefault(w, []).append(job_id)
-        insort(self.assigned_slots.setdefault(w, []), slot)
+    def _attach(self, job_id: int, slot: int) -> None:
+        start, end = self.jobs[job_id].window
+        if self.loads[slot]:
+            lo, hi = self.spans[slot]
+            start, end = min(lo, start), max(hi, end)
+        self.spans[slot] = (start, end)
+        self.slot_jobs.setdefault(slot, []).append(job_id)
         self.loads[slot] += 1
-        self.placed[job_id] = slot
 
-    def _detach(self, job_id: int, w: tuple[int, int], slot: int) -> None:
-        self.slot_jobs[slot][w].remove(job_id)
-        slots = self.assigned_slots[w]
-        slots.pop(bisect_left(slots, slot))
-        self.loads[slot] -= 1
-
-    def apply(self, job_id: int, w: tuple[int, int], plan) -> None:
-        _, target, intervals, idx = plan
-        t = target
-        while idx != 0:
-            _, _, parent, via_job, via_slot = intervals[idx]
-            via_w = self.windows[via_job]
-            self._detach(via_job, via_w, via_slot)
-            self._attach(via_job, via_w, t)
-            t, idx = via_slot, parent
-        self._attach(job_id, w, t)
+    def apply(self, job_id: int, plan) -> None:
+        # Each ring's slot lies in an earlier ring or in the seed window, so
+        # one backward pass walks the chain from the target to the seed.
+        _, t, rings = plan
+        for first, last, slot in reversed(rings):
+            if first <= t <= last:
+                held = self.slot_jobs[slot]
+                job = next(j for j in held if self.jobs[j].start <= t <= self.jobs[j].end)
+                held.remove(job)
+                self.loads[slot] -= 1
+                if held:
+                    self.spans[slot] = (min(self.jobs[j].start for j in held),
+                                        max(self.jobs[j].end for j in held))
+                self._attach(job, t)
+                t = slot
+        self._attach(job_id, t)
+        self.payoff += self.jobs[job_id].value
 
     # -- results -----------------------------------------------------------
 
     def profit(self) -> float:
-        total = sum(self.values[j] for j in self.placed)
+        total = self.payoff
         for k in self.loads[np.nonzero(self.loads)[0]]:
             total -= self.cost.g(int(k))
         return float(total)
 
     def trace(self) -> Trace:
-        by_slot: dict[int, list[OfflineJob]] = {}
-        for jid, slot in self.placed.items():
-            by_slot.setdefault(slot, []).append(
-                OfflineJob(jid, self.values[jid], *self.windows[jid]))
-        return _trace_from_assignment(by_slot, self.cost)
+        return _trace_from_assignment(
+            {slot: [self.jobs[j] for j in held] for slot, held in self.slot_jobs.items()}, self.cost)
 
 
 def solve_offline_flow(problem: OfflineProblem) -> tuple[float, Trace]:
@@ -216,7 +198,7 @@ def solve_offline_flow(problem: OfflineProblem) -> tuple[float, Trace]:
             break
         _, w, _, job_id, plan = best
         state.pool[w].pop()
-        state.apply(job_id, w, plan)
+        state.apply(job_id, plan)
     return state.profit(), state.trace()
 
 

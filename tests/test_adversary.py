@@ -12,6 +12,28 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
                                   sqrt2_job_value)
 from speedscale.model import INFINITE, ModelError, PowerLaw
 from speedscale.offline import OfflineProblem, solve_offline_flow
+from speedscale.policies import Policy, get_policy, run_policy
+from speedscale.reports import build_report
+
+
+class CountingPolicy(Policy):
+    def __init__(self, inner):
+        self.inner = get_policy(inner)
+        self.name = self.inner.name
+        self.calls = 0
+
+    def decide(self, view, cost):
+        self.calls += 1
+        return self.inner.decide(view, cost)
+
+
+def replayed_game_report(policy, template, cost):
+    """The game scored by replaying the finalized instance through run_policy."""
+    view = template.slot1_view()
+    count = get_policy(policy).decide(view, cost).count
+    instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
+    off, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
+    return build_report(template.label, off, run_policy(instance, policy, cost))
 
 
 class TestTemplates:
@@ -95,6 +117,21 @@ class TestGames:
         inst = adversary_finalize(t, t.job_ids()[:7])  # greedy picks m = z = 7
         off, _ = solve_offline_flow(OfflineProblem.from_instance(inst, alpha2))
         assert math.isclose(report.off_profit, off, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
+    def test_policy_decides_once(self, alpha2, policy):
+        counting = CountingPolicy(policy)
+        run_adversarial_game(counting, gen_alpha2_lb_instance(20), alpha2)
+        assert counting.calls == 1
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(3)])
+    @pytest.mark.parametrize("alpha,template", [
+        (2.0, gen_alpha2_lb_instance(1)), (2.0, gen_alpha2_lb_instance(40)),
+        (2.5, gen_alpha2_lb_instance(9)), (3.0, gen_sqrt2_lb_instance(3.0))])
+    def test_report_equals_replay(self, policy, alpha, template):
+        cost = PowerLaw(alpha)
+        assert (run_adversarial_game(policy, template, cost)
+                == replayed_game_report(policy, template, cost))
 
 
 class TestLowerBoundCurve:

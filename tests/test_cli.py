@@ -4,6 +4,7 @@ import math
 import pytest
 
 from speedscale.cli import main
+from speedscale.model import INFINITE, Instance, Job, write_instance
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +101,27 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--alpha", "inf", "--policy", "greedy",
                                "--gen", "random:n=5")
         assert code == 2 and "finite" in err
+
+    @pytest.mark.parametrize("alpha,policy", [("2000", "greedy"), ("600", "min-lcr")])
+    def test_overflowing_alpha_exits_2(self, capsys, alpha, policy):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", alpha, "--policy", policy,
+                                 "--gen", "random:n=5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "overflows" in err and f"alpha={alpha}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hbound", "--format", "json"),
+    ("verify", "hbound", "--no-header"),
+    ("game", "--alpha", "2", "--z", "5", "--policy", "greedy", "--seed", "1"),
+    ("game", "--alpha", "2", "--z", "5", "--policy", "greedy", "--format", "json"),
+    ("game", "--alpha", "2", "--z", "5", "--policy", "greedy", "--no-header"),
+    ("lowerbound", "--alpha", "2", "--seed", "1"),
+])
+def test_option_the_subcommand_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 class TestLowerbound:
@@ -237,3 +259,24 @@ class TestGoldenOutput:
                                "--alpha", "2.5", "--policy", policy, "--no-header")
         assert code == 0
         assert out == "label,alpha,policy,off,alg,ratio,max_lcr\n" + row + "\n"
+
+    def test_simulate_sparse_bursts_instance(self, capsys, tmp_path):
+        # three bursts of ten jobs, 2,000 idle slots apart; every fifth job never expires
+        path = tmp_path / "bursts.jsonl"
+        jobs = [Job(10 * b + i, 1 + 2000 * b + i // 3, 1.5 + 1.25 * (7 * (10 * b + i) % 11),
+                    INFINITE if i % 5 == 0 else 1 + i % 4)
+                for b in range(3) for i in range(10)]
+        write_instance(Instance(tuple(jobs)), path)
+        code, out, _ = run_cli(capsys, "simulate", "--alpha", "2.5", "--policy", "min-lcr",
+                               "--instance", str(path), "--no-header")
+        assert code == 0
+        assert out == ("label,alpha,policy,off,alg,ratio,max_lcr\n"
+                       f"{path},2.5,min-lcr,193.186291501,163.338311755,"
+                       "1.18273716329,1.70588235294\n")
+
+    def test_game_min_lcr(self, capsys):
+        code, out, _ = run_cli(capsys, "game", "--alpha", "2", "--z", "500", "--policy", "min-lcr")
+        assert code == 0
+        assert out == ("template: alpha2-lb:z=500\npolicy: min-lcr\nslot1_count: 309\n"
+                       "off: 558691\nalg: 213519\nratio: 2.61658681429\n"
+                       "predicted: 2.61658681429\n")

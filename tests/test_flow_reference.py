@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedscale.model import INFINITE, Instance, Job, PowerLaw
 from speedscale.offline import OfflineProblem, solve_offline_flow
@@ -108,6 +110,22 @@ def test_flow_matches_reference_on_sparse_tied_instances():
         prob = OfflineProblem.from_instance(Instance(tuple(jobs)), cost)
         fast, _ = solve_offline_flow(prob)
         assert abs(fast - reference_offline(prob)) <= 1e-6
+
+
+@given(st.lists(st.tuples(st.integers(0, 10), st.one_of(st.integers(1, 12), st.none()),
+                          st.sampled_from([0.0, 0.5, 3.0, 9.0, 25.0])),
+                min_size=1, max_size=30),
+       st.sampled_from([2.0, 2.5, 3.0]))
+@settings(max_examples=120, deadline=None)
+def test_flow_matches_reference_on_drawn_instances(specs, alpha):
+    # arrival gaps 0-10, deadlines 1-12 or never, values drawn from a few ties
+    jobs, arrival = [], 1
+    for i, (gap, deadline, value) in enumerate(specs):
+        arrival += gap
+        jobs.append(Job(i, arrival, value, INFINITE if deadline is None else deadline))
+    prob = OfflineProblem.from_instance(Instance(tuple(jobs)), PowerLaw(alpha))
+    fast, _ = solve_offline_flow(prob)
+    assert abs(fast - reference_offline(prob)) <= 1e-6
 
 
 def test_reference_on_known_instances(alpha2):

@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +160,42 @@ class TestOfflineProperties:
         profit, trace = off_flow(inst, alpha2)
         assert math.isclose(profit, 7.0 + 8.0 + 9.0, abs_tol=1e-9)
         assert math.isclose(off_brute(inst, alpha2)[0], profit, abs_tol=1e-9)
+
+
+def bursts_instance(seed, never_expiring):
+    """1,000 jobs in 4 bursts of 250, each burst 5,000 idle slots after the last.
+
+    Poisson(0.3) arrival gaps inside a burst; `never_expiring` jobs, at random
+    positions, never expire and the others stay for 1-6 slots.
+    """
+    rng = np.random.default_rng(seed)
+    never = rng.permutation(1000) < never_expiring
+    jobs, arrival = [], 1
+    for i in range(1000):
+        if i % 250 == 0 and i:
+            arrival += 5000
+        elif i:
+            arrival += int(rng.poisson(0.3))
+        deadline = INFINITE if never[i] else int(rng.integers(1, 7))
+        jobs.append(Job(i, arrival, float(rng.uniform(0.0, 12.0)), deadline))
+    return Instance(tuple(jobs))
+
+
+class TestSparseBursts:
+    def test_thousand_jobs_with_never_expiring(self, alpha2):
+        # never-expiring windows reach across every gap, so reassignment chains
+        # span the whole instance
+        inst = bursts_instance(11, never_expiring=150)
+        start = time.perf_counter()
+        profit, trace = off_flow(inst, alpha2)
+        assert time.perf_counter() - start < 20.0
+        assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+    def test_finite_bursts_solve_apart(self, alpha2):
+        # with finite windows no chain crosses a 5,000-slot gap
+        inst = bursts_instance(12, never_expiring=0)
+        profit, trace = off_flow(inst, alpha2)
+        apart = sum(off_flow(Instance(inst.jobs[b: b + 250]), alpha2)[0]
+                    for b in range(0, 1000, 250))
+        assert math.isclose(profit, apart, rel_tol=1e-9)
+        assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
