@@ -55,7 +55,8 @@ class OfflineProblem:
 
     Never-expiring jobs are truncated to last arrival + number of jobs: at
     most n jobs are ever processed, so scheduling one per slot right after the
-    final arrival already suffices and later slots can never help.
+    final arrival already suffices and later slots can never help. The flow
+    solver cuts finite windows at the same slot; the horizon keeps them whole.
     """
 
     jobs: tuple[OfflineJob, ...]
@@ -86,10 +87,11 @@ def _trace_from_assignment(slot_jobs: dict[int, list[OfflineJob]], cost: CostMod
 
 class _FlowState:
     def __init__(self, problem: OfflineProblem):
+        cap = max(j.start for j in problem.jobs) + len(problem.jobs)  # see OfflineProblem
         self.cost = problem.cost
-        self.jobs = {j.id: j for j in problem.jobs}
+        self.jobs = {j.id: OfflineJob(j.id, j.value, j.start, min(j.end, cap)) for j in problem.jobs}
         self.pool: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        for j in problem.jobs:
+        for j in self.jobs.values():
             self.pool.setdefault(j.window, []).append((j.value, -j.id))
         for stack in self.pool.values():
             stack.sort()  # pop() yields highest value, smallest id on ties

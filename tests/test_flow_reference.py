@@ -128,6 +128,20 @@ def test_flow_matches_reference_on_drawn_instances(specs, alpha):
     assert abs(fast - reference_offline(prob)) <= 1e-6
 
 
+def test_flow_matches_reference_with_far_deadlines():
+    # a deadline of 10**12 among short ones: the solver cuts it at last
+    # arrival + n, the reference at its horizon
+    rng = np.random.default_rng(12)
+    cost = PowerLaw(2.0)
+    for _ in range(30):
+        inst = random_medium_instance(rng)
+        far = {int(i) for i in rng.choice(len(inst), size=3, replace=False)}
+        prob = OfflineProblem.from_instance(Instance(tuple(
+            Job(j.id, j.arrival, j.value, 10**12) if j.id in far else j for j in inst.jobs)), cost)
+        fast, _ = solve_offline_flow(prob)
+        assert abs(fast - reference_offline(prob)) <= 1e-6
+
+
 def test_reference_on_known_instances(alpha2):
     # anchor the reference itself on hand-computed values
     inst = Instance((Job(0, 1, 4.0, INFINITE), Job(1, 1, 4.0, INFINITE)))

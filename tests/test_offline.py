@@ -199,3 +199,16 @@ class TestSparseBursts:
                     for b in range(0, 1000, 250))
         assert math.isclose(profit, apart, rel_tol=1e-9)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+
+class TestLongDeadlines:
+    def test_far_deadline_acts_like_none(self, alpha2):
+        # slots past last arrival + n never help, so a deadline of 10**12 acts
+        # like none; the solver must not size its state from the raw deadline
+        far = mk_instance((1, 4.0, 10**12), (1, 4.0, 10**12), (2, 3.0, 10**12))
+        never = mk_instance((1, 4.0, INFINITE), (1, 4.0, INFINITE), (2, 3.0, INFINITE))
+        start = time.perf_counter()
+        profit, trace = off_flow(far, alpha2)
+        assert time.perf_counter() - start < 1.0
+        assert math.isclose(evaluate_trace(far, trace, alpha2), profit, rel_tol=1e-12)
+        assert profit == off_flow(never, alpha2)[0] == 8.0  # one job per slot
