@@ -18,14 +18,15 @@ print(f"\n{'alpha':>6} {'best':>10}   anchors: phi+1={PHI_PLUS_1:.5f}, "
       f"sqrt2+1={SQRT2_PLUS_1:.5f}")
 rows = []
 for alpha in (2.0, 2.2, 2.5, 3.0, 3.5, 4.0):
+    # the curve is a structured array with columns z, x, k_star and value
     curve, best = eval_lower_bound(alpha, z_max=200, x_grid=64)
     print(f"{alpha:6.1f} {best:10.6f}")
-    rows.extend(curve)
+    columns = [curve[name].tolist() for name in ("z", "x", "k_star", "value")]
+    rows.extend([alpha, *point] for point in zip(*columns))
 
 with open("lowerbound_curve.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["alpha", "z", "x", "k_star", "value"])
-    for p in rows:
-        writer.writerow([p.alpha, p.z, p.x, p.k_star, p.value])
+    writer.writerows(rows)
 print(f"\nwrote {len(rows)} grid points to lowerbound_curve.csv")
 print("equivalently: speedscale lowerbound --alpha 2,2.5,3 --out curve.csv")

@@ -12,7 +12,7 @@ Library layout:
 * ``cli``       - the ``speedscale`` command
 """
 from .adversary import (DELTA, PHI, PHI_PLUS_1, SQRT2_PLUS_1,
-                        FixedCountPolicy, InstanceTemplate, LowerBoundCurvePoint,
+                        FixedCountPolicy, InstanceTemplate,
                         adversary_finalize, alpha2_game_ratio, lower_bound_ratio,
                         eval_lower_bound, gen_alpha2_lb_instance,
                         gen_sqrt2_lb_instance, run_adversarial_game,

@@ -18,8 +18,8 @@ import numpy as np
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
 from .offline import OfflineProblem, solve_offline_flow
-from .policies import (Decision, Policy, PolicyView, SlotLedger, compute_m, get_policy,
-                       lcr_breakdown)
+from .policies import (Decision, Policy, PolicyView, SlotLedger, _breakdown, compute_m,
+                       get_policy)
 from .reports import RatioReport, build_report
 
 DELTA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -107,7 +107,7 @@ class FixedCountPolicy(Policy):
         if m == 0:
             return Decision(0)
         count = min(self.k, m)
-        return Decision(count, (lcr_breakdown(view, cost, count),))
+        return Decision(count, (_breakdown(view.values, cost, count),))
 
 
 def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) -> RatioReport:
@@ -142,18 +142,6 @@ def alpha2_game_ratio(z: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Numeric evaluation of the general lower bound
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LowerBoundCurvePoint:
-    """One grid point: the worst policy choice k against a batch of 2z jobs
-    of value c_z + x, where x is capped by the convexity gap at z."""
-
-    alpha: float
-    z: int
-    x: float
-    k_star: int
-    value: float
-
 
 def lower_bound_ratio(alpha: float, z: int, x: float, k: int) -> float:
     """The lower-bound ratio at one (z, x, k) point of the construction family."""
@@ -233,23 +221,71 @@ def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float
     return a, b, max(fc, fd)
 
 
-def _refine_peak(alpha: float, z: int, x_lo: float, x_hi: float) -> float:
-    """Golden-section maximization of the inner min over x in [x_lo, x_hi].
+def _crossings(alpha: float, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The x where branches j != k of row z meet: a 2 x n array, nan where they do not.
 
-    The inner min is a minimum of smooth branches, so its peak may sit at a
-    kink where two branches cross; a grid alone cannot hit it to tight
-    tolerance, hence this local search around the best grid point.
+    With v = c_z + x, branch k is ((k+z)v - k - z**alpha) / (kv - k**alpha), so
+    setting branches j and k equal gives a v**2 + b v + c = 0 with the
+    coefficients below, solved in the cancellation-free form q / a and c / q.
     """
-    zs = np.array([z])
+    zf, jf, kf = z.astype(float), j.astype(float), k.astype(float)
+    za, ja, ka = zf ** alpha, jf ** alpha, kf ** alpha
+    a = zf * (kf - jf)
+    b = (kf + zf) * ja - (jf + zf) * ka + za * (jf - kf)
+    c = (jf + za) * ka - (kf + za) * ja
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        v = np.stack([q / a, c / q])
+    return v - (za - (zf - 1.0) ** alpha)
 
-    def inner_min(x: float) -> float:
-        return float(_inner_min_batch(alpha, zs, np.array([x]))[0][0])
 
-    return golden_section_max(inner_min, x_lo, x_hi, rtol=1e-13)[2]
+def _refine_peak(alpha: float, z: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> float:
+    """Maximum of the inner min over x in [x_lo, x_hi], taken over all rows z.
+
+    For one row each branch k is a Moebius function of v = c_z + x whose
+    derivative has the sign of k(k + z**alpha - (k+z) k**(alpha-1)), whatever v
+    is. The inner min is thus a lower envelope of monotone branches, and its
+    maximum over a bracket lies at an endpoint or where two branches cross.
+    So each bracket is sampled at `_REFINE_SAMPLES` points in one batch, and
+    wherever the active k changes between neighbouring samples the crossing
+    of the two branches is solved and, when it lies between them, evaluated.
+
+    The active k can jump past a third branch m between two samples; then m,
+    not j or k, is the one active at the j-k crossing. Each such root
+    therefore adds the crossings j-m and m-k on the same sub-interval to the
+    next batch, until no new pair of branches appears. Every candidate goes
+    through `_inner_min_batch`, so the result is a value the inner min takes:
+    it can fall short of the peak but never overshoot it.
+    """
+    x = x_lo[:, None] + (x_hi - x_lo)[:, None] * np.linspace(0.0, 1.0, _REFINE_SAMPLES)
+    values, ks = _inner_min_batch(alpha, np.broadcast_to(z[:, None], x.shape), x)
+    best = float(values.max())
+    row, col = np.nonzero(ks[:, 1:] != ks[:, :-1])
+    pending = set(zip(z[row].tolist(), x[row, col].tolist(), x[row, col + 1].tolist(),
+                      ks[row, col].tolist(), ks[row, col + 1].tolist()))  # (z, lo, hi, j, k)
+    seen = set()
+    while pending:
+        seen |= pending
+        pairs = sorted(pending)
+        zs, lo, hi, j, k = (np.array(column) for column in zip(*pairs))
+        roots = _crossings(alpha, zs, j, k)
+        side, at = np.nonzero((roots >= lo) & (roots <= hi))
+        if not at.size:
+            break
+        values, active = _inner_min_batch(alpha, zs[at], roots[side, at])
+        best = max(best, float(values.max()))
+        pending = set()
+        for r, m in zip(at.tolist(), active.tolist()):
+            z_r, lo_r, hi_r, j_r, k_r = pairs[r]
+            pending |= {(z_r, lo_r, hi_r, j_r, m), (z_r, lo_r, hi_r, m, k_r)}
+        pending = {pair for pair in pending if pair[3] != pair[4]} - seen
+    return best
 
 
-_REFINE_TOP = 12  # grid rows (best first) refined by golden section
+_REFINE_TOP = 12  # grid rows (best first) refined around their best grid point
+_REFINE_SAMPLES = 33  # points per refinement bracket, endpoints included
 _CHUNK = 256  # z rows evaluated per numpy batch
+_CURVE_DTYPE = np.dtype([("z", np.int64), ("x", float), ("k_star", np.int64), ("value", float)])
 
 
 def eval_lower_bound(
@@ -258,14 +294,16 @@ def eval_lower_bound(
     x_grid: int,
     keep_curve: bool = True,
     refine: bool = True,
-) -> tuple[list[LowerBoundCurvePoint], float]:
+) -> tuple[np.ndarray, float]:
     """Sweep the lower-bound construction family over z = 1..z_max.
 
     For each z, x runs over a uniform grid on (0, xcap(z)] including the right
     endpoint, and the inner minimum over the policy's count k is exact. The
-    returned best additionally refines the top grid rows by a local
-    golden-section search in x, because the inner min can peak exactly at a
-    branch crossing between two consecutive k.
+    curve comes back as one structured array with columns z, x, k_star and
+    value, one row per grid point in z-major order (empty without
+    `keep_curve`). The returned best additionally refines the top grid rows
+    with `_refine_peak`, because the inner min peaks where two branches in k
+    cross, which a grid point hits only by chance.
     """
     if not alpha >= 2.0:
         raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {alpha}")
@@ -274,7 +312,7 @@ def eval_lower_bound(
     if x_grid < 2:
         raise ModelError(f"x_grid must be >= 2, got {x_grid}")
 
-    curve: list[LowerBoundCurvePoint] = []
+    curve = np.empty(z_max * x_grid if keep_curve else 0, dtype=_CURVE_DTYPE)
     best = -math.inf
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
@@ -286,21 +324,20 @@ def eval_lower_bound(
         zz = np.broadcast_to(zs[:, None], x.shape)
         values, kstars = _inner_min_batch(alpha, zz, x)
         arg = np.argmax(values, axis=1)
-        for r, z in enumerate(zs):
-            row_best.append((float(values[r, arg[r]]), int(z), float(x[r, arg[r]]), float(xcap[r])))
+        rows = np.arange(len(zs))
+        row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
+                            x[rows, arg].tolist(), xcap.tolist()))
         best = max(best, float(values.max()))
         if keep_curve:
-            for r, z in enumerate(zs):
-                for c in range(x_grid):
-                    curve.append(LowerBoundCurvePoint(
-                        alpha=alpha, z=int(z), x=float(x[r, c]),
-                        k_star=int(kstars[r, c]), value=float(values[r, c])))
+            part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
+            part["z"], part["x"] = zz.ravel(), x.ravel()
+            part["k_star"], part["value"] = kstars.ravel(), values.ravel()
 
     if refine:
         h = 1.0 / x_grid
-        for value, z, x_at, xcap in sorted(row_best, reverse=True)[:_REFINE_TOP]:
-            lo = max(xcap * h * 1e-6, x_at - xcap * h)
-            hi = min(xcap, x_at + xcap * h)
-            best = max(best, _refine_peak(alpha, z, lo, hi))
+        _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
+        lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
+        hi = np.minimum(xcap, x_at + xcap * h)
+        best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
 
     return curve, best

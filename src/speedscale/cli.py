@@ -176,8 +176,9 @@ def cmd_lowerbound(args) -> int:
     summaries = []
     for alpha in sorted(alphas):
         curve, best = eval_lower_bound(alpha, args.z_max, args.x_grid)
-        for p in curve:
-            rows.append({"alpha": p.alpha, "z": p.z, "x": p.x, "k_star": p.k_star, "value": p.value})
+        columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
+        rows.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
+                    for z, x, k, value in zip(*columns))
         rows.append({"alpha": alpha, "z": None, "x": None, "k_star": None, "value": best})
         summaries.append({"alpha": alpha, "best": best})
     if args.format == "json":

@@ -96,7 +96,7 @@ class _FlowState:
         for stack in self.pool.values():
             stack.sort()  # pop() yields highest value, smallest id on ties
         self.loads = np.zeros(max(w[1] for w in self.pool) + 1, dtype=np.int64)
-        self.marginal = [self.cost.effective_cost(k) for k in range(1, len(problem.jobs) + 1)]
+        self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
         self.slot_jobs: dict[int, list[int]] = {}
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
@@ -130,7 +130,10 @@ class _FlowState:
                 busy = busy and loads[hi + 1: end + 1].all()
                 hi = end
         target = lo + int(np.argmin(loads[lo: hi + 1]))
-        return self.marginal[int(loads[target])], target, rings
+        load = int(loads[target])
+        while len(self.marginal) <= load:  # tabulated only as far as loads reach
+            self.marginal.append(self.cost.effective_cost(len(self.marginal) + 1))
+        return self.marginal[load], target, rings
 
     # -- mutation ----------------------------------------------------------
 

@@ -139,7 +139,11 @@ def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     m = compute_m(view, cost)
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
-    values = view.values
+    return _breakdown(view.values, cost, i)
+
+
+def _breakdown(values: Sequence[float], cost: CostModel, i: int) -> LcrBreakdown:
+    """lcr_breakdown for a policy that has already checked 1 <= i <= compute_m."""
     top = sum(values[:i])
     M = top - i * cost.g(1)
     P = top - cost.g(i)
@@ -232,7 +236,8 @@ def _sim_lcr_with_ledger(view: PolicyView, cost: CostModel) -> tuple[int, tuple[
     m = compute_m(view, cost)
     if m == 0:
         return 0, ()
-    breakdowns = tuple(lcr_breakdown(view, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
+    values = view.values
+    breakdowns = tuple(_breakdown(values, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
     best = min(breakdowns, key=lambda b: (b.lcr, b.i))
     return best.i, breakdowns
 
@@ -272,7 +277,7 @@ class GreedyPolicy(Policy):
         m = compute_m(view, cost)
         if m == 0:
             return Decision(0)
-        return Decision(m, (lcr_breakdown(view, cost, m),))
+        return Decision(m, (_breakdown(view.values, cost, m),))
 
 
 POLICIES: dict[str, Policy] = {

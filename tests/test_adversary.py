@@ -1,15 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speedscale import adversary
 from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
-                                  FixedCountPolicy,
-                                  adversary_finalize, alpha2_game_ratio,
+                                  FixedCountPolicy, _inner_min_batch, _refine_peak,
+                                  _x_cap, adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance,
-                                  gen_sqrt2_lb_instance, run_adversarial_game,
-                                  sqrt2_job_value)
+                                  gen_sqrt2_lb_instance, golden_section_max,
+                                  run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, ModelError, PowerLaw
 from speedscale.offline import OfflineProblem, solve_offline_flow
 from speedscale.policies import Policy, get_policy, run_policy
@@ -34,6 +38,19 @@ def replayed_game_report(policy, template, cost):
     instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
     off, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
     return build_report(template.label, off, run_policy(instance, policy, cost))
+
+
+def golden_refine_peak(alpha, z, x_lo, x_hi):
+    """The refinement _refine_peak replaced: a golden section per row on the inner min."""
+    best = -math.inf
+    for row, lo, hi in zip(z.tolist(), x_lo.tolist(), x_hi.tolist()):
+        zs = np.array([row])
+
+        def inner_min(x):
+            return float(_inner_min_batch(alpha, zs, np.array([x]))[0][0])
+
+        best = max(best, golden_section_max(inner_min, lo, hi, rtol=1e-13)[2])
+    return best
 
 
 class TestTemplates:
@@ -142,28 +159,32 @@ class TestLowerBoundCurve:
     def test_z1_degenerate(self):
         # z=1 forces k=1; at exponent 2 the ratio is exactly 2 for any feasible x
         curve, best = eval_lower_bound(2.0, 1, 8, refine=False)
-        assert all(p.k_star == 1 for p in curve)
-        assert all(math.isclose(p.value, 2.0, abs_tol=1e-9) for p in curve)
+        assert len(curve) == 8
+        assert (curve["k_star"] == 1).all()
+        assert np.allclose(curve["value"], 2.0, rtol=0.0, atol=1e-9)
         assert math.isclose(best, 2.0, abs_tol=1e-9)
 
     def test_curve_points_respect_x_cap(self):
         curve, _ = eval_lower_bound(2.5, 12, 16)
-        for p in curve:
-            cap = (p.z + 1) ** 2.5 - 2 * p.z ** 2.5 + (p.z - 1) ** 2.5
-            assert 0 < p.x <= cap + 1e-12
-            assert 1 <= p.k_star <= p.z
+        assert len(curve) == 12 * 16
+        assert (curve["z"] == np.repeat(np.arange(1, 13), 16)).all()
+        for z, x, k in zip(curve["z"].tolist(), curve["x"].tolist(), curve["k_star"].tolist()):
+            cap = (z + 1) ** 2.5 - 2 * z ** 2.5 + (z - 1) ** 2.5
+            assert 0 < x <= cap + 1e-12
+            assert 1 <= k <= z
 
     def test_inner_min_matches_direct_scan(self):
         # exact integer minimum cross-checked against full enumeration over k
         for alpha in (2.0, 2.7, 3.3):
             curve, _ = eval_lower_bound(alpha, 9, 7, refine=False)
-            for p in curve:
+            for z, x, value in zip(curve["z"].tolist(), curve["x"].tolist(),
+                                   curve["value"].tolist()):
                 ratios = []
-                for k in range(1, p.z + 1):
-                    den = k * ((p.z ** alpha - (p.z - 1) ** alpha) + p.x) - float(k) ** alpha
+                for k in range(1, z + 1):
+                    den = k * ((z ** alpha - (z - 1) ** alpha) + x) - float(k) ** alpha
                     if den > 0:
-                        ratios.append(lower_bound_ratio(alpha, p.z, p.x, k))
-                assert math.isclose(p.value, min(ratios), rel_tol=1e-9)
+                        ratios.append(lower_bound_ratio(alpha, z, x, k))
+                assert math.isclose(value, min(ratios), rel_tol=1e-9)
 
     def test_alpha2_limit_approaches_phi_plus_1(self):
         _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
@@ -173,11 +194,31 @@ class TestLowerBoundCurve:
     def test_alpha3_peak_is_sqrt2_plus_1(self):
         # the 4-job construction appears at z=2; refinement must find its kink
         _, best = eval_lower_bound(3.0, 2, 64)
-        assert abs(best - SQRT2_PLUS_1) < 1e-9
+        assert abs(best - SQRT2_PLUS_1) <= 4 * math.ulp(SQRT2_PLUS_1)
 
     def test_keep_curve_off(self):
         curve, best = eval_lower_bound(2.0, 50, 16, keep_curve=False)
-        assert curve == [] and best > 2.0
+        assert len(curve) == 0 and best > 2.0
+
+    @given(st.floats(2.0, 8.0), st.integers(1, 150), st.sampled_from([2, 3, 8, 64]))
+    @settings(max_examples=10, deadline=None)
+    def test_crossing_refinement_matches_golden_section(self, alpha, z_max, x_grid):
+        _, best = eval_lower_bound(alpha, z_max, x_grid, keep_curve=False)
+        with mock.patch.object(adversary, "_refine_peak", golden_refine_peak):
+            _, reference = eval_lower_bound(alpha, z_max, x_grid, keep_curve=False)
+        assert best >= reference * (1.0 - 1e-14)
+        assert format(best, ".12g") == format(reference, ".12g")
+
+    @pytest.mark.parametrize("alpha,z", [(3.0, 50), (3.0, 150), (4.0, 150)])
+    def test_refinement_solves_skipped_branches(self, alpha, z):
+        # on a bracket 100 times the x cap the active k jumps past a branch
+        # between samples; the peak is a crossing with that skipped branch
+        zs = np.array([z])
+        cap = float(_x_cap(alpha, zs)[0])
+        lo, hi = cap * 1e-6, cap * 100.0
+        xs = np.linspace(lo, hi, 20_001)
+        dense = _inner_min_batch(alpha, np.full(xs.shape, z), xs)[0].max()
+        assert _refine_peak(alpha, zs, np.array([lo]), np.array([hi])) >= dense
 
     def test_bad_arguments(self):
         with pytest.raises(ModelError):

@@ -102,12 +102,25 @@ class TestSimulate:
                                "--gen", "random:n=5")
         assert code == 2 and "finite" in err
 
-    @pytest.mark.parametrize("alpha,policy", [("2000", "greedy"), ("600", "min-lcr")])
-    def test_overflowing_alpha_exits_2(self, capsys, alpha, policy):
+    # at alpha=600, g(4) overflows; min-lcr evaluates it for its leftover
+    # scan once a view holds 5 jobs, which random:n=10 reaches at seed 0
+    @pytest.mark.parametrize("alpha,policy,gen", [
+        pytest.param("2000", "greedy", "random:n=5", id="2000-greedy"),
+        pytest.param("600", "min-lcr", "random:n=10", id="600-min-lcr")])
+    def test_overflowing_alpha_exits_2(self, capsys, alpha, policy, gen):
         code, out, err = run_cli(capsys, "simulate", "--alpha", alpha, "--policy", policy,
-                                 "--gen", "random:n=5")
+                                 "--gen", gen)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "overflows" in err and f"alpha={alpha}" in err
+
+    def test_cost_past_every_load_is_never_evaluated(self, capsys):
+        # random:n=5 never loads a slot past 2 jobs and shows min-lcr no view
+        # of 5, so g(4), which overflows at alpha=600, is never needed
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "600", "--policy", "min-lcr",
+                                 "--gen", "random:n=5", "--no-header")
+        assert code == 0 and err == ""
+        row = dict(zip(out.splitlines()[0].split(","), out.splitlines()[1].split(",")))
+        assert 1.0 <= float(row["ratio"]) <= float(row["max_lcr"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,4 @@
-"""Smoke test: each demo script runs to completion against the package in src/.
-
-Demo 05 is left out: it spends ~8 s in the lower-bound refinement, which the
-acceptance tests already exercise at a larger grid.
-"""
+"""Smoke test: each demo script runs to completion against the package in src/."""
 import os
 import subprocess
 import sys
@@ -13,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_jobs_costs_and_traces.py", "02_online_policies.py",
          "03_clairvoyant_oracle.py", "04_adversarial_games.py",
-         "06_bound_verifiers.py"]
+         "05_lowerbound_curve.py", "06_bound_verifiers.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speedscale import adversary, policies
 from speedscale.adversary import PHI_PLUS_1, FixedCountPolicy
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace,
@@ -99,6 +100,26 @@ class TestComputeM:
         values = sorted(values, reverse=True)
         cost = PowerLaw(alpha)
         assert compute_m(view_of(*values), cost) == brute_m(values, cost)
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(2)],
+                             ids=["min-lcr", "sim-lcr", "greedy", "fixed:2"])
+    def test_one_call_per_decide(self, alpha2, monkeypatch, policy):
+        # a policy computes m once and hands it on; its breakdowns still
+        # equal the public one-candidate definition bit for bit
+        calls = []
+
+        def counting(view, cost):
+            calls.append(view)
+            return compute_m(view, cost)
+
+        monkeypatch.setattr(policies, "compute_m", counting)
+        monkeypatch.setattr(adversary, "compute_m", counting)
+        view = view_of(20, 12, 9, 7, 4, 1)
+        decision = get_policy(policy).decide(view, alpha2)
+        assert len(calls) == 1
+        assert decision.count >= 1
+        monkeypatch.undo()
+        assert all(b == lcr_breakdown(view, alpha2, b.i) for b in decision.breakdowns)
 
 
 class TestInnerGreedyProfit:

@@ -1,7 +1,7 @@
 """End-to-end coverage for tabulated convex costs (the non-power-law kind).
 
-A table must cover k = 0..n for an n-job instance: every operation that could
-batch k jobs evaluates g(k) and refuses to extrapolate past the table.
+A table must cover every batch size k at which an operation evaluates g(k);
+nothing extrapolates past the table.
 """
 import math
 
@@ -66,6 +66,15 @@ class TestOffline:
         profit, trace = solve_offline_flow(OfflineProblem.from_instance(inst, TRIANGLE))
         assert profit == 5.0
         assert len(trace.decisions) == 1
+
+    def test_flow_tabulates_only_the_loads_it_reaches(self):
+        # five jobs each alone in its slot never load a slot past 1, so a
+        # table to k=3 is enough even though the instance has 5 jobs
+        short = TabulatedConvex((0.0, 1.0, 3.0, 6.0))
+        inst = mk_instance(*[(1 + 10 * i, 10.0, 1) for i in range(5)])
+        profit, trace = solve_offline_flow(OfflineProblem.from_instance(inst, short))
+        assert profit == 45.0 == run_policy(inst, "min-lcr", short).total_profit
+        assert evaluate_trace(inst, trace, short) == profit
 
     def test_flow_refuses_batch_past_table(self):
         short = TabulatedConvex((0.0, 1.0, 4.0))
