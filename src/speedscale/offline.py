@@ -3,9 +3,16 @@
 The problem is a min-cost-flow: source -> job arcs carry each job's value,
 job -> slot arcs cover the job's availability window, and each slot feeds the
 sink through parallel unit arcs priced at the marginal costs c_1 <= c_2 <= ...
-(convexity makes that unit-arc decomposition exact). The solver augments one
-job at a time along the most profitable residual path and stops when no path
-earns anything.
+(convexity makes that unit-arc decomposition exact). The solver makes one
+pass over the jobs in non-increasing value order (ties: smaller id). Each job
+takes its cheapest residual path when its value beats that path's cost, and
+is skipped for good otherwise. This is successive shortest paths adding one
+source arc at a time, as the Hungarian method adds rows (Ahuja, Magnanti &
+Orlin, *Network Flows*, 1993), so the flow stays optimal for the jobs seen so
+far. The reachability search below leaves out only paths that evict a placed
+job; moves are free, so such a path gains v_new - v_old <= 0 and never beats
+a skip. A skipped job stays skipped, because marginal costs only rise as
+jobs are placed.
 
 Every residual source-to-sink path has the shape
 
@@ -85,17 +92,17 @@ def _trace_from_assignment(slot_jobs: dict[int, list[OfflineJob]], cost: CostMod
 # Flow solver
 # ---------------------------------------------------------------------------
 
+def _all_busy(loads: np.ndarray) -> bool:
+    # count_nonzero is about twice as fast as ndarray.all on short slices
+    return np.count_nonzero(loads) == len(loads)
+
+
 class _FlowState:
     def __init__(self, problem: OfflineProblem):
         cap = max(j.start for j in problem.jobs) + len(problem.jobs)  # see OfflineProblem
         self.cost = problem.cost
         self.jobs = {j.id: OfflineJob(j.id, j.value, j.start, min(j.end, cap)) for j in problem.jobs}
-        self.pool: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        for j in self.jobs.values():
-            self.pool.setdefault(j.window, []).append((j.value, -j.id))
-        for stack in self.pool.values():
-            stack.sort()  # pop() yields highest value, smallest id on ties
-        self.loads = np.zeros(max(w[1] for w in self.pool) + 1, dtype=np.int64)
+        self.loads = np.zeros(max(j.end for j in self.jobs.values()) + 1, dtype=np.int64)
         self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
         self.slot_jobs: dict[int, list[int]] = {}
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
@@ -114,7 +121,7 @@ class _FlowState:
         lo, hi = seed
         rings: list[tuple[int, int, int]] = []
         left, right = lo, lo - 1  # slots left..right are visited
-        busy = loads[lo: hi + 1].all()
+        busy = _all_busy(loads[lo: hi + 1])
         while busy and (lo < left or right < hi):
             if right < hi:
                 right = slot = right + 1
@@ -123,11 +130,11 @@ class _FlowState:
             start, end = spans[slot]
             if start < lo:
                 rings.append((start, lo - 1, slot))
-                busy = loads[start: lo].all()
+                busy = _all_busy(loads[start: lo])
                 lo = start
             if end > hi:
                 rings.append((hi + 1, end, slot))
-                busy = busy and loads[hi + 1: end + 1].all()
+                busy = busy and _all_busy(loads[hi + 1: end + 1])
                 hi = end
         target = lo + int(np.argmin(loads[lo: hi + 1]))
         load = int(loads[target])
@@ -180,30 +187,18 @@ class _FlowState:
 def solve_offline_flow(problem: OfflineProblem) -> tuple[float, Trace]:
     """Maximum clairvoyant profit and a witness schedule.
 
-    Successive most-profitable augmentations; terminates when the best
-    augmentation's net profit drops to 1e-12 or below.
+    One pass in non-increasing value order, smaller id first on ties, with
+    one reachability search per job. A job is placed when its value beats
+    the cheapest reachable marginal cost by more than 1e-12 and skipped for
+    good otherwise; the module docstring says why that is exact.
     """
     if not problem.jobs:
         return 0.0, EMPTY_TRACE
     state = _FlowState(problem)
-    g1 = state.cost.g(1)
-    while True:
-        order = sorted((w for w, stack in state.pool.items() if stack),
-                       key=lambda w: (-state.pool[w][-1][0], w))
-        best = None  # (profit, window, value, job_id, plan)
-        for w in order:
-            value, neg_id = state.pool[w][-1]
-            if best is not None and best[0] >= value - g1:
-                break
-            plan = state.cheapest_reachable(w)
-            profit = value - plan[0]
-            if best is None or profit > best[0]:
-                best = (profit, w, value, -neg_id, plan)
-        if best is None or best[0] <= 1e-12:
-            break
-        _, w, _, job_id, plan = best
-        state.pool[w].pop()
-        state.apply(job_id, plan)
+    for job in sorted(state.jobs.values(), key=lambda j: (-j.value, j.id)):
+        plan = state.cheapest_reachable(job.window)
+        if job.value - plan[0] > 1e-12:
+            state.apply(job.id, plan)
     return state.profit(), state.trace()
 
 

@@ -8,11 +8,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale.model import INFINITE, Instance, Job, PowerLaw
-from speedscale.offline import OfflineProblem, solve_offline_flow
+from speedscale.model import INFINITE, Instance, Job, PowerLaw, TabulatedConvex, evaluate_trace
+from speedscale.offline import (OfflineProblem, OfflineSizeError, solve_offline_bruteforce,
+                                solve_offline_flow)
 
 
 class RefGraph:
@@ -126,6 +127,33 @@ def test_flow_matches_reference_on_drawn_instances(specs, alpha):
     prob = OfflineProblem.from_instance(Instance(tuple(jobs)), PowerLaw(alpha))
     fast, _ = solve_offline_flow(prob)
     assert abs(fast - reference_offline(prob)) <= 1e-6
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.one_of(st.integers(1, 3), st.none()),
+                          st.sampled_from([1.0, 1.5, 2.0, 2.0, 3.0, 3.5])),
+                min_size=1, max_size=9),
+       st.integers(1, 3))
+@example([(0, 1, 2.0), (0, 1, 3.0), (0, 1, 3.5)], 1)  # placing by arrival earns 2.5, not 3.5
+@settings(max_examples=150, deadline=None)
+def test_flow_matches_oracles_with_tied_marginals(specs, repeat):
+    # marginals 1, 1, 2, 2, ... (each `repeat` times) tie with each other and
+    # with the drawn values, so equal-value jobs and zero-gain placements meet
+    jobs, arrival = [], 1
+    for i, (gap, deadline, value) in enumerate(specs):
+        arrival += gap
+        jobs.append(Job(i, arrival, value, INFINITE if deadline is None else deadline))
+    inst = Instance(tuple(jobs))
+    table = np.concatenate(([0.0], np.cumsum([1.0 + k // repeat for k in range(len(jobs))])))
+    cost = TabulatedConvex(tuple(table))
+    prob = OfflineProblem.from_instance(inst, cost)
+    fast, trace = solve_offline_flow(prob)
+    assert abs(fast - reference_offline(prob)) <= 1e-9
+    assert math.isclose(evaluate_trace(inst, trace, cost), fast, abs_tol=1e-9)
+    try:
+        brute, _ = solve_offline_bruteforce(prob)
+    except OfflineSizeError:
+        return
+    assert abs(fast - brute) <= 1e-9
 
 
 def test_flow_matches_reference_with_far_deadlines():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.analysis import _small_instance
+from speedscale.analysis import _small_instance, random_instance
 from speedscale.model import (INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
-from speedscale.offline import (OfflineProblem, OfflineSizeError,
+from speedscale.offline import (OfflineProblem, OfflineSizeError, _FlowState,
                                 solve_offline_bruteforce, solve_offline_flow)
 from speedscale.policies import POLICIES, run_policy
 
@@ -112,7 +112,6 @@ class TestOracleEquivalence:
 
 class TestOfflineProperties:
     def test_subadditive_over_union(self, alpha2, rng):
-        from speedscale.analysis import random_instance
         for _ in range(120):
             a = random_instance(rng, alpha2, n_max=8, max_deadline=4)
             b = random_instance(rng, alpha2, n_max=8, max_deadline=4)
@@ -122,7 +121,6 @@ class TestOfflineProperties:
             assert off_ab <= off_a + off_b + 1e-6
 
     def test_dominates_online_policies(self, alpha2, rng):
-        from speedscale.analysis import random_instance
         for _ in range(60):
             inst = random_instance(rng, alpha2, n_max=12)
             off = off_flow(inst, alpha2)[0]
@@ -130,7 +128,6 @@ class TestOfflineProperties:
                 assert run_policy(inst, name, alpha2).total_profit <= off + 1e-9
 
     def test_alone_in_distinct_slots_upper_bound(self, alpha2, rng):
-        from speedscale.analysis import random_instance
         for _ in range(60):
             inst = random_instance(rng, alpha2, n_max=12)
             off = off_flow(inst, alpha2)[0]
@@ -188,7 +185,7 @@ class TestSparseBursts:
         inst = bursts_instance(11, never_expiring=150)
         start = time.perf_counter()
         profit, trace = off_flow(inst, alpha2)
-        assert time.perf_counter() - start < 20.0
+        assert time.perf_counter() - start < 2.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
 
     def test_finite_bursts_solve_apart(self, alpha2):
@@ -198,6 +195,43 @@ class TestSparseBursts:
         apart = sum(off_flow(Instance(inst.jobs[b: b + 250]), alpha2)[0]
                     for b in range(0, 1000, 250))
         assert math.isclose(profit, apart, rel_tol=1e-9)
+        assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+
+class TestOnePass:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        seeds = []
+        search = _FlowState.cheapest_reachable
+
+        def counted(state, seed):
+            seeds.append(seed)
+            return search(state, seed)
+
+        monkeypatch.setattr(_FlowState, "cheapest_reachable", counted)
+        return seeds
+
+    @pytest.mark.parametrize("inst", [random_instance(np.random.default_rng(39), PowerLaw(2.0),
+                                                      n_max=30, mean_gap=0.3),
+                                      bursts_instance(11, never_expiring=150)],
+                             ids=["random", "bursts"])
+    def test_one_search_per_job(self, alpha2, searches, inst):
+        # 30 jobs, and 1,000 in bursts: each window is searched exactly once,
+        # however many jobs get placed
+        profit, trace = off_flow(inst, alpha2)
+        windows = [j.window for j in OfflineProblem.from_instance(inst, alpha2).jobs]
+        assert sorted(searches) == sorted(windows)
+        assert 0 < sum(len(d.processed) for d in trace.decisions) < len(inst)
+        assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+    def test_thousands_of_dense_jobs(self, alpha2):
+        # Poisson(0.3) arrival gaps pack 3,498 jobs into ~1,000 slots, so most
+        # searches cross long runs of busy slots
+        inst = random_instance(np.random.default_rng(4000), alpha2, n_max=4000, mean_gap=0.3)
+        assert len(inst) == 3498
+        start = time.perf_counter()
+        profit, trace = off_flow(inst, alpha2)
+        assert time.perf_counter() - start < 3.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
 
 
