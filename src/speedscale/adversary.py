@@ -164,6 +164,9 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     the positive-denominator range, so the integer minimum sits at floor/ceil
     of the stationary point (or at the clamped ends), found by bisection on
     the increasing function A(alpha-1)k**alpha + alpha B k**(alpha-1) - B v.
+    The bisection stops at the first step that moves no bracket end in any
+    element: every later step would repeat it, so the result is that of the
+    full 80 steps, which remain only as a cap.
     """
     zf = z.astype(float)
     cz = zf ** alpha - (zf - 1.0) ** alpha
@@ -174,10 +177,12 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
 
     lo = np.full_like(v, 1e-9)
     hi = kbar.copy()
+    a_lead, b_lead, bv = A * (alpha - 1.0), alpha * B, B * v
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        val = A * (alpha - 1.0) * mid ** alpha + alpha * B * mid ** (alpha - 1.0) - B * v
-        neg = val < 0.0
+        neg = a_lead * mid ** alpha + b_lead * mid ** (alpha - 1.0) - bv < 0.0
+        if np.array_equal(mid, np.where(neg, lo, hi)):
+            break  # mid equals the end it would replace everywhere: a fixed point
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     kstar = 0.5 * (lo + hi)

@@ -1,8 +1,9 @@
 """Command-line front end: simulate, lowerbound, verify, game.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or input error.
-CSV output uses '.' decimals with 12 significant digits; the timestamp header
-line can be suppressed with --no-header for byte-identical reruns.
+CSV cells are formatted as '%.12g' ('.' decimals, 12 significant digits, nan
+and inf spelled out); the timestamp header line can be suppressed with
+--no-header for byte-identical reruns.
 """
 from __future__ import annotations
 
@@ -30,20 +31,18 @@ class UsageError(Exception):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return format(value, ".12g")
     return "" if value is None else str(value)
 
 
-def _write_csv(path: str, columns, rows, header: bool, tool: str) -> None:
+def _write_csv(path: str, columns, body: list[str], header: bool, tool: str) -> None:
+    """Write the column line and then the body lines, each already formatted."""
     lines = []
     if header:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"# speedscale {tool} generated={stamp}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+    lines.extend(body)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -160,7 +159,8 @@ def cmd_simulate(args) -> int:
         obj.update({"alpha": args.alpha, "policy": policy.name})
         _write_text(args.out, json.dumps(obj, indent=2) + "\n")
     else:
-        _write_csv(args.out, REPORT_COLUMNS, [row], not args.no_header, "simulate")
+        line = ",".join(_fmt(row.get(c)) for c in REPORT_COLUMNS)
+        _write_csv(args.out, REPORT_COLUMNS, [line], not args.no_header, "simulate")
     return 0
 
 
@@ -172,19 +172,25 @@ def cmd_lowerbound(args) -> int:
     for alpha in alphas:
         if alpha < 2.0:
             raise UsageError(f"lowerbound needs alpha >= 2, got {alpha}")
-    rows = []
-    summaries = []
+    as_json = args.format == "json"
+    points, summaries, body = [], [], []
     for alpha in sorted(alphas):
         curve, best = eval_lower_bound(alpha, args.z_max, args.x_grid)
         columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
-        rows.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
-                    for z, x, k, value in zip(*columns))
-        rows.append({"alpha": alpha, "z": None, "x": None, "k_star": None, "value": best})
-        summaries.append({"alpha": alpha, "best": best})
-    if args.format == "json":
-        _write_text(args.out, json.dumps({"summaries": summaries, "points": rows}, indent=2) + "\n")
+        if as_json:
+            points.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
+                          for z, x, k, value in zip(*columns))
+            points.append({"alpha": alpha, "z": None, "x": None, "k_star": None, "value": best})
+            summaries.append({"alpha": alpha, "best": best})
+        else:
+            tag = _fmt(alpha)
+            # '%d' and '%.12g' give the strings _fmt gives for ints and floats
+            body.extend(map(f"{tag},%d,%.12g,%d,%.12g".__mod__, zip(*columns)))
+            body.append(f"{tag},,,,{_fmt(best)}")
+    if as_json:
+        _write_text(args.out, json.dumps({"summaries": summaries, "points": points}, indent=2) + "\n")
     else:
-        _write_csv(args.out, LOWERBOUND_COLUMNS, rows, not args.no_header, "lowerbound")
+        _write_csv(args.out, LOWERBOUND_COLUMNS, body, not args.no_header, "lowerbound")
     return 0
 
 

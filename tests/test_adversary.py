@@ -53,6 +53,41 @@ def golden_refine_peak(alpha, z, x_lo, x_hi):
     return best
 
 
+def inner_min_batch_80(alpha, z, x):
+    """_inner_min_batch with its bisection run for all 80 steps, unconditionally."""
+    zf = z.astype(float)
+    cz = zf ** alpha - (zf - 1.0) ** alpha
+    v = cz + x
+    A = v - 1.0
+    B = zf * v - zf ** alpha
+    kbar = v ** (1.0 / (alpha - 1.0))
+
+    lo = np.full_like(v, 1e-9)
+    hi = kbar.copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = A * (alpha - 1.0) * mid ** alpha + alpha * B * mid ** (alpha - 1.0) - B * v
+        neg = val < 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    kstar = 0.5 * (lo + hi)
+
+    kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
+    candidates = np.stack([
+        np.clip(np.floor(kstar), 1.0, zf),
+        np.clip(np.ceil(kstar), 1.0, zf),
+        np.ones_like(zf),
+        np.clip(kmax, 1.0, zf),
+    ])
+    num = A * candidates + B
+    den = v * candidates - candidates ** alpha
+    ratio = np.where(den > 1e-300, num / den, np.inf)
+    pick = np.argmin(ratio, axis=0)
+    best = np.take_along_axis(ratio, pick[None], axis=0)[0]
+    best_k = np.take_along_axis(candidates, pick[None], axis=0)[0]
+    return best, best_k.astype(np.int64)
+
+
 class TestTemplates:
     def test_alpha2_template_shape(self):
         t = gen_alpha2_lb_instance(1)
@@ -185,6 +220,26 @@ class TestLowerBoundCurve:
                     if den > 0:
                         ratios.append(lower_bound_ratio(alpha, z, x, k))
                 assert math.isclose(value, min(ratios), rel_tol=1e-9)
+
+    @given(st.floats(2.0, 8.0),
+           st.lists(st.tuples(st.integers(1, 10_000), st.floats(0.0, 1.0, exclude_min=True)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_stop_matches_80_steps(self, alpha, points):
+        # stopping at the fixed point must not move a single bit of the result
+        z = np.array([p[0] for p in points])
+        x = _x_cap(alpha, z) * np.array([p[1] for p in points])
+        with np.errstate(invalid="ignore"):  # z = 1 with x near 0 is 0/0, read as inf
+            values, k_star = _inner_min_batch(alpha, z, x)
+            ref_values, ref_k = inner_min_batch_80(alpha, z, x)
+        assert values.tobytes() == ref_values.tobytes()
+        assert (k_star == ref_k).all()
+
+    def test_bisection_stop_matches_80_steps_at_alpha2_z10000(self):
+        _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+        with mock.patch.object(adversary, "_inner_min_batch", inner_min_batch_80):
+            _, reference = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+        assert best == reference
 
     def test_alpha2_limit_approaches_phi_plus_1(self):
         _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speedscale.cli import main
+from speedscale.adversary import eval_lower_bound
+from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
 from speedscale.model import INFINITE, Instance, Job, write_instance
 
 
@@ -177,11 +182,63 @@ class TestLowerbound:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_matches_row_dict_writer(self, capsys):
+        for fmt in (("--no-header",), (), ("--format", "json")):
+            _, out, _ = run_cli(capsys, "lowerbound", "--alpha", "3,2.5,2", "--z-max", "30",
+                                "--x-grid", "16", *fmt)
+            assert_matches_reference(out, [3.0, 2.5, 2.0], 30, 16, fmt)
+
+    @given(st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3), st.integers(1, 30),
+           st.integers(2, 16), st.sampled_from([("--no-header",), (), ("--format", "json")]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_row_dict_writer_drawn(self, alphas, z_max, x_grid, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["lowerbound", "--alpha", ",".join(map(repr, alphas)),
+                         "--z-max", str(z_max), "--x-grid", str(x_grid), *fmt])
+        assert code == 0
+        assert_matches_reference(out.getvalue(), alphas, z_max, x_grid, fmt)
+
     def test_header_line_present_by_default(self, capsys):
         code, out, _ = run_cli(capsys, "lowerbound", "--alpha", "2.5",
                                "--z-max", "5", "--x-grid", "8")
         assert code == 0
         assert out.startswith("# speedscale lowerbound generated=")
+
+
+def reference_fmt(value) -> str:
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return format(value, ".12g")
+    return "" if value is None else str(value)
+
+
+def reference_lowerbound(alphas, z_max, x_grid, as_json):
+    """The lowerbound output built one row dict at a time, each cell through
+    reference_fmt, as the CLI wrote it before its CSV went column-wise."""
+    rows, summaries = [], []
+    for alpha in sorted(alphas):
+        curve, best = eval_lower_bound(alpha, z_max, x_grid)
+        columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
+        rows.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
+                    for z, x, k, value in zip(*columns))
+        rows.append({"alpha": alpha, "z": None, "x": None, "k_star": None, "value": best})
+        summaries.append({"alpha": alpha, "best": best})
+    if as_json:
+        return json.dumps({"summaries": summaries, "points": rows}, indent=2) + "\n"
+    lines = [",".join(LOWERBOUND_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(reference_fmt(row.get(c)) for c in LOWERBOUND_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(out, alphas, z_max, x_grid, fmt):
+    expected = reference_lowerbound(alphas, z_max, x_grid, "json" in fmt)
+    if not fmt:  # the header line differs only by its timestamp
+        stamp, _, out = out.partition("\n")
+        assert stamp.startswith("# speedscale lowerbound generated=")
+    assert out == expected
 
 
 class TestVerify:
@@ -241,6 +298,12 @@ class TestGame:
         assert "ratio:" in out_path.read_text()
 
 
+def test_fmt_spells_out_nan_and_inf():
+    assert _fmt(float("nan")) == "nan"
+    assert [_fmt(v) for v in (math.inf, -0.0, 1 / 3, 7, None)] == \
+        ["inf", "-0", "0.333333333333", "7", ""]
+
+
 class TestGoldenOutput:
     """Exact output pinned from the reference implementation: a change to any of
     these numbers, however small, shows up as a changed byte."""
@@ -293,3 +356,10 @@ class TestGoldenOutput:
         assert out == ("template: alpha2-lb:z=500\npolicy: min-lcr\nslot1_count: 309\n"
                        "off: 558691\nalg: 213519\nratio: 2.61658681429\n"
                        "predicted: 2.61658681429\n")
+
+    def test_game_without_prediction(self, capsys):
+        # alpha != 2 and no sqrt2 template: there is no closed form to predict
+        code, out, _ = run_cli(capsys, "game", "--alpha", "3", "--z", "10", "--policy", "greedy")
+        assert code == 0
+        assert out == ("template: alpha2-lb:z=10\npolicy: greedy\nslot1_count: 3\n"
+                       "off: 90\nalg: 33\nratio: 2.72727272727\npredicted: nan\n")
