@@ -2,11 +2,12 @@
 #
 # Formulated as a min-cost flow (jobs -> window slots -> unit arcs priced at
 # the marginal costs) and solved by successive most-profitable augmenting
-# paths. A brute-force search over all feasible assignments double-checks it
-# on small instances.
+# paths. `solve_offline_flow` also returns a witness schedule; `offline_profit`
+# runs the same pass and returns only the value. A brute-force search over all
+# feasible assignments double-checks it on small instances.
 import numpy as np
 
-from speedscale import (INFINITE, Instance, Job, OfflineProblem, PowerLaw,
+from speedscale import (INFINITE, Instance, Job, OfflineProblem, PowerLaw, offline_profit,
                         solve_offline_bruteforce, solve_offline_flow, union)
 from speedscale.analysis import random_instance
 
@@ -22,7 +23,7 @@ for d in witness.decisions:
     print(f"  slot {d.slot}: jobs {sorted(d.processed)} profit {d.profit}")
 
 rushed = Instance((Job(0, 1, 4.0, 1), Job(1, 1, 4.0, 1)))
-profit, witness = solve_offline_flow(OfflineProblem.from_instance(rushed, cost))
+profit = offline_profit(OfflineProblem.from_instance(rushed, cost))
 print("same values, both expiring now: profit", profit,
       "(batching 8 - 4 beats one alone 4 - 1)")
 
@@ -36,7 +37,7 @@ for _ in range(300):
     prob = OfflineProblem.from_instance(Instance(jobs), cost)
     if prob.horizon > 6:
         continue
-    f, _ = solve_offline_flow(prob)
+    f = offline_profit(prob)
     b, _ = solve_offline_bruteforce(prob)
     worst = max(worst, abs(f - b))
 print("300 random instances: worst |flow - brute| =", worst)
@@ -45,6 +46,6 @@ print("300 random instances: worst |flow - brute| =", worst)
 rng = np.random.default_rng(1)
 a = random_instance(rng, cost, n_max=8, label="a")
 b = random_instance(rng, cost, n_max=8, label="b")
-off = lambda x: solve_offline_flow(OfflineProblem.from_instance(x, cost))[0]
+off = lambda x: offline_profit(OfflineProblem.from_instance(x, cost))
 print(f"off(a)={off(a):.2f} off(b)={off(b):.2f} "
       f"off(a|b)={off(union(a, b)):.2f} <= sum")

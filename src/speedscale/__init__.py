@@ -29,7 +29,7 @@ from .model import (INFINITE, CostModel, InfeasibleTraceError, Instance,
                     dumps_instance, evaluate_trace, job_to_obj,
                     loads_instance, read_instance, trace_to_obj, union,
                     union_with_provenance, write_instance)
-from .offline import (OfflineJob, OfflineProblem, OfflineSizeError,
+from .offline import (OfflineJob, OfflineProblem, OfflineSizeError, offline_profit,
                       solve_offline_bruteforce, solve_offline_flow)
 from .policies import (Decision, LcrBreakdown, Policy, POLICIES, PolicyView,
                        SlotLedger, UnsupportedCostError, beta_root, compute_m,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
-from .offline import OfflineProblem, solve_offline_flow
+from .offline import OfflineProblem, offline_profit
 from .policies import (Decision, Policy, PolicyView, SlotLedger, _breakdown, compute_m,
                        get_policy)
 from .reports import RatioReport, build_report
@@ -128,7 +128,7 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     by_id = {j.id: j for j in instance.jobs}
     decisions = [SlotDecision.build(1, [by_id[jid] for jid in chosen], cost)] if chosen else []
     ledgers = [SlotLedger(1, decision.count, decision.breakdowns)] if decision.breakdowns else []
-    off_profit, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
+    off_profit = offline_profit(OfflineProblem.from_instance(instance, cost))
     return build_report(template.label, off_profit, Trace.build(decisions, ledgers))
 
 

@@ -28,6 +28,11 @@ window, which overlaps the interval and so extends it.
 reading each busy slot's hull of windows, and records each extension as a
 ring; `_FlowState.apply` walks the rings back to move the chain.
 
+Two entry points run that one pass. `offline_profit` returns only the
+optimum's value; callers that need only the value, such as competitive ratios
+and the verifiers, use it. `solve_offline_flow` returns the same value, bit for
+bit, together with a witness schedule built from `problem.jobs`.
+
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
 all feasible assignments (organized as a subset DP per slot), guarded to
 small inputs.
@@ -99,12 +104,16 @@ def _all_busy(loads: np.ndarray) -> bool:
 
 class _FlowState:
     def __init__(self, problem: OfflineProblem):
-        cap = max(j.start for j in problem.jobs) + len(problem.jobs)  # see OfflineProblem
+        jobs = problem.jobs  # kept as flat per-job lists, indexed by position
+        cap = max(j.start for j in jobs) + len(jobs)  # see OfflineProblem
         self.cost = problem.cost
-        self.jobs = {j.id: OfflineJob(j.id, j.value, j.start, min(j.end, cap)) for j in problem.jobs}
-        self.loads = np.zeros(max(j.end for j in self.jobs.values()) + 1, dtype=np.int64)
+        self.ids = [j.id for j in jobs]
+        self.values = [j.value for j in jobs]
+        self.starts = [j.start for j in jobs]
+        self.ends = [min(j.end, cap) for j in jobs]
+        self.loads = np.zeros(max(self.ends) + 1, dtype=np.int64)
         self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
-        self.slot_jobs: dict[int, list[int]] = {}
+        self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
 
@@ -136,7 +145,7 @@ class _FlowState:
                 rings.append((hi + 1, end, slot))
                 busy = busy and _all_busy(loads[hi + 1: end + 1])
                 hi = end
-        target = lo + int(np.argmin(loads[lo: hi + 1]))
+        target = lo + int(loads[lo: hi + 1].argmin())
         load = int(loads[target])
         while len(self.marginal) <= load:  # tabulated only as far as loads reach
             self.marginal.append(self.cost.effective_cost(len(self.marginal) + 1))
@@ -144,32 +153,32 @@ class _FlowState:
 
     # -- mutation ----------------------------------------------------------
 
-    def _attach(self, job_id: int, slot: int) -> None:
-        start, end = self.jobs[job_id].window
+    def _attach(self, pos: int, slot: int) -> None:
+        start, end = self.starts[pos], self.ends[pos]
         if self.loads[slot]:
             lo, hi = self.spans[slot]
             start, end = min(lo, start), max(hi, end)
         self.spans[slot] = (start, end)
-        self.slot_jobs.setdefault(slot, []).append(job_id)
+        self.slot_jobs.setdefault(slot, []).append(pos)
         self.loads[slot] += 1
 
-    def apply(self, job_id: int, plan) -> None:
+    def apply(self, pos: int, plan) -> None:
         # Each ring's slot lies in an earlier ring or in the seed window, so
         # one backward pass walks the chain from the target to the seed.
         _, t, rings = plan
+        starts, ends = self.starts, self.ends
         for first, last, slot in reversed(rings):
             if first <= t <= last:
                 held = self.slot_jobs[slot]
-                job = next(j for j in held if self.jobs[j].start <= t <= self.jobs[j].end)
-                held.remove(job)
+                moved = next(q for q in held if starts[q] <= t <= ends[q])
+                held.remove(moved)
                 self.loads[slot] -= 1
                 if held:
-                    self.spans[slot] = (min(self.jobs[j].start for j in held),
-                                        max(self.jobs[j].end for j in held))
-                self._attach(job, t)
+                    self.spans[slot] = (min(starts[q] for q in held), max(ends[q] for q in held))
+                self._attach(moved, t)
                 t = slot
-        self._attach(job_id, t)
-        self.payoff += self.jobs[job_id].value
+        self._attach(pos, t)
+        self.payoff += self.values[pos]
 
     # -- results -----------------------------------------------------------
 
@@ -179,27 +188,36 @@ class _FlowState:
             total -= self.cost.g(int(k))
         return float(total)
 
-    def trace(self) -> Trace:
-        return _trace_from_assignment(
-            {slot: [self.jobs[j] for j in held] for slot, held in self.slot_jobs.items()}, self.cost)
+
+def _flow_pass(problem: OfflineProblem) -> _FlowState:
+    """The one pass both entry points share.
+
+    Non-increasing value order, smaller id first on ties, one reachability
+    search per job. A job is placed when its value beats the cheapest
+    reachable marginal cost by more than 1e-12 and skipped for good
+    otherwise; the module docstring says why that is exact.
+    """
+    state = _FlowState(problem)
+    ids, values, starts, ends = state.ids, state.values, state.starts, state.ends
+    for pos in sorted(range(len(ids)), key=lambda p: (-values[p], ids[p])):
+        plan = state.cheapest_reachable((starts[pos], ends[pos]))
+        if values[pos] - plan[0] > 1e-12:
+            state.apply(pos, plan)
+    return state
+
+
+def offline_profit(problem: OfflineProblem) -> float:
+    """Maximum clairvoyant profit, bit-equal to solve_offline_flow's, without a witness."""
+    return _flow_pass(problem).profit() if problem.jobs else 0.0
 
 
 def solve_offline_flow(problem: OfflineProblem) -> tuple[float, Trace]:
-    """Maximum clairvoyant profit and a witness schedule.
-
-    One pass in non-increasing value order, smaller id first on ties, with
-    one reachability search per job. A job is placed when its value beats
-    the cheapest reachable marginal cost by more than 1e-12 and skipped for
-    good otherwise; the module docstring says why that is exact.
-    """
+    """Maximum clairvoyant profit and a witness schedule built from `problem.jobs`."""
     if not problem.jobs:
         return 0.0, EMPTY_TRACE
-    state = _FlowState(problem)
-    for job in sorted(state.jobs.values(), key=lambda j: (-j.value, j.id)):
-        plan = state.cheapest_reachable(job.window)
-        if job.value - plan[0] > 1e-12:
-            state.apply(job.id, plan)
-    return state.profit(), state.trace()
+    state, jobs = _flow_pass(problem), problem.jobs
+    return state.profit(), _trace_from_assignment(
+        {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, problem.cost)
 
 
 # ---------------------------------------------------------------------------

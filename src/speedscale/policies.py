@@ -49,7 +49,7 @@ class PolicyView:
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.candidates)
+        return tuple([v for _, v in self.candidates])  # from a list: see run_policy
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -157,16 +157,21 @@ def _prefix_ledger(values: Sequence[float], cost: CostModel, m: int) -> list[Lcr
     c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
     peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
     never grows with i, so one pointer walked downwards serves every i. g is
-    tabulated as far as lcr_breakdown evaluates it, so a cost table that is
-    too short fails the same way.
+    tabulated only as far as the counts i <= m and that scan reach, so a
+    g(k) the ledger never uses is never evaluated (it may overflow, or lie
+    past a cost table).
     """
     n = len(values)
-    g = [cost.g(k) for k in range(max(m, n - 1) + 1)]
+    g = [cost.g(k) for k in range(m + 1)]
     prefix = [0.0]
     for v in values:
         prefix.append(prefix[-1] + v)
     j = 0
-    while j < n - 1 and values[1 + j] - (g[j + 1] - g[j]) > 0.0:
+    while j < n - 1:
+        if len(g) == j + 1:
+            g.append(cost.g(j + 1))
+        if not values[1 + j] - (g[j + 1] - g[j]) > 0.0:
+            break
         j += 1
     ledger = []
     for i in range(1, m + 1):
@@ -336,7 +341,10 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             while expiries and expiries[0] < slot:
                 heappop(expiries)
             live = [entry for entry in live if entry[1] >= slot]
-        view = PolicyView(slot, tuple((j.id, j.value) for _, _, j in live))
+        # A tuple built from a generator is resized to its length, yet freed
+        # onto that length's free list, which only a full gc pass empties;
+        # built from a list it is taken from that free list in the first place.
+        view = PolicyView(slot, tuple([(j.id, j.value) for _, _, j in live]))
         decision = policy.decide(view, cost)
         count = decision.count
         if count > len(live):

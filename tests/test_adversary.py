@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale import adversary
+from speedscale import adversary, offline
 from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
                                   FixedCountPolicy, _inner_min_batch, _refine_peak,
                                   _x_cap, adversary_finalize, alpha2_game_ratio,
@@ -175,6 +175,18 @@ class TestGames:
         counting = CountingPolicy(policy)
         run_adversarial_game(counting, gen_alpha2_lb_instance(20), alpha2)
         assert counting.calls == 1
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
+    def test_game_builds_no_witness(self, monkeypatch, alpha2, policy):
+        # the ratio reads only the optimum's value, so no schedule is assembled
+        template = gen_alpha2_lb_instance(40)
+        report = run_adversarial_game(policy, template, alpha2)
+
+        def refuse(*args):
+            raise AssertionError("run_adversarial_game built a witness schedule")
+
+        monkeypatch.setattr(offline, "_trace_from_assignment", refuse)
+        assert run_adversarial_game(policy, template, alpha2) == report
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(3)])
     @pytest.mark.parametrize("alpha,template", [

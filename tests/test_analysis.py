@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speedscale import offline
 from speedscale.adversary import DELTA, PHI_PLUS_1, SQRT2_PLUS_1
 from speedscale.analysis import (SweepConfig, VerificationError,
                                  competitive_report, gamma_root,
@@ -40,6 +41,18 @@ class TestCompetitiveReport:
         for row in rep.per_slot_lcr:
             assert row.i_chosen >= 1
             assert row.lcr <= rep.max_lcr
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
+    def test_builds_no_witness(self, monkeypatch, alpha2, rng, policy):
+        # the ratio reads only the optimum's value, so no schedule is assembled
+        inst = random_instance(rng, alpha2, n_max=30, mean_gap=0.3)
+        report = repr(competitive_report(inst, policy, alpha2))
+
+        def refuse(*args):
+            raise AssertionError("competitive_report built a witness schedule")
+
+        monkeypatch.setattr(offline, "_trace_from_assignment", refuse)
+        assert repr(competitive_report(inst, policy, alpha2)) == report
 
 
 class TestMincran:

@@ -107,11 +107,12 @@ class TestSimulate:
                                "--gen", "random:n=5")
         assert code == 2 and "finite" in err
 
-    # at alpha=600, g(4) overflows; min-lcr evaluates it for its leftover
-    # scan once a view holds 5 jobs, which random:n=10 reaches at seed 0
+    # at alpha=650, g(3) overflows; min-lcr evaluates it to test whether a
+    # third job is profitable once a view's top two beat c_2, which
+    # random:n=10 reaches at seed 0
     @pytest.mark.parametrize("alpha,policy,gen", [
         pytest.param("2000", "greedy", "random:n=5", id="2000-greedy"),
-        pytest.param("600", "min-lcr", "random:n=10", id="600-min-lcr")])
+        pytest.param("650", "min-lcr", "random:n=10", id="650-min-lcr")])
     def test_overflowing_alpha_exits_2(self, capsys, alpha, policy, gen):
         code, out, err = run_cli(capsys, "simulate", "--alpha", alpha, "--policy", policy,
                                  "--gen", gen)
@@ -126,6 +127,16 @@ class TestSimulate:
         assert code == 0 and err == ""
         row = dict(zip(out.splitlines()[0].split(","), out.splitlines()[1].split(",")))
         assert 1.0 <= float(row["ratio"]) <= float(row["max_lcr"])
+
+    def test_ledger_never_evaluates_a_cost_it_does_not_use(self, capsys):
+        # random:n=10 shows min-lcr a view of 5 jobs with m = 2; its ledger
+        # reads g up to g(3), never the overflowing g(4)
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "600", "--policy", "min-lcr",
+                                 "--gen", "random:n=10", "--no-header")
+        assert code == 0 and err == ""
+        assert out == ("label,alpha,policy,off,alg,ratio,max_lcr\n"
+                       "random:seed=0,600,min-lcr,6.34460713244e+181,5.0309348702e+181,"
+                       "1.26111891649,1.61092684027\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speedscale.model import INFINITE, Instance, Job, PowerLaw, TabulatedConvex, evaluate_trace
-from speedscale.offline import (OfflineProblem, OfflineSizeError, solve_offline_bruteforce,
-                                solve_offline_flow)
+from speedscale.offline import (OfflineProblem, OfflineSizeError, offline_profit,
+                                solve_offline_bruteforce, solve_offline_flow)
 
 
 class RefGraph:
@@ -142,7 +142,8 @@ def test_flow_matches_reference_on_drawn_instances(specs, alpha):
 @settings(max_examples=150, deadline=None)
 def test_flow_matches_oracles_with_tied_marginals(specs, repeat):
     # marginals 1, 1, 2, 2, ... (each `repeat` times) tie with each other and
-    # with the drawn values, so equal-value jobs and zero-gain placements meet
+    # with the drawn values, so equal-value jobs and zero-gain placements meet;
+    # offline_profit runs the same pass without the witness, so it is bit-equal
     jobs, arrival = [], 1
     for i, (gap, deadline, value) in enumerate(specs):
         arrival += gap
@@ -152,6 +153,7 @@ def test_flow_matches_oracles_with_tied_marginals(specs, repeat):
     cost = TabulatedConvex(tuple(table))
     prob = OfflineProblem.from_instance(inst, cost)
     fast, trace = solve_offline_flow(prob)
+    assert offline_profit(prob) == fast
     assert abs(fast - reference_offline(prob)) <= 1e-9
     assert math.isclose(evaluate_trace(inst, trace, cost), fast, abs_tol=1e-9)
     try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from speedscale.analysis import _small_instance, random_instance
 from speedscale.model import (INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
-from speedscale.offline import (OfflineProblem, OfflineSizeError, _FlowState,
+from speedscale.offline import (OfflineProblem, OfflineSizeError, _FlowState, offline_profit,
                                 solve_offline_bruteforce, solve_offline_flow)
 from speedscale.policies import POLICIES, run_policy
 
@@ -217,12 +217,16 @@ class TestOnePass:
                              ids=["random", "bursts"])
     def test_one_search_per_job(self, alpha2, searches, inst):
         # 30 jobs, and 1,000 in bursts: each window is searched exactly once,
-        # however many jobs get placed
+        # however many jobs get placed, by either entry point
         profit, trace = off_flow(inst, alpha2)
-        windows = [j.window for j in OfflineProblem.from_instance(inst, alpha2).jobs]
-        assert sorted(searches) == sorted(windows)
+        prob = OfflineProblem.from_instance(inst, alpha2)
+        windows = sorted(j.window for j in prob.jobs)
+        assert sorted(searches) == windows
         assert 0 < sum(len(d.processed) for d in trace.decisions) < len(inst)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+        searches.clear()
+        assert offline_profit(prob) == profit
+        assert sorted(searches) == windows
 
     def test_thousands_of_dense_jobs(self, alpha2):
         # Poisson(0.3) arrival gaps pack 3,498 jobs into ~1,000 slots, so most

@@ -49,6 +49,15 @@ class TestPolicies:
         with pytest.raises(ModelError, match="cost table"):
             lcr_breakdown(view, short, 1)  # leftover scan needs g(3)
 
+    def test_min_lcr_tabulates_only_the_costs_it_reaches(self):
+        # m = 2 among 8 jobs: compute_m and the ledger's leftover scan stop at
+        # g(3), so a table to k = 3 gives the full table's ledger
+        short = TabulatedConvex(TRIANGLE.table[:4])
+        view = PolicyView(1, tuple(enumerate((10.0, 10.0, 2.5, 1.0, 1.0, 1.0, 1.0, 1.0))))
+        assert min_lcr_decide(view, short) == min_lcr_decide(view, TRIANGLE)
+        assert min_lcr_decide(view, short)[1] == tuple(
+            lcr_breakdown(view, TRIANGLE, i) for i in (1, 2))
+
 
 class TestOffline:
     def test_flow_equals_brute_on_randoms(self, rng):
