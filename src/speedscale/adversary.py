@@ -164,9 +164,15 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     the positive-denominator range, so the integer minimum sits at floor/ceil
     of the stationary point (or at the clamped ends), found by bisection on
     the increasing function A(alpha-1)k**alpha + alpha B k**(alpha-1) - B v.
-    The bisection stops at the first step that moves no bracket end in any
-    element: every later step would repeat it, so the result is that of the
-    full 80 steps, which remain only as a cap.
+    The bisection runs per element on the unsettled points alone. Only
+    floor(k*) and ceil(k*) are read, so a point settles as soon as its
+    bracket holds no integer: every later midpoint lies strictly between the
+    same two integers, and so do the final k* of the full 80 steps and the
+    midpoint of the bracket kept. A point whose k* lies within rounding of an
+    integer instead settles at its float fixed point, where the midpoint
+    equals the end it would replace and every later step repeats itself.
+    Either way the candidates, and so the result, are those of the full 80
+    steps, which remain only as a cap.
     """
     zf = z.astype(float)
     cz = zf ** alpha - (zf - 1.0) ** alpha
@@ -175,17 +181,27 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     B = zf * v - zf ** alpha
     kbar = v ** (1.0 / (alpha - 1.0))  # denominator positive iff k < kbar
 
-    lo = np.full_like(v, 1e-9)
-    hi = kbar.copy()
-    a_lead, b_lead, bv = A * (alpha - 1.0), alpha * B, B * v
+    a_lead, b_lead, bv = (A * (alpha - 1.0)).ravel(), (alpha * B).ravel(), (B * v).ravel()
+    t_lo, t_hi = np.full(v.size, 1e-9), kbar.ravel()  # brackets of the unsettled points
+    todo = np.arange(v.size)  # where each unsettled point goes in lo and hi
+    lo, hi = np.empty(v.size), np.empty(v.size)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (t_lo + t_hi)
         neg = a_lead * mid ** alpha + b_lead * mid ** (alpha - 1.0) - bv < 0.0
-        if np.array_equal(mid, np.where(neg, lo, hi)):
-            break  # mid equals the end it would replace everywhere: a fixed point
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    kstar = 0.5 * (lo + hi)
+        fixed = mid == np.where(neg, t_lo, t_hi)
+        t_lo = np.where(neg, mid, t_lo)
+        t_hi = np.where(neg, t_hi, mid)
+        settled = fixed | (np.ceil(t_lo) > t_hi)  # no integer in the bracket
+        if settled.any():
+            done = todo[settled]
+            lo[done], hi[done] = t_lo[settled], t_hi[settled]
+            keep = ~settled
+            todo, t_lo, t_hi = todo[keep], t_lo[keep], t_hi[keep]
+            a_lead, b_lead, bv = a_lead[keep], b_lead[keep], bv[keep]
+            if not todo.size:
+                break
+    lo[todo], hi[todo] = t_lo, t_hi
+    kstar = (0.5 * (lo + hi)).reshape(v.shape)
 
     kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
     candidates = np.stack([

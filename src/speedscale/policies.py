@@ -121,16 +121,23 @@ def inner_greedy_profit(leftover_values: Sequence[float], cost: CostModel) -> fl
     """Best single-slot profit from a leftover pool: max_j (top-j sum - g(j)).
 
     Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
-    so the result is never negative.
+    so the result is never negative. The profit is concave in j, so the scan
+    stops at the first j whose value does not beat its marginal g(j) - g(j-1),
+    as `_prefix_ledger` does, and never evaluates a g(j) past it.
     """
     values = list(leftover_values)
     if any(a < b for a, b in zip(values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
     best = 0.0
     running = 0.0
+    g_prev = cost.g(0)
     for j, v in enumerate(values, start=1):
+        g_j = cost.g(j)
+        if not v - (g_j - g_prev) > 0.0:
+            break
         running += v
-        best = max(best, running - cost.g(j))
+        best = max(best, running - g_j)
+        g_prev = g_j
     return best
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_sqrt2_construction():
     return f"alpha in (2.5, 3, 4), k in (1, 2): max |ratio - (sqrt2+1)| = {worst:.2e}"
 
 
-@criterion(3, budget=8.0)
+@criterion(3, budget=4.0)
 def test_criterion_3_lower_bound_curve(tmp_path):
     """Lower-bound curve: phi+1 anchor at alpha=2 and sqrt2+1 floor on the alpha grid."""
     _, best2 = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)

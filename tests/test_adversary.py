@@ -53,8 +53,8 @@ def golden_refine_peak(alpha, z, x_lo, x_hi):
     return best
 
 
-def inner_min_batch_80(alpha, z, x):
-    """_inner_min_batch with its bisection run for all 80 steps, unconditionally."""
+def bracket_80(alpha, z, x):
+    """The bracket on k* after all 80 bisection steps, taken unconditionally."""
     zf = z.astype(float)
     cz = zf ** alpha - (zf - 1.0) ** alpha
     v = cz + x
@@ -70,6 +70,35 @@ def inner_min_batch_80(alpha, z, x):
         neg = val < 0.0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
+    return lo, hi
+
+
+def stationary_xs(alpha, z, n):
+    """The x > 0 at which the stationary point k* of row z is the integer n.
+
+    k* = n solves -z v**2 + [(a-1) n**a + a z n**(a-1) + z**a] v
+    - [(a-1) n**a + a z**a n**(a-1)] = 0 in v = c_z + x, with a = alpha.
+    """
+    za, na, na1 = float(z) ** alpha, float(n) ** alpha, float(n) ** (alpha - 1.0)
+    a = -float(z)
+    b = (alpha - 1.0) * na + alpha * z * na1 + za
+    c = -((alpha - 1.0) * na + alpha * za * na1)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    cz = za - (z - 1.0) ** alpha
+    return [v - cz for v in (q / a, c / q) if v - cz > 0.0]
+
+
+def inner_min_batch_80(alpha, z, x):
+    """_inner_min_batch with its bisection run for all 80 steps, unconditionally."""
+    zf = z.astype(float)
+    v = zf ** alpha - (zf - 1.0) ** alpha + x
+    A = v - 1.0
+    B = zf * v - zf ** alpha
+    kbar = v ** (1.0 / (alpha - 1.0))
+    lo, hi = bracket_80(alpha, z, x)
     kstar = 0.5 * (lo + hi)
 
     kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
@@ -246,6 +275,43 @@ class TestLowerBoundCurve:
             ref_values, ref_k = inner_min_batch_80(alpha, z, x)
         assert values.tobytes() == ref_values.tobytes()
         assert (k_star == ref_k).all()
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.7, 8.0])
+    def test_bisection_stop_matches_80_steps_near_integer_k_star(self, alpha):
+        # x solved so that k* is an integer, and its 1-3 ulp neighbours: the
+        # points whose bracket keeps an integer longest, up to the fixed point
+        zs, xs = [], []
+        for z in (1, 2, 10, 57, 1000, 10_000):
+            for n in sorted({1, 2, z // 3, z // 2, z - 1, z} - {0}):
+                for x in stationary_xs(alpha, z, n):
+                    up = down = x
+                    for _ in range(3):
+                        up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+                        xs += [up, down]
+                    xs.append(x)
+                    zs += [z] * 7
+        z, x = np.array(zs), np.array(xs)
+        lo, hi = bracket_80(alpha, z, x)
+        assert 2 * (np.floor(hi) >= np.ceil(lo)).sum() >= z.size  # most reach the fixed point
+        values, k_star = _inner_min_batch(alpha, z, x)
+        ref_values, ref_k = inner_min_batch_80(alpha, z, x)
+        assert values.tobytes() == ref_values.tobytes()
+        assert (k_star == ref_k).all()
+
+    def test_bisection_points_settle_at_different_steps(self):
+        # at alpha = 2, z = 10, x = 7 the stationary condition is
+        # 25 k**2 + 320 k - 4160 = 0, so k* = 8 exactly and its bracket runs to
+        # the fixed point; x = 0.5 leaves no integer in the bracket early on
+        z = np.array([[10, 10], [10, 10]])
+        x = np.array([[0.5, 7.0], [3.3, 7.0]])
+        lo, hi = bracket_80(2.0, z, x)
+        assert (np.floor(hi) >= np.ceil(lo)).tolist() == [[False, True], [False, True]]
+        values, k_star = _inner_min_batch(2.0, z, x)
+        ref_values, ref_k = inner_min_batch_80(2.0, z, x)
+        assert values.shape == k_star.shape == (2, 2)
+        assert values.tobytes() == ref_values.tobytes()
+        assert (k_star == ref_k).all()
+        assert k_star[0, 1] == k_star[1, 1] == 8
 
     def test_bisection_stop_matches_80_steps_at_alpha2_z10000(self):
         _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)

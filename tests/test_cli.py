@@ -138,6 +138,16 @@ class TestSimulate:
                        "random:seed=0,600,min-lcr,6.34460713244e+181,5.0309348702e+181,"
                        "1.26111891649,1.61092684027\n")
 
+    def test_leftover_scan_never_evaluates_a_cost_it_does_not_use(self, capsys):
+        # sim-lcr's c_greedy scans the leftover pool only while a value beats
+        # its marginal, so on the same input it never reads g(4) either
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "600", "--policy", "sim-lcr",
+                                 "--gen", "random:n=10", "--no-header")
+        assert code == 0 and err == ""
+        assert out == ("label,alpha,policy,off,alg,ratio,max_lcr\n"
+                       "random:seed=0,600,sim-lcr,6.34460713244e+181,5.0309348702e+181,"
+                       "1.26111891649,1.61092684027\n")
+
 
 @pytest.mark.parametrize("argv", [
     ("verify", "hbound", "--format", "json"),

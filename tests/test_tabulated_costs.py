@@ -58,6 +58,14 @@ class TestPolicies:
         assert min_lcr_decide(view, short)[1] == tuple(
             lcr_breakdown(view, TRIANGLE, i) for i in (1, 2))
 
+    def test_leftover_scan_tabulates_only_the_costs_it_reaches(self):
+        # after the top i of the same view, the leftover scan stops at the
+        # first value under its marginal, at g(3) at the latest
+        short = TabulatedConvex(TRIANGLE.table[:4])
+        view = PolicyView(1, tuple(enumerate((10.0, 10.0, 2.5, 1.0, 1.0, 1.0, 1.0, 1.0))))
+        for i in (1, 2):
+            assert lcr_breakdown(view, short, i) == lcr_breakdown(view, TRIANGLE, i)
+
 
 class TestOffline:
     def test_flow_equals_brute_on_randoms(self, rng):
