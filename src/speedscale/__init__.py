@@ -7,8 +7,10 @@ Library layout:
 * ``offline``   - exact clairvoyant solver (flow) plus a brute-force oracle
 * ``adversary`` - lower-bound constructions, the adaptive deadline game, and
   the numeric lower-bound curve
-* ``analysis``  - ratio reports, experiment sweeps, and numeric verifiers for
-  every analytic bound
+* ``analysis``  - ``competitive_report``, experiment sweeps, and numeric
+  verifiers for every analytic bound
+* ``reports``   - ratio reports: offline vs online profit with the per-slot
+  LCR ledger
 * ``cli``       - the ``speedscale`` command
 """
 from .adversary import (DELTA, PHI, PHI_PLUS_1, SQRT2_PLUS_1,
@@ -29,8 +31,8 @@ from .model import (INFINITE, CostModel, InfeasibleTraceError, Instance,
                     dumps_instance, evaluate_trace, job_to_obj,
                     loads_instance, read_instance, trace_to_obj, union,
                     union_with_provenance, write_instance)
-from .offline import (OfflineJob, OfflineProblem, OfflineSizeError, offline_profit,
-                      solve_offline_bruteforce, solve_offline_flow)
+from .offline import (OfflineSizeError, offline_profit, solve_offline_bruteforce,
+                      solve_offline_flow)
 from .policies import (Decision, LcrBreakdown, Policy, POLICIES, PolicyView,
                        SlotLedger, UnsupportedCostError, beta_root, compute_m,
                        get_policy, inner_greedy_profit, lcr_breakdown,

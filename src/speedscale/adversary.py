@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
-from .offline import OfflineProblem, offline_profit
+from .offline import offline_profit
 from .policies import (Decision, Policy, PolicyView, SlotLedger, _breakdown, compute_m,
                        get_policy)
 from .reports import RatioReport, build_report
@@ -128,7 +128,7 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     by_id = {j.id: j for j in instance.jobs}
     decisions = [SlotDecision.build(1, [by_id[jid] for jid in chosen], cost)] if chosen else []
     ledgers = [SlotLedger(1, decision.count, decision.breakdowns)] if decision.breakdowns else []
-    off_profit = offline_profit(OfflineProblem.from_instance(instance, cost))
+    off_profit = offline_profit(instance, cost)
     return build_report(template.label, off_profit, Trace.build(decisions, ledgers))
 
 
@@ -303,7 +303,11 @@ def _refine_peak(alpha: float, z: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray
     return best
 
 
-_REFINE_TOP = 12  # grid rows (best first) refined around their best grid point
+# Grid rows (best first) refined around their best grid point. Refining every
+# row gave the same `best`, bit for bit, on 24 alphas in [2, 8] at z_max 200,
+# x_grid 64, and took 1.4-1.7x as long, so only the top rows are refined. That
+# is evidence, not proof: no bound yet shows an unrefined row cannot win.
+_REFINE_TOP = 12
 _REFINE_SAMPLES = 33  # points per refinement bracket, endpoints included
 _CHUNK = 256  # z rows evaluated per numpy batch
 _CURVE_DTYPE = np.dtype([("z", np.int64), ("x", float), ("k_star", np.int64), ("value", float)])

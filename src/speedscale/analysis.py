@@ -20,7 +20,7 @@ from .adversary import (DELTA, PHI_PLUS_1, gen_alpha2_lb_instance,
                         gen_sqrt2_lb_instance, golden_section_max,
                         run_adversarial_game, sqrt2_job_value)
 from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, union
-from .offline import OfflineProblem, offline_profit, solve_offline_bruteforce
+from .offline import offline_profit, solve_offline_bruteforce
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
                        lcr_breakdown, run_policy)
 from .reports import RatioReport, build_report
@@ -47,7 +47,7 @@ def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioRepo
     """
     policy = get_policy(policy)
     trace = run_policy(instance, policy, cost)
-    off_profit = offline_profit(OfflineProblem.from_instance(instance, cost))
+    off_profit = offline_profit(instance, cost)
     report = build_report(instance.label, off_profit, trace)
     if (policy.name in ("min-lcr", "sim-lcr")
             and report.has_lcr and math.isfinite(report.ratio)
@@ -365,9 +365,8 @@ def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024,
         alpha = alphas[i % len(alphas)]
         cost = PowerLaw(alpha)
         inst = _small_instance(rng)
-        prob = OfflineProblem.from_instance(inst, cost)
-        flow = offline_profit(prob)
-        brute, _ = solve_offline_bruteforce(prob)
+        flow = offline_profit(inst, cost)
+        brute, _ = solve_offline_bruteforce(inst, cost)
         diff = abs(flow - brute)
         worst = max(worst, diff)
         if diff > 1e-6:
@@ -389,9 +388,9 @@ def verify_subadditivity(samples: int = 1000, seed: int = 7, alphas=(2.0, 2.5, 3
         a = random_instance(rng, cost, n_max=8, max_deadline=4)
         b = random_instance(rng, cost, n_max=8, max_deadline=4)
         merged = union(a, b)
-        off_a = offline_profit(OfflineProblem.from_instance(a, cost))
-        off_b = offline_profit(OfflineProblem.from_instance(b, cost))
-        off_ab = offline_profit(OfflineProblem.from_instance(merged, cost))
+        off_a = offline_profit(a, cost)
+        off_b = offline_profit(b, cost)
+        off_ab = offline_profit(merged, cost)
         slack = off_ab - (off_a + off_b)
         worst = max(worst, slack)
         if slack > 1e-6:

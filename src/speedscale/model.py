@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +45,15 @@ class InstanceFormatError(ModelError):
         self.line = line
 
 
+def _is_int(x) -> bool:
+    """True for ints and integer types such as numpy's; 2.0 is not coerced."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, order=True)
 class Job:
     """One unit-length task: identity, arrival slot, payoff, deadline in slots."""
@@ -54,9 +64,9 @@ class Job:
     deadline: float = INFINITE
 
     def __post_init__(self):
-        if self.id < 0 or self.id != int(self.id):
+        if not (_is_int(self.id) and self.id >= 0):
             raise ModelError(f"job id must be a non-negative integer, got {self.id}")
-        if self.arrival < 1 or self.arrival != int(self.arrival):
+        if not (_is_int(self.arrival) and self.arrival >= 1):
             raise ModelError(f"arrival must be an integer slot >= 1, got {self.arrival}")
         if not (0.0 <= self.value < INFINITE):
             raise ModelError(f"value must be non-negative and finite, got {self.value}")

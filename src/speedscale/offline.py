@@ -28,10 +28,15 @@ window, which overlaps the interval and so extends it.
 reading each busy slot's hull of windows, and records each extension as a
 ring; `_FlowState.apply` walks the rings back to move the chain.
 
-Two entry points run that one pass. `offline_profit` returns only the
-optimum's value; callers that need only the value, such as competitive ratios
-and the verifiers, use it. `solve_offline_flow` returns the same value, bit for
-bit, together with a witness schedule built from `problem.jobs`.
+The flow cuts every window at last arrival + n for n jobs: at most n jobs are
+ever processed, so one per slot right after the final arrival suffices and
+later slots never help. Never-expiring windows end there, and a far deadline
+costs no more than none.
+
+Two entry points run that one pass on `(instance, cost)`. `offline_profit`
+returns only the optimum's value; callers that need only the value, such as
+competitive ratios and the verifiers, use it. `solve_offline_flow` returns the
+same value, bit for bit, together with a witness schedule of the instance's jobs.
 
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
 all feasible assignments (organized as a subset DP per slot), guarded to
@@ -39,56 +44,16 @@ small inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
-from .model import EMPTY_TRACE, CostModel, Instance, ModelError, SlotDecision, Trace
+from .model import EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace
 
 
 class OfflineSizeError(ModelError):
     """Brute-force enumeration refused: instance too large for the guard."""
 
 
-@dataclass(frozen=True)
-class OfflineJob:
-    id: int
-    value: float
-    start: int
-    end: int
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-
-@dataclass(frozen=True)
-class OfflineProblem:
-    """Jobs with concrete windows, a horizon, and a cost model.
-
-    Never-expiring jobs are truncated to last arrival + number of jobs: at
-    most n jobs are ever processed, so scheduling one per slot right after the
-    final arrival already suffices and later slots can never help. The flow
-    solver cuts finite windows at the same slot; the horizon keeps them whole.
-    """
-
-    jobs: tuple[OfflineJob, ...]
-    horizon: int
-    cost: CostModel
-
-    @staticmethod
-    def from_instance(instance: Instance, cost: CostModel) -> "OfflineProblem":
-        if not instance.jobs:
-            return OfflineProblem((), 0, cost)
-        bound = instance.last_arrival + len(instance)
-        jobs = []
-        for j in instance.jobs:
-            end = int(j.expiry) if j.expires else bound
-            jobs.append(OfflineJob(id=j.id, value=j.value, start=j.arrival, end=end))
-        horizon = max(j.end for j in jobs)
-        return OfflineProblem(tuple(jobs), horizon, cost)
-
-
-def _trace_from_assignment(slot_jobs: dict[int, list[OfflineJob]], cost: CostModel) -> Trace:
+def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> Trace:
     return Trace.build([SlotDecision.build(slot, slot_jobs[slot], cost)
                         for slot in sorted(slot_jobs) if slot_jobs[slot]])
 
@@ -103,14 +68,14 @@ def _all_busy(loads: np.ndarray) -> bool:
 
 
 class _FlowState:
-    def __init__(self, problem: OfflineProblem):
-        jobs = problem.jobs  # kept as flat per-job lists, indexed by position
-        cap = max(j.start for j in jobs) + len(jobs)  # see OfflineProblem
-        self.cost = problem.cost
+    def __init__(self, instance: Instance, cost: CostModel):
+        jobs = instance.jobs  # read into flat per-job lists, indexed by position
+        cap = instance.last_arrival + len(jobs)  # the window cut, see the module docstring
+        self.cost = cost
         self.ids = [j.id for j in jobs]
         self.values = [j.value for j in jobs]
-        self.starts = [j.start for j in jobs]
-        self.ends = [min(j.end, cap) for j in jobs]
+        self.starts = [j.arrival for j in jobs]
+        self.ends = [min(j.expiry, cap) for j in jobs]
         self.loads = np.zeros(max(self.ends) + 1, dtype=np.int64)
         self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
@@ -189,7 +154,7 @@ class _FlowState:
         return float(total)
 
 
-def _flow_pass(problem: OfflineProblem) -> _FlowState:
+def _flow_pass(instance: Instance, cost: CostModel) -> _FlowState:
     """The one pass both entry points share.
 
     Non-increasing value order, smaller id first on ties, one reachability
@@ -197,7 +162,7 @@ def _flow_pass(problem: OfflineProblem) -> _FlowState:
     reachable marginal cost by more than 1e-12 and skipped for good
     otherwise; the module docstring says why that is exact.
     """
-    state = _FlowState(problem)
+    state = _FlowState(instance, cost)
     ids, values, starts, ends = state.ids, state.values, state.starts, state.ends
     for pos in sorted(range(len(ids)), key=lambda p: (-values[p], ids[p])):
         plan = state.cheapest_reachable((starts[pos], ends[pos]))
@@ -206,18 +171,18 @@ def _flow_pass(problem: OfflineProblem) -> _FlowState:
     return state
 
 
-def offline_profit(problem: OfflineProblem) -> float:
+def offline_profit(instance: Instance, cost: CostModel) -> float:
     """Maximum clairvoyant profit, bit-equal to solve_offline_flow's, without a witness."""
-    return _flow_pass(problem).profit() if problem.jobs else 0.0
+    return _flow_pass(instance, cost).profit() if instance.jobs else 0.0
 
 
-def solve_offline_flow(problem: OfflineProblem) -> tuple[float, Trace]:
-    """Maximum clairvoyant profit and a witness schedule built from `problem.jobs`."""
-    if not problem.jobs:
+def solve_offline_flow(instance: Instance, cost: CostModel) -> tuple[float, Trace]:
+    """Maximum clairvoyant profit and a witness schedule built from `instance.jobs`."""
+    if not instance.jobs:
         return 0.0, EMPTY_TRACE
-    state, jobs = _flow_pass(problem), problem.jobs
+    state, jobs = _flow_pass(instance, cost), instance.jobs
     return state.profit(), _trace_from_assignment(
-        {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, problem.cost)
+        {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +193,28 @@ _MAX_BRUTE_JOBS = 10
 _MAX_BRUTE_HORIZON = 8
 
 
-def solve_offline_bruteforce(problem: OfflineProblem) -> tuple[float, Trace]:
+def solve_offline_bruteforce(instance: Instance, cost: CostModel) -> tuple[float, Trace]:
     """Exact maximum by exhaustive search over all feasible assignments.
 
     Organized as a DP over (slot, processed subset) so shared sub-schedules
-    are enumerated once; still explores the full assignment space. Refuses
-    instances beyond 10 jobs or horizon 8.
+    are enumerated once; still explores the full assignment space. Windows
+    that never expire end at last arrival + n; finite ones stay whole. Refuses
+    instances beyond 10 jobs or horizon (last window end) 8.
     """
-    jobs = problem.jobs
+    jobs = instance.jobs
     n = len(jobs)
     if n == 0:
         return 0.0, EMPTY_TRACE
     if n > _MAX_BRUTE_JOBS:
         raise OfflineSizeError(f"brute force limited to {_MAX_BRUTE_JOBS} jobs, got {n}")
-    if problem.horizon > _MAX_BRUTE_HORIZON:
+    bound = instance.last_arrival + n
+    ends = [int(j.expiry) if j.expires else bound for j in jobs]
+    horizon = max(ends)
+    if horizon > _MAX_BRUTE_HORIZON:
         raise OfflineSizeError(
-            f"brute force limited to horizon {_MAX_BRUTE_HORIZON}, got {problem.horizon}")
+            f"brute force limited to horizon {_MAX_BRUTE_HORIZON}, got {horizon}")
 
-    g = [problem.cost.g(k) for k in range(n + 1)]
+    g = [cost.g(k) for k in range(n + 1)]
     value_sum = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
@@ -253,10 +222,10 @@ def solve_offline_bruteforce(problem: OfflineProblem) -> tuple[float, Trace]:
 
     dp: dict[int, float] = {0: 0.0}
     parents: list[dict[int, tuple[int, int]]] = []
-    for slot in range(1, problem.horizon + 1):
+    for slot in range(1, horizon + 1):
         avail = 0
-        for idx, j in enumerate(jobs):
-            if j.start <= slot <= j.end:
+        for idx, (j, end) in enumerate(zip(jobs, ends)):
+            if j.arrival <= slot <= end:
                 avail |= 1 << idx
         nxt: dict[int, float] = {}
         back: dict[int, tuple[int, int]] = {}
@@ -279,12 +248,12 @@ def solve_offline_bruteforce(problem: OfflineProblem) -> tuple[float, Trace]:
     best_mask = max(dp, key=lambda m: (dp[m], -m))
     best = dp[best_mask]
 
-    by_slot: dict[int, list[OfflineJob]] = {}
+    by_slot: dict[int, list[Job]] = {}
     mask = best_mask
-    for slot in range(problem.horizon, 0, -1):
+    for slot in range(horizon, 0, -1):
         prev_mask, sub = parents[slot - 1][mask]
         chosen = [jobs[i] for i in range(n) if sub >> i & 1]
         if chosen:
             by_slot[slot] = chosen
         mask = prev_mask
-    return float(best), _trace_from_assignment(by_slot, problem.cost)
+    return float(best), _trace_from_assignment(by_slot, cost)

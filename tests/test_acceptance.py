@@ -21,7 +21,7 @@ from speedscale.analysis import (random_instance, theta,
                                  verify_small_m_cases, verify_subadditivity)
 from speedscale.cli import main
 from speedscale.model import PowerLaw
-from speedscale.offline import OfflineProblem, solve_offline_flow
+from speedscale.offline import solve_offline_flow
 from speedscale.policies import beta_root, run_policy
 from speedscale.reports import build_report, profit_ratio
 
@@ -130,7 +130,7 @@ def battery():
         alpha = BATTERY_ALPHAS[i % len(BATTERY_ALPHAS)]
         cost = PowerLaw(alpha)
         inst = random_instance(rng, cost, n_max=30, label=f"battery-{i}")
-        off, _ = solve_offline_flow(OfflineProblem.from_instance(inst, cost))
+        off, _ = solve_offline_flow(inst, cost)
         stats["count"] += 1
 
         for policy in ("min-lcr", "sim-lcr"):

@@ -15,7 +15,7 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
                                   gen_sqrt2_lb_instance, golden_section_max,
                                   run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, ModelError, PowerLaw
-from speedscale.offline import OfflineProblem, solve_offline_flow
+from speedscale.offline import solve_offline_flow
 from speedscale.policies import Policy, get_policy, run_policy
 from speedscale.reports import build_report
 
@@ -36,7 +36,7 @@ def replayed_game_report(policy, template, cost):
     view = template.slot1_view()
     count = get_policy(policy).decide(view, cost).count
     instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
-    off, _ = solve_offline_flow(OfflineProblem.from_instance(instance, cost))
+    off, _ = solve_offline_flow(instance, cost)
     return build_report(template.label, off, run_policy(instance, policy, cost))
 
 
@@ -196,7 +196,7 @@ class TestGames:
         t = gen_alpha2_lb_instance(7)
         report = run_adversarial_game("greedy", t, alpha2)
         inst = adversary_finalize(t, t.job_ids()[:7])  # greedy picks m = z = 7
-        off, _ = solve_offline_flow(OfflineProblem.from_instance(inst, alpha2))
+        off, _ = solve_offline_flow(inst, alpha2)
         assert math.isclose(report.off_profit, off, abs_tol=1e-9)
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])

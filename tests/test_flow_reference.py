@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale.model import INFINITE, Instance, Job, PowerLaw, TabulatedConvex, evaluate_trace
-from speedscale.offline import (OfflineProblem, OfflineSizeError, offline_profit,
-                                solve_offline_bruteforce, solve_offline_flow)
+from speedscale.model import (INFINITE, CostModel, Instance, Job, PowerLaw, TabulatedConvex,
+                              evaluate_trace)
+from speedscale.offline import (OfflineSizeError, offline_profit, solve_offline_bruteforce,
+                                solve_offline_flow)
 
 
 class RefGraph:
@@ -25,22 +26,23 @@ class RefGraph:
         self.adj[v].append([u, 0, -cost, len(self.adj[u]) - 1])
 
 
-def reference_offline(problem: OfflineProblem) -> float:
-    jobs = problem.jobs
+def reference_offline(instance: Instance, cost: CostModel) -> float:
+    jobs = instance.jobs
     if not jobs:
         return 0.0
     n = len(jobs)
-    bound = max(j.start for j in jobs) + n
-    horizon = min(problem.horizon, bound)
+    bound = max(j.arrival for j in jobs) + n  # n jobs never need a later slot
+    windows = [(j.arrival, min(j.expiry, bound)) for j in jobs]
+    horizon = max(end for _, end in windows)
     source, sink = 0, 1 + n + horizon
     g = RefGraph(sink + 1)
-    for idx, j in enumerate(jobs):
+    for idx, (j, (start, end)) in enumerate(zip(jobs, windows)):
         g.add(source, 1 + idx, 1, -j.value)
-        for t in range(j.start, min(j.end, horizon) + 1):
+        for t in range(start, end + 1):
             g.add(1 + idx, n + t, 1, 0.0)
     for t in range(1, horizon + 1):
         for k in range(1, n + 1):
-            g.add(n + t, sink, 1, problem.cost.effective_cost(k))
+            g.add(n + t, sink, 1, cost.effective_cost(k))
 
     total = 0.0
     while True:
@@ -89,9 +91,8 @@ def test_flow_matches_bellman_ford_reference(alpha):
     cost = PowerLaw(alpha)
     for _ in range(12):
         inst = random_medium_instance(rng)
-        prob = OfflineProblem.from_instance(inst, cost)
-        fast, _ = solve_offline_flow(prob)
-        slow = reference_offline(prob)
+        fast, _ = solve_offline_flow(inst, cost)
+        slow = reference_offline(inst, cost)
         assert abs(fast - slow) <= 1e-6, (fast, slow, inst.jobs)
 
 
@@ -108,9 +109,9 @@ def test_flow_matches_reference_on_sparse_tied_instances():
             d = INFINITE if rng.random() < 0.3 else int(rng.integers(1, 12))
             value = float(rng.choice([0.0, 0.5, 3.0, 9.0, 9.0, 25.0]))
             jobs.append(Job(i, arrival, value, d))
-        prob = OfflineProblem.from_instance(Instance(tuple(jobs)), cost)
-        fast, _ = solve_offline_flow(prob)
-        assert abs(fast - reference_offline(prob)) <= 1e-6
+        inst = Instance(tuple(jobs))
+        fast, _ = solve_offline_flow(inst, cost)
+        assert abs(fast - reference_offline(inst, cost)) <= 1e-6
 
 
 @given(st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2, 10]),
@@ -129,9 +130,9 @@ def test_flow_matches_reference_on_drawn_instances(specs, alpha):
     for i, (gap, deadline, value) in enumerate(specs):
         arrival += gap
         jobs.append(Job(i, arrival, value, INFINITE if deadline is None else deadline))
-    prob = OfflineProblem.from_instance(Instance(tuple(jobs)), PowerLaw(alpha))
-    fast, _ = solve_offline_flow(prob)
-    assert abs(fast - reference_offline(prob)) <= 1e-6
+    inst, cost = Instance(tuple(jobs)), PowerLaw(alpha)
+    fast, _ = solve_offline_flow(inst, cost)
+    assert abs(fast - reference_offline(inst, cost)) <= 1e-6
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.one_of(st.integers(1, 3), st.none()),
@@ -151,37 +152,36 @@ def test_flow_matches_oracles_with_tied_marginals(specs, repeat):
     inst = Instance(tuple(jobs))
     table = np.concatenate(([0.0], np.cumsum([1.0 + k // repeat for k in range(len(jobs))])))
     cost = TabulatedConvex(tuple(table))
-    prob = OfflineProblem.from_instance(inst, cost)
-    fast, trace = solve_offline_flow(prob)
-    assert offline_profit(prob) == fast
-    assert abs(fast - reference_offline(prob)) <= 1e-9
+    fast, trace = solve_offline_flow(inst, cost)
+    assert offline_profit(inst, cost) == fast
+    assert abs(fast - reference_offline(inst, cost)) <= 1e-9
     assert math.isclose(evaluate_trace(inst, trace, cost), fast, abs_tol=1e-9)
     try:
-        brute, _ = solve_offline_bruteforce(prob)
+        brute, _ = solve_offline_bruteforce(inst, cost)
     except OfflineSizeError:
         return
     assert abs(fast - brute) <= 1e-9
 
 
 def test_flow_matches_reference_with_far_deadlines():
-    # a deadline of 10**12 among short ones: the solver cuts it at last
-    # arrival + n, the reference at its horizon
+    # a deadline of 10**12 among short ones: the solver and the reference
+    # each cut it at last arrival + n
     rng = np.random.default_rng(12)
     cost = PowerLaw(2.0)
     for _ in range(30):
         inst = random_medium_instance(rng)
         far = {int(i) for i in rng.choice(len(inst), size=3, replace=False)}
-        prob = OfflineProblem.from_instance(Instance(tuple(
-            Job(j.id, j.arrival, j.value, 10**12) if j.id in far else j for j in inst.jobs)), cost)
-        fast, _ = solve_offline_flow(prob)
-        assert abs(fast - reference_offline(prob)) <= 1e-6
+        inst = Instance(tuple(
+            Job(j.id, j.arrival, j.value, 10**12) if j.id in far else j for j in inst.jobs))
+        fast, _ = solve_offline_flow(inst, cost)
+        assert abs(fast - reference_offline(inst, cost)) <= 1e-6
 
 
 def test_reference_on_known_instances(alpha2):
     # anchor the reference itself on hand-computed values
     inst = Instance((Job(0, 1, 4.0, INFINITE), Job(1, 1, 4.0, INFINITE)))
-    assert math.isclose(reference_offline(OfflineProblem.from_instance(inst, alpha2)), 6.0)
+    assert math.isclose(reference_offline(inst, alpha2), 6.0)
     inst = Instance((Job(0, 1, 4.0, 1), Job(1, 1, 4.0, 1)))
-    assert math.isclose(reference_offline(OfflineProblem.from_instance(inst, alpha2)), 4.0)
+    assert math.isclose(reference_offline(inst, alpha2), 4.0)
     inst = Instance((Job(0, 1, 8.0, 3), Job(1, 1, 9.0, 2), Job(2, 1, 10.0, 1)))
-    assert math.isclose(reference_offline(OfflineProblem.from_instance(inst, alpha2)), 24.0)
+    assert math.isclose(reference_offline(inst, alpha2), 24.0)

@@ -64,6 +64,18 @@ class TestJob:
         with pytest.raises(ModelError):
             Job(0, 1, 1.0, 0)
 
+    @pytest.mark.parametrize("fields", [(0, 2.0, 5.0, 3), (1.0, 1, 5.0, 3), (0, math.inf, 1.0),
+                                        (math.nan, 1, 1.0), (0, "1", 1.0), (0, None, 1.0)],
+                             ids=["float-arrival", "float-id", "inf-arrival", "nan-id",
+                                  "str-arrival", "none-arrival"])
+    def test_integer_fields_not_coerced(self, fields):
+        with pytest.raises(ModelError, match="integer"):
+            Job(*fields)
+
+    def test_numpy_integers_accepted(self):
+        job = Job(np.int64(3), np.int32(2), 1.0, 2)
+        assert job.expiry == 3
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_value_must_be_finite(self, value):
         with pytest.raises(ModelError, match="finite"):

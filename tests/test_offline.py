@@ -7,79 +7,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedscale.analysis import _small_instance, random_instance
-from speedscale.model import (INFINITE, Instance, Job, PowerLaw,
+from speedscale.model import (EMPTY_TRACE, INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
-from speedscale.offline import (OfflineProblem, OfflineSizeError, _FlowState, offline_profit,
+from speedscale.offline import (OfflineSizeError, _FlowState, offline_profit,
                                 solve_offline_bruteforce, solve_offline_flow)
 from speedscale.policies import POLICIES, run_policy
 
 from conftest import mk_instance
 
 
-def off_flow(instance, cost):
-    return solve_offline_flow(OfflineProblem.from_instance(instance, cost))
-
-
-def off_brute(instance, cost):
-    return solve_offline_bruteforce(OfflineProblem.from_instance(instance, cost))
-
-
-class TestProblemConstruction:
-    def test_infinite_deadlines_truncated(self, alpha2):
+class TestWindowCut:
+    def test_never_expiring_windows_cut(self, alpha2):
         inst = mk_instance((1, 4.0, INFINITE), (1, 4.0, INFINITE))
-        prob = OfflineProblem.from_instance(inst, alpha2)
-        assert prob.horizon == 3  # last arrival 1 + two jobs
-        assert all(j.end == 3 for j in prob.jobs)
+        assert _FlowState(inst, alpha2).ends == [3, 3]  # last arrival 1 + two jobs
 
-    def test_finite_expiries_kept(self, alpha2):
-        inst = mk_instance((1, 4.0, 7))
-        prob = OfflineProblem.from_instance(inst, alpha2)
-        assert prob.horizon == 7
-        assert prob.jobs[0].window == (1, 7)
+    def test_long_finite_windows_cut(self, alpha2):
+        # the flow cuts a finite window at the same slot; a short one stays whole
+        inst = mk_instance((1, 4.0, 7), (2, 4.0, 2))
+        assert _FlowState(inst, alpha2).ends == [4, 3]  # last arrival 2 + two jobs
 
     def test_empty(self, alpha2):
-        prob = OfflineProblem.from_instance(Instance(()), alpha2)
-        profit, trace = solve_offline_flow(prob)
-        assert profit == 0.0 and trace.decisions == ()
+        empty = Instance(())
+        assert offline_profit(empty, alpha2) == 0.0
+        assert solve_offline_flow(empty, alpha2) == (0.0, EMPTY_TRACE)
 
 
 class TestWorkedExamples:
     def test_two_infinite_jobs_spread_out(self, alpha2):
         inst = mk_instance((1, 4.0, INFINITE), (1, 4.0, INFINITE))
-        profit, trace = off_flow(inst, alpha2)
+        profit, trace = solve_offline_flow(inst, alpha2)
         assert profit == 6.0  # one per slot beats both at once
-        assert off_brute(inst, alpha2)[0] == 6.0
+        assert solve_offline_bruteforce(inst, alpha2)[0] == 6.0
 
     def test_two_expiring_jobs_share_slot(self, alpha2):
         inst = mk_instance((1, 4.0, 1), (1, 4.0, 1))
-        profit, _ = off_flow(inst, alpha2)
+        profit, _ = solve_offline_flow(inst, alpha2)
         assert profit == 4.0  # 8 - 4 beats 4 - 1
-        assert off_brute(inst, alpha2)[0] == 4.0
+        assert solve_offline_bruteforce(inst, alpha2)[0] == 4.0
 
     def test_unprofitable_job_dropped(self, alpha2):
         inst = mk_instance((1, 0.5, 1))
-        assert off_flow(inst, alpha2)[0] == 0.0
-        assert off_brute(inst, alpha2)[0] == 0.0
+        assert solve_offline_flow(inst, alpha2)[0] == 0.0
+        assert solve_offline_bruteforce(inst, alpha2)[0] == 0.0
 
     def test_single_job_two_slot_window(self, alpha2):
         inst = mk_instance((1, 10.0, 2))
-        assert off_brute(inst, alpha2)[0] == 9.0
-        assert off_flow(inst, alpha2)[0] == 9.0
+        assert solve_offline_bruteforce(inst, alpha2)[0] == 9.0
+        assert solve_offline_flow(inst, alpha2)[0] == 9.0
 
     def test_zero_jobs(self, alpha2):
-        assert off_brute(Instance(()), alpha2)[0] == 0.0
+        assert solve_offline_bruteforce(Instance(()), alpha2)[0] == 0.0
 
 
 class TestBruteForceGuards:
     def test_too_many_jobs(self, alpha2):
         inst = mk_instance(*[(1, 1.0, 1)] * 11)
         with pytest.raises(OfflineSizeError):
-            off_brute(inst, alpha2)
+            solve_offline_bruteforce(inst, alpha2)
 
     def test_horizon_too_deep(self, alpha2):
+        # the brute force keeps finite windows whole: expiry 9, though the flow cuts at 2
         inst = mk_instance((1, 1.0, 9))
         with pytest.raises(OfflineSizeError):
-            off_brute(inst, alpha2)
+            solve_offline_bruteforce(inst, alpha2)
 
 
 class TestOracleEquivalence:
@@ -88,8 +78,8 @@ class TestOracleEquivalence:
         cost = PowerLaw(alpha)
         for _ in range(150):
             inst = _small_instance(rng)
-            f, trace_f = off_flow(inst, cost)
-            b, trace_b = off_brute(inst, cost)
+            f, trace_f = solve_offline_flow(inst, cost)
+            b, trace_b = solve_offline_bruteforce(inst, cost)
             assert abs(f - b) <= 1e-6, (f, b, inst.jobs)
             # both witnesses must be feasible and add up
             assert math.isclose(evaluate_trace(inst, trace_f, cost), f, abs_tol=1e-9)
@@ -102,11 +92,8 @@ class TestOracleEquivalence:
         cost = PowerLaw(2.0)
         specs = [(a, v, min(d, 6 - a + 1)) for a, v, d in specs]
         inst = mk_instance(*specs)
-        prob = OfflineProblem.from_instance(inst, cost)
-        if prob.horizon > 6:
-            return
-        f, _ = solve_offline_flow(prob)
-        b, _ = solve_offline_bruteforce(prob)
+        f, _ = solve_offline_flow(inst, cost)
+        b, _ = solve_offline_bruteforce(inst, cost)
         assert abs(f - b) <= 1e-6
 
 
@@ -115,22 +102,22 @@ class TestOfflineProperties:
         for _ in range(120):
             a = random_instance(rng, alpha2, n_max=8, max_deadline=4)
             b = random_instance(rng, alpha2, n_max=8, max_deadline=4)
-            off_a = off_flow(a, alpha2)[0]
-            off_b = off_flow(b, alpha2)[0]
-            off_ab = off_flow(union(a, b), alpha2)[0]
+            off_a = solve_offline_flow(a, alpha2)[0]
+            off_b = solve_offline_flow(b, alpha2)[0]
+            off_ab = solve_offline_flow(union(a, b), alpha2)[0]
             assert off_ab <= off_a + off_b + 1e-6
 
     def test_dominates_online_policies(self, alpha2, rng):
         for _ in range(60):
             inst = random_instance(rng, alpha2, n_max=12)
-            off = off_flow(inst, alpha2)[0]
+            off = solve_offline_flow(inst, alpha2)[0]
             for name in POLICIES:
                 assert run_policy(inst, name, alpha2).total_profit <= off + 1e-9
 
     def test_alone_in_distinct_slots_upper_bound(self, alpha2, rng):
         for _ in range(60):
             inst = random_instance(rng, alpha2, n_max=12)
-            off = off_flow(inst, alpha2)[0]
+            off = solve_offline_flow(inst, alpha2)[0]
             cap = sum(max(0.0, j.value - alpha2.g(1)) for j in inst.jobs)
             assert off <= cap + 1e-9
 
@@ -138,14 +125,14 @@ class TestOfflineProperties:
         # 2z identical jobs, z infinite 1-slot windows: closed form z^2 + 2zk - k
         z, k = 50, 31
         jobs = [Job(i, 1, float(2 * z), INFINITE if i < k else 1) for i in range(2 * z)]
-        profit, _ = off_flow(Instance(tuple(jobs)), alpha2)
+        profit, _ = solve_offline_flow(Instance(tuple(jobs)), alpha2)
         assert profit == z * z + 2 * z * k - k
 
     def test_flow_reroutes_earlier_assignment(self, alpha2):
         # the high-value job gets placed first, then must vacate slot 1 for the
         # job that can only run there
         inst = mk_instance((1, 10.0, 2), (1, 9.9, 1))
-        profit, trace = off_flow(inst, alpha2)
+        profit, trace = solve_offline_flow(inst, alpha2)
         assert math.isclose(profit, (9.9 - 1) + (10.0 - 1), abs_tol=1e-9)
         placed = {d.slot: set(d.processed) for d in trace.decisions}
         assert placed == {1: {1}, 2: {0}}
@@ -154,9 +141,9 @@ class TestOfflineProperties:
         # nested windows force a two-step chain: adding the [1,1] job pushes the
         # [1,2] job to slot 2, which pushes the [1,3] job to slot 3
         inst = mk_instance((1, 8.0, 3), (1, 9.0, 2), (1, 10.0, 1))
-        profit, trace = off_flow(inst, alpha2)
+        profit, trace = solve_offline_flow(inst, alpha2)
         assert math.isclose(profit, 7.0 + 8.0 + 9.0, abs_tol=1e-9)
-        assert math.isclose(off_brute(inst, alpha2)[0], profit, abs_tol=1e-9)
+        assert math.isclose(solve_offline_bruteforce(inst, alpha2)[0], profit, abs_tol=1e-9)
 
 
 def bursts_instance(seed, never_expiring):
@@ -184,15 +171,15 @@ class TestSparseBursts:
         # span the whole instance
         inst = bursts_instance(11, never_expiring=150)
         start = time.perf_counter()
-        profit, trace = off_flow(inst, alpha2)
+        profit, trace = solve_offline_flow(inst, alpha2)
         assert time.perf_counter() - start < 2.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
 
     def test_finite_bursts_solve_apart(self, alpha2):
         # with finite windows no chain crosses a 5,000-slot gap
         inst = bursts_instance(12, never_expiring=0)
-        profit, trace = off_flow(inst, alpha2)
-        apart = sum(off_flow(Instance(inst.jobs[b: b + 250]), alpha2)[0]
+        profit, trace = solve_offline_flow(inst, alpha2)
+        apart = sum(solve_offline_flow(Instance(inst.jobs[b: b + 250]), alpha2)[0]
                     for b in range(0, 1000, 250))
         assert math.isclose(profit, apart, rel_tol=1e-9)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
@@ -218,14 +205,14 @@ class TestOnePass:
     def test_one_search_per_job(self, alpha2, searches, inst):
         # 30 jobs, and 1,000 in bursts: each window is searched exactly once,
         # however many jobs get placed, by either entry point
-        profit, trace = off_flow(inst, alpha2)
-        prob = OfflineProblem.from_instance(inst, alpha2)
-        windows = sorted(j.window for j in prob.jobs)
+        profit, trace = solve_offline_flow(inst, alpha2)
+        cut = inst.last_arrival + len(inst)
+        windows = sorted((j.arrival, min(j.expiry, cut)) for j in inst.jobs)
         assert sorted(searches) == windows
         assert 0 < sum(len(d.processed) for d in trace.decisions) < len(inst)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
         searches.clear()
-        assert offline_profit(prob) == profit
+        assert offline_profit(inst, alpha2) == profit
         assert sorted(searches) == windows
 
     def test_thousands_of_dense_jobs(self, alpha2):
@@ -234,7 +221,7 @@ class TestOnePass:
         inst = random_instance(np.random.default_rng(4000), alpha2, n_max=4000, mean_gap=0.3)
         assert len(inst) == 3498
         start = time.perf_counter()
-        profit, trace = off_flow(inst, alpha2)
+        profit, trace = solve_offline_flow(inst, alpha2)
         assert time.perf_counter() - start < 3.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
 
@@ -246,7 +233,7 @@ class TestLongDeadlines:
         far = mk_instance((1, 4.0, 10**12), (1, 4.0, 10**12), (2, 3.0, 10**12))
         never = mk_instance((1, 4.0, INFINITE), (1, 4.0, INFINITE), (2, 3.0, INFINITE))
         start = time.perf_counter()
-        profit, trace = off_flow(far, alpha2)
+        profit, trace = solve_offline_flow(far, alpha2)
         assert time.perf_counter() - start < 1.0
         assert math.isclose(evaluate_trace(far, trace, alpha2), profit, rel_tol=1e-12)
-        assert profit == off_flow(never, alpha2)[0] == 8.0  # one job per slot
+        assert profit == solve_offline_flow(never, alpha2)[0] == 8.0  # one job per slot

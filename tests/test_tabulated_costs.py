@@ -11,8 +11,7 @@ import pytest
 from speedscale.analysis import _small_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError,
                               TabulatedConvex, evaluate_trace)
-from speedscale.offline import (OfflineProblem, solve_offline_bruteforce,
-                                solve_offline_flow)
+from speedscale.offline import solve_offline_bruteforce, solve_offline_flow
 from speedscale.policies import (PolicyView, compute_m, lcr_breakdown,
                                  min_lcr_decide, run_policy)
 
@@ -71,16 +70,15 @@ class TestOffline:
     def test_flow_equals_brute_on_randoms(self, rng):
         for _ in range(120):
             inst = _small_instance(rng)
-            prob = OfflineProblem.from_instance(inst, TRIANGLE)
-            f, _ = solve_offline_flow(prob)
-            b, _ = solve_offline_bruteforce(prob)
+            f, _ = solve_offline_flow(inst, TRIANGLE)
+            b, _ = solve_offline_bruteforce(inst, TRIANGLE)
             assert abs(f - b) <= 1e-6, (f, b, inst.jobs)
 
     def test_linear_marginals_reward_batching(self):
         # two equal jobs: batching costs 1+2, splitting costs 1+1; with a shared
         # slot deadline the batch is taken and profit is 2v - 3
         inst = mk_instance((1, 4.0, 1), (1, 4.0, 1))
-        profit, trace = solve_offline_flow(OfflineProblem.from_instance(inst, TRIANGLE))
+        profit, trace = solve_offline_flow(inst, TRIANGLE)
         assert profit == 5.0
         assert len(trace.decisions) == 1
 
@@ -89,7 +87,7 @@ class TestOffline:
         # table to k=3 is enough even though the instance has 5 jobs
         short = TabulatedConvex((0.0, 1.0, 3.0, 6.0))
         inst = mk_instance(*[(1 + 10 * i, 10.0, 1) for i in range(5)])
-        profit, trace = solve_offline_flow(OfflineProblem.from_instance(inst, short))
+        profit, trace = solve_offline_flow(inst, short)
         assert profit == 45.0 == run_policy(inst, "min-lcr", short).total_profit
         assert evaluate_trace(inst, trace, short) == profit
 
@@ -97,4 +95,4 @@ class TestOffline:
         short = TabulatedConvex((0.0, 1.0, 4.0))
         inst = mk_instance(*[(1, 9.0, 1)] * 4)
         with pytest.raises(ModelError, match="cost table"):
-            solve_offline_flow(OfflineProblem.from_instance(inst, short))
+            solve_offline_flow(inst, short)
