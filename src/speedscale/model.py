@@ -46,7 +46,9 @@ class InstanceFormatError(ModelError):
 
 
 def _is_int(x) -> bool:
-    """True for ints and integer types such as numpy's; 2.0 is not coerced."""
+    """True for ints and integer types such as numpy's; 2.0 and True are not coerced."""
+    if isinstance(x, bool):
+        return False
     try:
         operator.index(x)
     except TypeError:
@@ -68,13 +70,14 @@ class Job:
             raise ModelError(f"job id must be a non-negative integer, got {self.id}")
         if not (_is_int(self.arrival) and self.arrival >= 1):
             raise ModelError(f"arrival must be an integer slot >= 1, got {self.arrival}")
-        if not (0.0 <= self.value < INFINITE):
+        if isinstance(self.value, bool) or not (0.0 <= self.value < INFINITE):
             raise ModelError(f"value must be non-negative and finite, got {self.value}")
-        if self.deadline != INFINITE:
-            if not (math.isfinite(self.deadline) and self.deadline >= 1
-                    and self.deadline == int(self.deadline)):
-                raise ModelError(
-                    f"deadline must be a positive integer or INFINITE, got {self.deadline}")
+        if self.deadline != INFINITE and not (
+                (_is_int(self.deadline)
+                 or isinstance(self.deadline, float) and self.deadline.is_integer())
+                and self.deadline >= 1):
+            raise ModelError(
+                f"deadline must be a positive integer or INFINITE, got {self.deadline}")
 
     @property
     def expires(self) -> bool:
@@ -85,7 +88,7 @@ class Job:
         """Last slot at which the job may be processed (inf when never expiring)."""
         if not self.expires:
             return INFINITE
-        return self.arrival + int(self.deadline) - 1
+        return operator.index(self.arrival) + int(self.deadline) - 1  # no numpy wrap-around
 
     def available_at(self, slot: int) -> bool:
         return self.arrival <= slot <= self.expiry
@@ -306,7 +309,8 @@ def evaluate_trace(instance: Instance, trace: Trace, cost: CostModel) -> float:
 
 def job_to_obj(job: Job) -> dict:
     deadline = "inf" if not job.expires else int(job.deadline)
-    return {"id": job.id, "arrival": job.arrival, "value": job.value, "deadline": deadline}
+    return {"id": operator.index(job.id), "arrival": operator.index(job.arrival),
+            "value": float(job.value), "deadline": deadline}
 
 
 def _is_json_int(raw) -> bool:

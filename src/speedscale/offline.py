@@ -28,6 +28,17 @@ window, which overlaps the interval and so extends it.
 reading each busy slot's hull of windows, and records each extension as a
 ring; `_FlowState.apply` walks the rings back to move the chain.
 
+The state is kept per busy slot, never per slot of the horizon: `loads` maps
+each busy slot to its job count, and `skip` maps it to a later slot with every
+slot in between busy. `first_idle(t)` follows those links to the first idle
+slot at or after t and points every slot it passed straight there (path
+compression, as in Tarjan's set union, JACM 1975). The links stay sound
+because a slot never goes idle again: a move hands every slot on the chain one
+job and takes one away. So "is [a, b] all busy" is `first_idle(a) > b`, an
+interval that holds an idle slot takes its first one as the target, and an
+all-busy interval has at most one slot per placed job, scanned for its first
+least-loaded slot. Idle gaps between arrivals cost nothing, however long.
+
 The flow cuts every window at last arrival + n for n jobs: at most n jobs are
 ever processed, so one per slot right after the final arrival suffices and
 later slots never help. Never-expiring windows end there, and a far deadline
@@ -44,7 +55,7 @@ small inputs.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .model import EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace
 
@@ -62,11 +73,6 @@ def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> 
 # Flow solver
 # ---------------------------------------------------------------------------
 
-def _all_busy(loads: np.ndarray) -> bool:
-    # count_nonzero is about twice as fast as ndarray.all on short slices
-    return np.count_nonzero(loads) == len(loads)
-
-
 class _FlowState:
     def __init__(self, instance: Instance, cost: CostModel):
         jobs = instance.jobs  # read into flat per-job lists, indexed by position
@@ -76,7 +82,8 @@ class _FlowState:
         self.values = [j.value for j in jobs]
         self.starts = [j.arrival for j in jobs]
         self.ends = [min(j.expiry, cap) for j in jobs]
-        self.loads = np.zeros(max(self.ends) + 1, dtype=np.int64)
+        self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
+        self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
         self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
@@ -84,18 +91,31 @@ class _FlowState:
 
     # -- reachability ------------------------------------------------------
 
+    def first_idle(self, t: int) -> int:
+        """First slot >= t that holds no job; compresses the skip links it follows."""
+        skip = self.skip
+        path = []
+        while t in skip:
+            path.append(t)
+            t = skip[t]
+        for slot in path:
+            skip[slot] = t
+        return t
+
     def cheapest_reachable(self, seed: tuple[int, int]):
         """Min marginal cost over all slots reachable from `seed` by reassignment chains.
 
         Returns (marginal, target slot, rings). A ring (first, last, slot) is
         one extension of the interval: some job now in `slot` can move to any
-        slot of it. The search stops once the interval holds an idle slot.
+        slot of it. The search stops once the interval holds an idle slot,
+        which is then the target; over an all-busy interval the target is its
+        first least-loaded slot.
         """
-        loads, spans = self.loads, self.spans
+        loads, spans, first_idle = self.loads, self.spans, self.first_idle
         lo, hi = seed
         rings: list[tuple[int, int, int]] = []
         left, right = lo, lo - 1  # slots left..right are visited
-        busy = _all_busy(loads[lo: hi + 1])
+        busy = first_idle(lo) > hi
         while busy and (lo < left or right < hi):
             if right < hi:
                 right = slot = right + 1
@@ -104,14 +124,17 @@ class _FlowState:
             start, end = spans[slot]
             if start < lo:
                 rings.append((start, lo - 1, slot))
-                busy = _all_busy(loads[start: lo])
+                busy = first_idle(start) >= lo
                 lo = start
             if end > hi:
                 rings.append((hi + 1, end, slot))
-                busy = busy and _all_busy(loads[hi + 1: end + 1])
+                busy = busy and first_idle(hi + 1) > end
                 hi = end
-        target = lo + int(loads[lo: hi + 1].argmin())
-        load = int(loads[target])
+        if busy:  # at most one slot per placed job
+            target = min(range(lo, hi + 1), key=loads.__getitem__)
+            load = loads[target]
+        else:
+            target, load = first_idle(lo), 0
         while len(self.marginal) <= load:  # tabulated only as far as loads reach
             self.marginal.append(self.cost.effective_cost(len(self.marginal) + 1))
         return self.marginal[load], target, rings
@@ -120,16 +143,20 @@ class _FlowState:
 
     def _attach(self, pos: int, slot: int) -> None:
         start, end = self.starts[pos], self.ends[pos]
-        if self.loads[slot]:
+        load = self.loads.get(slot, 0)
+        if load:
             lo, hi = self.spans[slot]
             start, end = min(lo, start), max(hi, end)
+        else:
+            self.skip.setdefault(slot, slot + 1)
         self.spans[slot] = (start, end)
         self.slot_jobs.setdefault(slot, []).append(pos)
-        self.loads[slot] += 1
+        self.loads[slot] = load + 1
 
     def apply(self, pos: int, plan) -> None:
         # Each ring's slot lies in an earlier ring or in the seed window, so
-        # one backward pass walks the chain from the target to the seed.
+        # one backward pass walks the chain from the target to the seed. A
+        # slot on the chain holds no job for a moment, then gets one back.
         _, t, rings = plan
         starts, ends = self.starts, self.ends
         for first, last, slot in reversed(rings):
@@ -149,8 +176,8 @@ class _FlowState:
 
     def profit(self) -> float:
         total = self.payoff
-        for k in self.loads[np.nonzero(self.loads)[0]]:
-            total -= self.cost.g(int(k))
+        for slot in sorted(self.loads):  # slot order: rounding independent of placement order
+            total -= self.cost.g(self.loads[slot])
         return float(total)
 
 
@@ -236,7 +263,7 @@ def solve_offline_bruteforce(instance: Instance, cost: CostModel) -> tuple[float
                 gain = value_sum[sub] - g[sub.bit_count()]
                 new_mask = mask | sub
                 cand = profit + gain
-                if cand > nxt.get(new_mask, -np.inf):
+                if cand > nxt.get(new_mask, -math.inf):
                     nxt[new_mask] = cand
                     back[new_mask] = (mask, sub)
                 if sub == 0:

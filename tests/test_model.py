@@ -76,6 +76,16 @@ class TestJob:
         job = Job(np.int64(3), np.int32(2), 1.0, 2)
         assert job.expiry == 3
 
+    @pytest.mark.parametrize("fields", [(True, 1, 1.0), (0, True, 1.0), (0, 1, True),
+                                        (0, 1, 1.0, True), (0, np.True_, 1.0),
+                                        (0, 1, 1.0, np.True_)],
+                             ids=["id", "arrival", "value", "deadline", "numpy-arrival",
+                                  "numpy-deadline"])
+    def test_bools_refused(self, fields):
+        # the instance loader rejects a JSON true in every field, so Job does too
+        with pytest.raises(ModelError):
+            Job(*fields)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_value_must_be_finite(self, value):
         with pytest.raises(ModelError, match="finite"):
@@ -192,6 +202,29 @@ class TestInstanceFiles:
         back = loads_instance(text, label="x")
         assert [(j.id, j.arrival, j.value, j.deadline) for j in back.jobs] == \
                [(j.id, j.arrival, j.value, j.deadline) for j in inst.jobs]
+
+    def test_numpy_fields_written(self):
+        job = Job(np.int64(0), np.int64(2), np.float64(1.5), np.int64(3))
+        assert json.loads(dumps_instance(Instance((job,)))) == \
+            {"id": 0, "arrival": 2, "value": 1.5, "deadline": 3}
+
+    @given(st.one_of(st.integers(-2, 10**20), st.booleans(), st.floats(),
+                     st.integers(0, 2**62).map(np.int64)),
+           st.one_of(st.integers(-2, 10**20), st.booleans(), st.floats(),
+                     st.integers(-2, 2**31 - 1).map(np.int32)),
+           st.one_of(st.floats(), st.integers(-2, 10**6), st.booleans(),
+                     st.floats(0, 1e6, width=32).map(np.float32)),
+           st.one_of(st.just(INFINITE), st.integers(-2, 10**20), st.booleans(), st.floats(),
+                     st.integers(-2, 10**6).map(np.int64)))
+    @settings(max_examples=400, deadline=None)
+    def test_every_accepted_job_round_trips(self, job_id, arrival, value, deadline):
+        try:
+            job = Job(job_id, arrival, value, deadline)
+        except ModelError:
+            return
+        (back,) = loads_instance(dumps_instance(Instance((job,)))).jobs
+        assert back == job
+        assert back.expiry == job.expiry
 
     def test_inf_literal(self):
         text = '{"id": 0, "arrival": 1, "value": 1.5, "deadline": "inf"}\n'

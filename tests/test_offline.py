@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.analysis import _small_instance, random_instance
+from speedscale.analysis import _small_instance, competitive_report, random_instance
 from speedscale.model import (EMPTY_TRACE, INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
 from speedscale.offline import (OfflineSizeError, _FlowState, offline_profit,
@@ -237,3 +237,104 @@ class TestLongDeadlines:
         assert time.perf_counter() - start < 1.0
         assert math.isclose(evaluate_trace(far, trace, alpha2), profit, rel_tol=1e-12)
         assert profit == solve_offline_flow(never, alpha2)[0] == 8.0  # one job per slot
+
+
+def shifted(inst, s):
+    return Instance(tuple(Job(j.id, j.arrival + s, j.value, j.deadline) for j in inst.jobs))
+
+
+def witness(trace, s=0):
+    return [(d.slot + s, d.processed) for d in trace.decisions]
+
+
+class TestSlotTranslation:
+    # the flow follows jobs, not slot numbers: moving every arrival by s moves
+    # the schedule by s and leaves the profit's bits alone
+    @given(st.lists(st.tuples(st.integers(1, 12), st.floats(0, 25),
+                              st.one_of(st.integers(1, 6), st.just(INFINITE))),
+                    min_size=1, max_size=14),
+           st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_profit_and_witness_shift(self, specs, alpha):
+        cost = PowerLaw(alpha)
+        inst = mk_instance(*sorted(specs, key=lambda spec: spec[0]))
+        profit, trace = solve_offline_flow(inst, cost)
+        for s in (0, 1, 10**6, 10**12):
+            moved = shifted(inst, s)
+            assert offline_profit(moved, cost).hex() == profit.hex()
+            moved_profit, moved_trace = solve_offline_flow(moved, cost)
+            assert moved_profit.hex() == profit.hex()
+            assert witness(moved_trace) == witness(trace, s)
+
+    def test_far_arrival_within_budget(self, alpha2):
+        # a never-expiring window spans 10**12 slots; nothing may be sized by it
+        inst = mk_instance((1, 5.0, INFINITE), (10**12, 4.0, INFINITE), (10**12, 3.0, 1))
+        start = time.perf_counter()
+        report = competitive_report(inst, "min-lcr", alpha2)
+        assert time.perf_counter() - start < 0.05
+        assert report.off_profit == 9.0  # one job per slot: 4 + 3 + 2
+
+
+def plain_first_idle(state, t):
+    while state.loads.get(t, 0):
+        t += 1
+    return t
+
+
+def assert_first_idle_sound(state):
+    assert set(state.skip) == set(state.loads)  # links only on busy slots
+    assert min(state.loads.values(), default=1) >= 1
+    for t in range(1, max(state.ends) + 2):
+        assert state.first_idle(t) == plain_first_idle(state, t)
+
+
+def small_bursts_instance(rng):
+    """3 bursts of up to 10 jobs, 40 idle slots apart; a fifth never expire."""
+    jobs, arrival = [], 1
+    for burst in range(3):
+        for _ in range(int(rng.integers(1, 11))):
+            arrival += int(rng.poisson(0.3))
+            deadline = INFINITE if rng.random() < 0.2 else int(rng.integers(1, 7))
+            jobs.append(Job(len(jobs), arrival, float(rng.uniform(0.0, 12.0)), deadline))
+        arrival += 40
+    return Instance(tuple(jobs))
+
+
+class TestFirstIdle:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        applies = []
+        apply = _FlowState.apply
+
+        def checked_apply(state, pos, plan):
+            apply(state, pos, plan)
+            applies.append(pos)
+            assert_first_idle_sound(state)
+
+        monkeypatch.setattr(_FlowState, "apply", checked_apply)
+        return applies
+
+    def test_matches_plain_scan(self, alpha2, checked):
+        # after every placement of 100 random and 100 burst instances
+        rng = np.random.default_rng(2026)
+        for i in range(200):
+            if i % 2:
+                inst = small_bursts_instance(rng)
+            else:
+                inst = random_instance(rng, alpha2, n_max=30, mean_gap=0.5)
+            checked.clear()
+            profit, _ = solve_offline_flow(inst, alpha2)
+            assert profit == 0.0 or checked
+
+    def test_chain_empties_and_refills_a_slot(self, alpha2):
+        # job 0 takes slot 1; job 1 fits only slot 1, so the chain moves job 0
+        # to slot 2, leaving slot 1 with no job until job 1 lands there
+        inst = mk_instance((1, 10.0, 2), (1, 9.0, 1))
+        state = _FlowState(inst, alpha2)
+        for pos in (0, 1):
+            plan = state.cheapest_reachable((state.starts[pos], state.ends[pos]))
+            state.apply(pos, plan)
+            assert_first_idle_sound(state)
+        assert plan[1:] == (2, [(2, 2, 1)])
+        assert state.slot_jobs == {1: [1], 2: [0]}
+        assert state.first_idle(1) == 3
