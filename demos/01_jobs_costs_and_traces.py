@@ -4,7 +4,7 @@
 # The marginal ("effective") cost of the k-th simultaneous job is
 # g(k) - g(k-1): convexity makes batching progressively more expensive.
 from speedscale import (INFINITE, Instance, Job, PowerLaw, SlotDecision,
-                        TabulatedConvex, Trace, dumps_instance, evaluate_trace, loads_instance, union_with_provenance)
+                        TabulatedConvex, Trace, dumps_instance, evaluate_trace, loads_instance, union)
 
 cost = PowerLaw(2.0)
 print("g(k) = k^2 marginals:", [cost.effective_cost(k) for k in range(1, 6)])
@@ -39,8 +39,8 @@ try:
 except Exception as exc:
     print("late schedule rejected:", exc)
 
-# Instances merge slot-wise; ids are reassigned with a provenance map.
+# Instances merge slot-wise; ids are reassigned densely, the first instance's
+# jobs ahead of the second's within a slot.
 other = Instance((Job(0, 1, 9.0, 2),), label="other")
-merged, origin = union_with_provenance(inst, other)
+merged = union(inst, other)
 print("\nmerged jobs:", [(j.id, j.arrival, j.value) for j in merged.jobs])
-print("provenance: ", origin)

@@ -7,8 +7,7 @@
 # rest (which the clairvoyant scheduler would have batched right now). The
 # ratio of those two profits is the local competitive ratio LCR_i.
 from speedscale import (INFINITE, POLICIES, Instance, Job, PolicyView,
-                        PowerLaw, beta_root, compute_m, lcr_breakdown,
-                        min_lcr_decide, run_policy)
+                        PowerLaw, beta_root, compute_m, lcr_breakdown, run_policy)
 
 cost = PowerLaw(2.0)
 view = PolicyView(slot=1, candidates=((0, 10.0), (1, 6.0), (2, 3.0)))
@@ -21,8 +20,8 @@ for i in range(1, m + 1):
     print(f"  i={i}: clairvoyant later={b.M:5.1f}  leftover now={b.c_greedy:4.1f} "
           f" online={b.P:5.1f}  LCR={b.lcr:.4f}")
 
-count, ledger = min_lcr_decide(view, cost)
-print("min-lcr processes", count, "jobs (argmin of the LCR column)")
+print("min-lcr processes", POLICIES["min-lcr"].decide(view, cost).count,
+      "jobs (argmin of the LCR column)")
 
 # sim-lcr skips the full argmin: it probes floor/ceil of beta*m where beta
 # solves x^a + x^(a-1) = 1.

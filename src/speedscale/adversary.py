@@ -18,8 +18,7 @@ import numpy as np
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
 from .offline import offline_profit
-from .policies import (Decision, Policy, PolicyView, SlotLedger, _breakdown, compute_m,
-                       get_policy)
+from .policies import PolicyView, SlotLedger, get_policy
 from .reports import RatioReport, build_report
 
 DELTA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,9 +43,6 @@ class InstanceTemplate:
             raise ModelError("template needs at least one job")
         if any(v < 0 for v in self.values):
             raise ModelError("template values must be non-negative")
-
-    def job_ids(self) -> tuple[int, ...]:
-        return tuple(range(len(self.values)))
 
     def slot1_view(self) -> PolicyView:
         ranked = sorted(enumerate(self.values), key=lambda t: (-t[1], t[0]))
@@ -91,23 +87,6 @@ def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
     jobs = tuple(Job(id=jid, arrival=1, value=value, deadline=INFINITE if jid in chosen else 1)
                  for jid, value in enumerate(template.values))
     return Instance(jobs, label=template.label)
-
-
-class FixedCountPolicy(Policy):
-    """Probe policy processing min(k, m) jobs each slot; used to explore game branches."""
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ModelError(f"fixed count must be >= 1, got {k}")
-        self.k = k
-        self.name = f"fixed:{k}"
-
-    def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        m = compute_m(view, cost)
-        if m == 0:
-            return Decision(0)
-        count = min(self.k, m)
-        return Decision(count, (_breakdown(view.values, cost, count),))
 
 
 def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) -> RatioReport:

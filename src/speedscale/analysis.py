@@ -12,13 +12,10 @@ the check name and witness values) on the first violated inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import (DELTA, PHI_PLUS_1, gen_alpha2_lb_instance,
-                        gen_sqrt2_lb_instance, golden_section_max,
-                        run_adversarial_game, sqrt2_job_value)
+from .adversary import DELTA, PHI_PLUS_1, golden_section_max, sqrt2_job_value
 from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, union
 from .offline import offline_profit, solve_offline_bruteforce
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
@@ -399,76 +396,3 @@ def verify_subadditivity(samples: int = 1000, seed: int = 7, alphas=(2.0, 2.5, 3
                 {"sample": i, "alpha": alpha, "union": off_ab, "sum": off_a + off_b},
                 "union profit exceeds the sum of the parts")
     return {"samples": samples, "worst_slack": worst}
-
-
-# ---------------------------------------------------------------------------
-# Batch experiments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepConfig:
-    alphas: tuple[float, ...]
-    policies: tuple[str, ...]
-    family: str = "random"  # "random" | "heavy-tail" | "adversarial"
-    samples: int = 50
-    seed: int = 0
-    n_max: int = 30
-    zs: tuple[int, ...] = (10, 100, 1000)
-
-
-def _sweep_instances(config: SweepConfig, alpha: float) -> list:
-    cost = PowerLaw(alpha)
-    rng = np.random.default_rng(config.seed)
-    out: list = []
-    if config.family == "adversarial":
-        # deadlines get fixed by the game itself, so templates stand in for instances
-        if alpha == 2.0:
-            out.extend(gen_alpha2_lb_instance(z) for z in config.zs)
-        else:
-            out.append(gen_sqrt2_lb_instance(alpha))
-        return out
-    if config.family not in ("random", "heavy-tail"):
-        raise ModelError(f"unknown family {config.family!r}")
-    for i in range(config.samples):
-        out.append(random_instance(rng, cost, n_max=config.n_max,
-                                   label=f"{config.family}:seed={config.seed}:i={i}",
-                                   heavy_tail=config.family == "heavy-tail"))
-    return out
-
-
-def sweep_experiment(config: SweepConfig) -> list[RatioReport]:
-    """Deterministic batch of ratio reports over generated instance families.
-
-    Output order is canonical: sorted by alpha, policy, label.
-    """
-    results = []
-    for alpha in config.alphas:
-        cost = PowerLaw(alpha)
-        for item in _sweep_instances(config, alpha):
-            for policy in config.policies:
-                if isinstance(item, Instance):
-                    report = competitive_report(item, policy, cost)
-                else:
-                    report = run_adversarial_game(policy, item, cost)
-                results.append((alpha, policy, report))
-    results.sort(key=lambda r: (r[0], r[1], r[2].label))
-    out = []
-    for alpha, policy, report in results:
-        out.append(RatioReport(
-            label=f"alpha={alpha:g}|policy={policy}|{report.label}",
-            off_profit=report.off_profit, alg_profit=report.alg_profit,
-            ratio=report.ratio, per_slot_lcr=report.per_slot_lcr,
-            max_lcr=report.max_lcr))
-    return out
-
-
-def sweep_max_ratios(reports: list[RatioReport]) -> dict[tuple[float, str], float]:
-    """Worst finite ratio per (alpha, policy) from sweep_experiment's canonical labels."""
-    out: dict[tuple[float, str], float] = {}
-    for report in reports:
-        alpha_part, policy_part, _ = report.label.split("|", 2)
-        key = (float(alpha_part.removeprefix("alpha=")),
-               policy_part.removeprefix("policy="))
-        if math.isfinite(report.ratio):
-            out[key] = max(out.get(key, -math.inf), report.ratio)
-    return out

@@ -16,13 +16,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analysis
-from .adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1, FixedCountPolicy,
-                        adversary_finalize, alpha2_game_ratio,
-                        eval_lower_bound, gen_alpha2_lb_instance,
+from .adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1, adversary_finalize,
+                        alpha2_game_ratio, eval_lower_bound, gen_alpha2_lb_instance,
                         gen_sqrt2_lb_instance, run_adversarial_game)
 from .analysis import VerificationError, competitive_report
 from .model import InstanceFormatError, ModelError, PowerLaw, read_instance
-from .policies import POLICIES, get_policy
+from .policies import POLICIES, FixedCountPolicy, get_policy
 
 
 class UsageError(Exception):
@@ -103,7 +102,7 @@ def _parse_gen(spec: str, alpha: float, seed: int):
         else:
             template = gen_sqrt2_lb_instance(alpha)
             k = _int_param(params, "k", 2, 1, len(template.values))
-        return adversary_finalize(template, template.job_ids()[:k])
+        return adversary_finalize(template, range(k))
     except ModelError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -285,6 +284,9 @@ def cmd_game(args) -> int:
     return 0
 
 
+POLICY_HELP = "|".join(sorted(POLICIES)) + "|fixed:K"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speedscale",
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a policy on an instance and report the ratio")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--policy", required=True, help="|".join(sorted(POLICIES)))
+    p.add_argument("--policy", required=True, help=POLICY_HELP)
     p.add_argument("--instance", help="instance file (JSON lines)")
     p.add_argument("--gen", help="generator spec, e.g. alpha2-lb:z=100 or random:n=20")
     common(p, seed=True, table=True)
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="play the adaptive deadline game against a policy")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--policy", required=True, help="|".join(sorted(POLICIES)) + "|fixed:K")
+    p.add_argument("--policy", required=True, help=POLICY_HELP)
     p.add_argument("--z", type=int, default=0, help="batch size parameter of the alpha=2 template")
     p.add_argument("--sqrt2", action="store_true", help="use the 4-job construction (alpha > 2)")
     common(p)

@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 INFINITE = math.inf
 """Deadline sentinel: the job never expires."""
@@ -70,6 +70,10 @@ class Job:
             raise ModelError(f"job id must be a non-negative integer, got {self.id}")
         if not (_is_int(self.arrival) and self.arrival >= 1):
             raise ModelError(f"arrival must be an integer slot >= 1, got {self.arrival}")
+        if type(self.id) is not int or type(self.arrival) is not int:
+            # other integer types (numpy's) have fixed widths that wrap around in slot sums
+            object.__setattr__(self, "id", operator.index(self.id))
+            object.__setattr__(self, "arrival", operator.index(self.arrival))
         if isinstance(self.value, bool) or not (0.0 <= self.value < INFINITE):
             raise ModelError(f"value must be non-negative and finite, got {self.value}")
         if self.deadline != INFINITE and not (
@@ -88,7 +92,7 @@ class Job:
         """Last slot at which the job may be processed (inf when never expiring)."""
         if not self.expires:
             return INFINITE
-        return operator.index(self.arrival) + int(self.deadline) - 1  # no numpy wrap-around
+        return self.arrival + int(self.deadline) - 1
 
     def available_at(self, slot: int) -> bool:
         return self.arrival <= slot <= self.expiry
@@ -190,37 +194,15 @@ class Instance:
         return self.jobs[-1].arrival if self.jobs else 0
 
 
-def available_jobs(instance: Instance, slot: int, already_processed: Iterable[int] = ()) -> list[Job]:
-    """Jobs available at `slot` (arrived, not expired, not yet processed), best value first."""
-    if slot < 1:
-        raise ModelError(f"slot index must be >= 1, got {slot}")
-    done = set(already_processed)
-    live = [j for j in instance.jobs if j.id not in done and j.available_at(slot)]
-    live.sort(key=_value_order_key)
-    return live
-
-
-def union_with_provenance(a: Instance, b: Instance) -> tuple[Instance, dict[int, tuple[str, int]]]:
+def union(a: Instance, b: Instance) -> Instance:
     """Per-slot multiset union of two instances.
 
-    Ids are re-assigned densely; the returned map sends each new id to
-    ("a"|"b", original id).
+    Ids are re-assigned densely, in (arrival, a before b, original id) order.
     """
-    tagged = [("a", j) for j in a.jobs] + [("b", j) for j in b.jobs]
-    tagged.sort(key=lambda t: (t[1].arrival, 0 if t[0] == "a" else 1, t[1].id))
-    provenance: dict[int, tuple[str, int]] = {}
-    jobs = []
-    for new_id, (tag, j) in enumerate(tagged):
-        provenance[new_id] = (tag, j.id)
-        jobs.append(Job(id=new_id, arrival=j.arrival, value=j.value, deadline=j.deadline))
+    tagged = sorted((j.arrival, side, j.id, j) for side, part in enumerate((a, b)) for j in part.jobs)
+    jobs = tuple(Job(new_id, j.arrival, j.value, j.deadline) for new_id, (*_, j) in enumerate(tagged))
     label = "|".join(l for l in (a.label, b.label) if l)
-    return Instance(tuple(jobs), label=label), provenance
-
-
-def union(a: Instance, b: Instance) -> Instance:
-    """Per-slot multiset union; see union_with_provenance for the id map."""
-    merged, _ = union_with_provenance(a, b)
-    return merged
+    return Instance(jobs, label=label)
 
 
 @dataclass(frozen=True)
@@ -309,8 +291,7 @@ def evaluate_trace(instance: Instance, trace: Trace, cost: CostModel) -> float:
 
 def job_to_obj(job: Job) -> dict:
     deadline = "inf" if not job.expires else int(job.deadline)
-    return {"id": operator.index(job.id), "arrival": operator.index(job.arrival),
-            "value": float(job.value), "deadline": deadline}
+    return {"id": job.id, "arrival": job.arrival, "value": float(job.value), "deadline": deadline}
 
 
 def _is_json_int(raw) -> bool:

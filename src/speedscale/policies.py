@@ -13,7 +13,9 @@ Shipped policies:
   argmin-LCR count;
 * ``sim-lcr``  - only evaluates floor/ceil of beta*m, where beta solves
   x**a + x**(a-1) = 1 for the power-law exponent a;
-* ``greedy``   - always processes all m profitable jobs.
+* ``greedy``   - always processes all m profitable jobs;
+* ``fixed:K``  - greedy capped at K jobs a slot, a probe for the adaptive game
+  (``FixedCountPolicy(K)``; not in ``POLICIES``).
 """
 from __future__ import annotations
 
@@ -193,21 +195,6 @@ def _prefix_ledger(values: Sequence[float], cost: CostModel, m: int) -> list[Lcr
     return ledger
 
 
-def min_lcr_decide(view: PolicyView, cost: CostModel) -> tuple[int, tuple[LcrBreakdown, ...]]:
-    """Argmin-LCR count over i = 1..m plus the full ledger of breakdowns.
-
-    The ledger comes from one O(n) pass over prefix sums (_prefix_ledger);
-    lcr_breakdown stays the single-candidate definition it is tested against.
-    Returns (0, ()) when no count is profitable. Ties pick the smallest count.
-    """
-    m = compute_m(view, cost)
-    if m == 0:
-        return 0, ()
-    ledger = _prefix_ledger(view.values, cost, m)
-    best = min(ledger, key=lambda b: (b.lcr, b.i))
-    return best.i, tuple(ledger)
-
-
 @lru_cache(maxsize=None)
 def beta_root(alpha: float) -> float:
     """Unique root in (0, 1) of x**alpha + x**(alpha-1) - 1 = 0.
@@ -240,20 +227,6 @@ def _sim_lcr_candidates(m: int, alpha: float) -> tuple[int, ...]:
     return (lo,) if lo == hi else (lo, hi)
 
 
-def _sim_lcr_with_ledger(view: PolicyView, cost: CostModel) -> tuple[int, tuple[LcrBreakdown, ...]]:
-    if not isinstance(cost, PowerLaw):
-        raise UnsupportedCostError("sim-lcr requires a power-law cost model")
-    if cost.alpha < 2.0:
-        raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {cost.alpha}")
-    m = compute_m(view, cost)
-    if m == 0:
-        return 0, ()
-    values = view.values
-    breakdowns = tuple(_breakdown(values, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
-    best = min(breakdowns, key=lambda b: (b.lcr, b.i))
-    return best.i, breakdowns
-
-
 class Policy:
     """Deterministic per-slot decision rule over deadline-blind views."""
 
@@ -267,29 +240,61 @@ class Policy:
 
 
 class MinLcrPolicy(Policy):
+    """Argmin-LCR count over i = 1..m, with the full ledger of breakdowns.
+
+    The ledger comes from one O(n) pass over prefix sums (_prefix_ledger);
+    lcr_breakdown stays the single-candidate definition it is tested against.
+    Processes nothing when no count is profitable. Ties pick the smallest count.
+    """
+
     name = "min-lcr"
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        count, ledger = min_lcr_decide(view, cost)
-        return Decision(count, ledger)
+        m = compute_m(view, cost)
+        if m == 0:
+            return Decision(0)
+        ledger = _prefix_ledger(view.values, cost, m)
+        return Decision(min(ledger, key=lambda b: (b.lcr, b.i)).i, tuple(ledger))
 
 
 class SimLcrPolicy(Policy):
     name = "sim-lcr"
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        count, ledger = _sim_lcr_with_ledger(view, cost)
-        return Decision(count, ledger)
+        if not isinstance(cost, PowerLaw):
+            raise UnsupportedCostError("sim-lcr requires a power-law cost model")
+        if cost.alpha < 2.0:
+            raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {cost.alpha}")
+        m = compute_m(view, cost)
+        if m == 0:
+            return Decision(0)
+        values = view.values
+        breakdowns = tuple(_breakdown(values, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
+        return Decision(min(breakdowns, key=lambda b: (b.lcr, b.i)).i, breakdowns)
 
 
 class GreedyPolicy(Policy):
+    """Processes min(k, m) jobs each slot; greedy has no cap, so it takes all m."""
+
     name = "greedy"
+    k: float = math.inf
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
         m = compute_m(view, cost)
         if m == 0:
             return Decision(0)
-        return Decision(m, (_breakdown(view.values, cost, m),))
+        count = min(self.k, m)
+        return Decision(count, (_breakdown(view.values, cost, count),))
+
+
+class FixedCountPolicy(GreedyPolicy):
+    """Greedy capped at k jobs a slot (`fixed:K`); used to explore game branches."""
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ModelError(f"fixed count must be >= 1, got {k}")
+        self.k = k
+        self.name = f"fixed:{k}"
 
 
 POLICIES: dict[str, Policy] = {

@@ -1,4 +1,4 @@
-"""Competitive-ratio reports shared by the game harness and the analysis sweeps."""
+"""Competitive-ratio reports shared by the game harness and competitive_report."""
 from __future__ import annotations
 
 import math

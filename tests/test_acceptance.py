@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from speedscale.adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1,
-                                  FixedCountPolicy, eval_lower_bound,
-                                  gen_alpha2_lb_instance,
+                                  eval_lower_bound, gen_alpha2_lb_instance,
                                   gen_sqrt2_lb_instance, run_adversarial_game)
 from speedscale.analysis import (random_instance, theta,
                                  verify_alpha2_lcr_cases, verify_h_bound,
@@ -22,12 +21,12 @@ from speedscale.analysis import (random_instance, theta,
 from speedscale.cli import main
 from speedscale.model import PowerLaw
 from speedscale.offline import solve_offline_flow
-from speedscale.policies import beta_root, run_policy
+from speedscale.policies import FixedCountPolicy, beta_root, run_policy
 from speedscale.reports import build_report, profit_ratio
 
 BATTERY_SIZE = 10_000
 BATTERY_ALPHAS = (2.0, 2.5, 3.0)
-EXTRA_ALPHAS = (3.5, 4.0)  # per-slot-only runs to cover the 2..4 grids
+EXTRA_ALPHAS = (3.5, 4.0)  # sim-lcr per-slot and greedy runs to cover the 2..4 grids
 EXTRA_SIZE = 1_500
 
 
@@ -51,12 +50,15 @@ def criterion(n: int, budget: float | None = None):
 
 @criterion(1, budget=10.0)
 def test_criterion_1_alpha2_game_at_scale():
-    """Adaptive game, z = 1000, min-lcr: ratio within 1% of phi + 1."""
+    """Adaptive game, min-lcr: ratio <= phi + 1 at z = 10, 100, 1000, within 1% of it at 1000."""
     cost = PowerLaw(2.0)
-    report = run_adversarial_game("min-lcr", gen_alpha2_lb_instance(1000), cost)
+    for z in (10, 100, 1000):
+        report = run_adversarial_game("min-lcr", gen_alpha2_lb_instance(z), cost)
+        assert report.ratio <= PHI_PLUS_1 + 1e-6, f"z={z}: ratio {report.ratio} above phi+1"
     rel = abs(report.ratio - PHI_PLUS_1) / PHI_PLUS_1
     assert rel <= 0.01, f"ratio {report.ratio} deviates {rel:.2%} from {PHI_PLUS_1}"
-    return f"ratio={report.ratio:.6f} vs phi+1={PHI_PLUS_1:.6f} (rel dev {rel:.2e})"
+    return (f"z=1000: ratio={report.ratio:.6f} vs phi+1={PHI_PLUS_1:.6f} (rel dev {rel:.2e}); "
+            f"<= phi+1 at z in (10, 100, 1000)")
 
 
 @criterion(2, budget=1.0)
@@ -126,6 +128,15 @@ def battery():
         "greedy_worst_ratio": -math.inf,
         "slots_checked": 0,
     }
+
+    def run_greedy(inst, cost, off):
+        trace = run_policy(inst, "greedy", cost)
+        for entry in trace.ledgers:
+            stats["greedy_worst_lcr"] = max(stats["greedy_worst_lcr"], entry.breakdowns[0].lcr)
+        ratio = profit_ratio(off, trace.total_profit)
+        if math.isfinite(ratio) and trace.total_profit > 0:
+            stats["greedy_worst_ratio"] = max(stats["greedy_worst_ratio"], ratio)
+
     for i in range(BATTERY_SIZE):
         alpha = BATTERY_ALPHAS[i % len(BATTERY_ALPHAS)]
         cost = PowerLaw(alpha)
@@ -147,13 +158,7 @@ def battery():
                     stats["sim_worst"] = max(stats["sim_worst"],
                                              min(b.lcr for b in entry.breakdowns))
 
-        greedy_trace = run_policy(inst, "greedy", cost)
-        for entry in greedy_trace.ledgers:
-            stats["greedy_worst_lcr"] = max(stats["greedy_worst_lcr"],
-                                            entry.breakdowns[0].lcr)
-        ratio = profit_ratio(off, greedy_trace.total_profit)
-        if math.isfinite(ratio) and greedy_trace.total_profit > 0:
-            stats["greedy_worst_ratio"] = max(stats["greedy_worst_ratio"], ratio)
+        run_greedy(inst, cost, off)
 
     for alpha in EXTRA_ALPHAS:
         cost = PowerLaw(alpha)
@@ -164,10 +169,7 @@ def battery():
                 stats["slots_checked"] += 1
                 stats["sim_worst"] = max(stats["sim_worst"],
                                          min(b.lcr for b in entry.breakdowns))
-            greedy_trace = run_policy(inst, "greedy", cost)
-            for entry in greedy_trace.ledgers:
-                stats["greedy_worst_lcr"] = max(stats["greedy_worst_lcr"],
-                                                entry.breakdowns[0].lcr)
+            run_greedy(inst, cost, solve_offline_flow(inst, cost)[0])
     stats["elapsed"] = time.time() - t0
     return stats
 
@@ -194,11 +196,12 @@ def test_criterion_6_sim_lcr_bound(battery):
 
 @criterion(7)
 def test_criterion_7_greedy_bound(battery):
-    """Per-slot LCR_m <= 3 + 1e-9 and empirical off/greedy <= 3 on the battery."""
+    """Per-slot LCR_m <= 3 + 1e-9 and empirical off/greedy <= 3 on the battery, alpha 2..4."""
     assert battery["greedy_worst_lcr"] <= 3.0 + 1e-9, battery["greedy_worst_lcr"]
     assert battery["greedy_worst_ratio"] <= 3.0 + 1e-9, battery["greedy_worst_ratio"]
     return (f"worst LCR_m = {battery['greedy_worst_lcr']:.9f}, "
-            f"worst empirical ratio = {battery['greedy_worst_ratio']:.9f} <= 3")
+            f"worst empirical ratio = {battery['greedy_worst_ratio']:.9f} <= 3, "
+            f"alpha in {BATTERY_ALPHAS + EXTRA_ALPHAS}")
 
 
 @criterion(8)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedscale import adversary, offline
-from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
-                                  FixedCountPolicy, _inner_min_batch, _refine_peak,
+from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, _inner_min_batch, _refine_peak,
                                   _x_cap, adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance,
@@ -16,7 +15,7 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1,
                                   run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, ModelError, PowerLaw
 from speedscale.offline import solve_offline_flow
-from speedscale.policies import Policy, get_policy, run_policy
+from speedscale.policies import FixedCountPolicy, Policy, get_policy, run_policy
 from speedscale.reports import build_report
 
 
@@ -155,7 +154,7 @@ class TestFinalize:
 
     def test_full_choice_never_expires(self):
         t = gen_alpha2_lb_instance(2)
-        inst = adversary_finalize(t, t.job_ids())
+        inst = adversary_finalize(t, range(len(t.values)))
         assert all(j.deadline == INFINITE for j in inst.jobs)
 
     def test_partial_choice(self):
@@ -195,7 +194,7 @@ class TestGames:
     def test_game_off_matches_direct_solve(self, alpha2):
         t = gen_alpha2_lb_instance(7)
         report = run_adversarial_game("greedy", t, alpha2)
-        inst = adversary_finalize(t, t.job_ids()[:7])  # greedy picks m = z = 7
+        inst = adversary_finalize(t, range(7))  # greedy picks m = z = 7
         off, _ = solve_offline_flow(inst, alpha2)
         assert math.isclose(report.off_profit, off, abs_tol=1e-9)
 

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 from speedscale.adversary import eval_lower_bound
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
 from speedscale.model import INFINITE, Instance, Job, write_instance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +153,75 @@ class TestSimulate:
         assert out == ("label,alpha,policy,off,alg,ratio,max_lcr\n"
                        "random:seed=0,600,sim-lcr,6.34460713244e+181,5.0309348702e+181,"
                        "1.26111891649,1.61092684027\n")
+
+
+_ODD = st.one_of(st.integers(-2, 10**20), st.floats(), st.booleans(), st.none(),
+                st.text(max_size=3), st.just("inf"))
+
+
+@st.composite
+def instance_lines(draw):
+    """JSONL text: mostly jobs, each field now and then odd (a JSON int up to 10**20,
+    any float, a bool, null, a short string, "inf") or missing, plus other JSON values
+    and non-JSON lines."""
+    clean = draw(st.booleans())  # half the files hold only well-formed jobs
+
+    def odd(one_in):
+        return not clean and draw(st.integers(1, one_in)) == 1
+
+    def field(valid):
+        return draw(_ODD) if odd(8) else draw(valid)
+
+    lines = []
+    for line_id in range(draw(st.integers(0, 6))):
+        kind = "job" if clean else draw(st.sampled_from(["text", "json"] + ["job"] * 8))
+        if kind == "text":
+            lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",),
+                                                    blacklist_characters="\r\n"),
+                                      max_size=12)))
+        elif kind == "json":
+            lines.append(json.dumps(draw(_ODD | st.lists(_ODD, max_size=3))))
+        else:
+            obj = {"id": field(st.just(line_id)),
+                   "arrival": field(st.integers(1, 20) | st.integers(1, 10**20)),
+                   "value": field(st.floats(0, 40) | st.integers(0, 10**20)),
+                   "deadline": field(st.integers(1, 6) | st.integers(1, 10**20) | st.just("inf"))}
+            if odd(8):
+                del obj[draw(st.sampled_from(sorted(obj)))]
+            lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"
+
+
+@given(instance_lines(), st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:2"]),
+       st.sampled_from(["1", "2", "2.5", "3"]), st.sampled_from(["csv", "json"]))
+@settings(max_examples=150, deadline=None)
+def test_any_instance_file_runs_or_exits_2(tmp_path_factory, text, policy, alpha, fmt):
+    # an accepted file runs; a refused one exits 2 with a message, never a traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "instance.jsonl"
+    path.write_text(text, encoding="utf-8")
+    code = main(["simulate", "--instance", str(path), "--policy", policy, "--alpha", alpha,
+                 "--format", fmt, "--out", str(folder / "out")])
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("argv,code,stream,needle", [
+    (["game", "--alpha", "2", "--z", "10", "--policy", "min-lcr"], 0, "stdout", "ratio: "),
+    (["verify", "mincran", "--inject-delta", "0.1"], 1, "stdout", "[FAIL] mincran"),
+    (["simulate", "--alpha", "2", "--policy", "greedy", "--instance", "bad.jsonl"], 2,
+     "stderr", "line 2"),
+])
+def test_exit_code_of_the_module_entry_point(tmp_path, argv, code, stream, needle):
+    # runs `python -m speedscale.cli` in a child process, so the sys.exit(main()) hook is
+    # what turns the returned code into the process's exit status
+    (tmp_path / "bad.jsonl").write_text(
+        '{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}\n{"id": 1}\n')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "speedscale.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert needle in getattr(proc, stream)
 
 
 @pytest.mark.parametrize("argv", [

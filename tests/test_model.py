@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from speedscale.model import (INFINITE, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace,
-                              available_jobs, dumps_instance, evaluate_trace, loads_instance, union,
-                              union_with_provenance)
+                              dumps_instance, evaluate_trace, loads_instance, union)
 
-from conftest import mk_instance
+from speedscale.offline import offline_profit
+from speedscale.policies import run_policy
+
+from conftest import available_jobs, mk_instance
 
 
 class TestEffectiveCost:
@@ -76,6 +78,15 @@ class TestJob:
         job = Job(np.int64(3), np.int32(2), 1.0, 2)
         assert job.expiry == 3
 
+    def test_numpy_integers_stored_as_int(self):
+        # stored as an int32, the arrival wrapped around in the simulator's hard
+        # stop (profit 0.0) and in the flow's window cut (ValueError)
+        job = Job(np.int32(0), np.int32(2**31 - 1), 5.0, INFINITE)
+        assert type(job.id) is int and type(job.arrival) is int
+        inst = Instance((job,))
+        assert run_policy(inst, "min-lcr", PowerLaw(2.0)).total_profit == 4.0
+        assert offline_profit(inst, PowerLaw(2.0)) == 4.0
+
     @pytest.mark.parametrize("fields", [(True, 1, 1.0), (0, True, 1.0), (0, 1, True),
                                         (0, 1, 1.0, True), (0, np.True_, 1.0),
                                         (0, 1, 1.0, np.True_)],
@@ -136,10 +147,11 @@ class TestUnion:
     def test_multiset_union_same_slot(self):
         a = mk_instance((1, 1.0, 1), (1, 2.0, 1))
         b = mk_instance((1, 3.0, 1))
-        merged, prov = union_with_provenance(a, b)
+        merged = union(a, b)
         assert len(merged) == 3
         assert all(j.arrival == 1 for j in merged.jobs)
-        assert sorted(prov.values()) == [("a", 0), ("a", 1), ("b", 0)]
+        # ids are dense, a's jobs first in their own order
+        assert [(j.id, j.value) for j in merged.jobs] == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
     def test_disjoint_slots_concatenate(self):
         a = mk_instance((1, 1.0, 1))

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale import adversary, policies
-from speedscale.adversary import PHI_PLUS_1, FixedCountPolicy
+from speedscale import policies
+from speedscale.adversary import PHI_PLUS_1
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
-                              SlotDecision, TabulatedConvex, Trace,
-                              available_jobs, evaluate_trace)
-from speedscale.policies import (POLICIES, Decision, Policy, PolicyView,
-                                 SlotLedger, UnsupportedCostError, beta_root,
-                                 compute_m, get_policy, inner_greedy_profit,
-                                 lcr_breakdown, min_lcr_decide, run_policy)
+                              SlotDecision, TabulatedConvex, Trace, evaluate_trace)
+from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, Policy,
+                                 PolicyView, SlotLedger, UnsupportedCostError,
+                                 beta_root, compute_m, get_policy,
+                                 inner_greedy_profit, lcr_breakdown, run_policy)
 
-from conftest import mk_instance
+from conftest import available_jobs, mk_instance
 
 
 def _reference_run_policy(instance, policy, cost):
@@ -60,6 +59,9 @@ def sparse_instances(draw):
         deadline = draw(st.just(INFINITE) | st.integers(1, 6))
         jobs.append(Job(i, arrival, value, deadline))
     return Instance(tuple(jobs))
+
+
+MIN_LCR = POLICIES["min-lcr"]
 
 
 def view_of(*values, slot=1):
@@ -113,7 +115,6 @@ class TestComputeM:
             return compute_m(view, cost)
 
         monkeypatch.setattr(policies, "compute_m", counting)
-        monkeypatch.setattr(adversary, "compute_m", counting)
         view = view_of(20, 12, 9, 7, 4, 1)
         decision = get_policy(policy).decide(view, alpha2)
         assert len(calls) == 1
@@ -193,16 +194,16 @@ class TestLcrBreakdown:
 
 class TestMinLcrDecide:
     def test_prefers_lower_lcr(self, alpha2):
-        count, ledger = min_lcr_decide(view_of(10, 6, 3), alpha2)
-        assert count == 2
-        assert [b.i for b in ledger] == [1, 2]
+        decision = MIN_LCR.decide(view_of(10, 6, 3), alpha2)
+        assert decision.count == 2
+        assert [b.i for b in decision.breakdowns] == [1, 2]
 
     def test_nothing_profitable(self, alpha2):
-        assert min_lcr_decide(view_of(0.5), alpha2) == (0, ())
+        assert MIN_LCR.decide(view_of(0.5), alpha2) == Decision(0, ())
 
     def test_single_option(self, alpha2):
-        count, ledger = min_lcr_decide(view_of(10), alpha2)
-        assert count == 1 and len(ledger) == 1
+        decision = MIN_LCR.decide(view_of(10), alpha2)
+        assert decision.count == 1 and len(decision.breakdowns) == 1
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
            st.sampled_from([2.0, 2.5, 3.0]))
@@ -210,7 +211,8 @@ class TestMinLcrDecide:
     def test_argmin_contract(self, values, alpha):
         values = sorted(values, reverse=True)
         cost = PowerLaw(alpha)
-        count, ledger = min_lcr_decide(view_of(*values), cost)
+        decision = MIN_LCR.decide(view_of(*values), cost)
+        count, ledger = decision.count, decision.breakdowns
         if ledger:
             chosen = next(b for b in ledger if b.i == count)
             assert all(chosen.lcr <= b.lcr + 1e-12 for b in ledger)
@@ -221,13 +223,14 @@ class TestMinLcrDecide:
                             TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]))
     @settings(max_examples=100, deadline=None)
     def test_one_pass_ledger_matches_reference(self, values, cost):
-        # min_lcr_decide builds the ledger from prefix sums; lcr_breakdown is the
+        # min-lcr builds the ledger from prefix sums; lcr_breakdown is the
         # per-candidate definition. M, P and c_greedy are sums of the view's
         # values, so their rounding is bounded relative to the view's total and
         # enters the LCR divided by P.
         values = sorted(values, reverse=True)
         view = view_of(*values)
-        count, ledger = min_lcr_decide(view, cost)
+        decision = MIN_LCR.decide(view, cost)
+        count, ledger = decision.count, decision.breakdowns
         reference = [lcr_breakdown(view, cost, i) for i in range(1, compute_m(view, cost) + 1)]
         assert [b.i for b in ledger] == [b.i for b in reference]
         tol = 1e-12 * sum(values)

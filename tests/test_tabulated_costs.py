@@ -12,8 +12,8 @@ from speedscale.analysis import _small_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError,
                               TabulatedConvex, evaluate_trace)
 from speedscale.offline import solve_offline_bruteforce, solve_offline_flow
-from speedscale.policies import (PolicyView, compute_m, lcr_breakdown,
-                                 min_lcr_decide, run_policy)
+from speedscale.policies import (POLICIES, PolicyView, compute_m, lcr_breakdown,
+                                 run_policy)
 
 from conftest import mk_instance
 
@@ -25,10 +25,10 @@ class TestPolicies:
     def test_min_lcr_matches_quadratic_power_law(self, alpha2):
         # the k^2 table must reproduce the power-law decisions exactly
         view = PolicyView(1, ((0, 10.0), (1, 6.0), (2, 3.0)))
-        count_tab, ledger_tab = min_lcr_decide(view, QUADRATIC)
-        count_pow, ledger_pow = min_lcr_decide(view, alpha2)
-        assert count_tab == count_pow == 2
-        for a, b in zip(ledger_tab, ledger_pow):
+        tab = POLICIES["min-lcr"].decide(view, QUADRATIC)
+        pow_ = POLICIES["min-lcr"].decide(view, alpha2)
+        assert tab.count == pow_.count == 2
+        for a, b in zip(tab.breakdowns, pow_.breakdowns):
             assert math.isclose(a.lcr, b.lcr, abs_tol=1e-12)
 
     def test_triangle_marginals_admit_larger_batches(self):
@@ -53,9 +53,9 @@ class TestPolicies:
         # g(3), so a table to k = 3 gives the full table's ledger
         short = TabulatedConvex(TRIANGLE.table[:4])
         view = PolicyView(1, tuple(enumerate((10.0, 10.0, 2.5, 1.0, 1.0, 1.0, 1.0, 1.0))))
-        assert min_lcr_decide(view, short) == min_lcr_decide(view, TRIANGLE)
-        assert min_lcr_decide(view, short)[1] == tuple(
-            lcr_breakdown(view, TRIANGLE, i) for i in (1, 2))
+        decision = POLICIES["min-lcr"].decide(view, short)
+        assert decision == POLICIES["min-lcr"].decide(view, TRIANGLE)
+        assert decision.breakdowns == tuple(lcr_breakdown(view, TRIANGLE, i) for i in (1, 2))
 
     def test_leftover_scan_tabulates_only_the_costs_it_reaches(self):
         # after the top i of the same view, the leftover scan stops at the
