@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from speedscale import offline
-from speedscale.adversary import DELTA, PHI_PLUS_1, SQRT2_PLUS_1
+from speedscale.adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1,
+                                  gen_alpha2_lb_instance, run_adversarial_game)
 from speedscale.analysis import (VerificationError, competitive_report,
                                  gamma_root, mincran_ratio, psi,
                                  random_instance, theta,
@@ -39,12 +40,6 @@ class TestCompetitiveReport:
         for row in rep.per_slot_lcr:
             assert row.i_chosen >= 1
             assert row.lcr <= rep.max_lcr
-        # the certificate also holds on Pareto-tailed values
-        cost = PowerLaw(2.5)
-        for _ in range(10):
-            rep = competitive_report(random_instance(rng, cost, heavy_tail=True), "sim-lcr", cost)
-            if rep.has_lcr and math.isfinite(rep.ratio):
-                assert rep.ratio <= rep.max_lcr + 1e-9
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
     def test_builds_no_witness(self, monkeypatch, alpha2, rng, policy):
@@ -166,6 +161,33 @@ class TestOracleSuites:
     def test_subadditivity_sample(self):
         report = verify_subadditivity(samples=120, seed=3)
         assert report["worst_slack"] <= 1e-6
+
+
+class TestSweep:
+    """Worst ratios over the random, heavy-tail and adversarial instance families."""
+
+    def test_adversarial_family_ratio_capped(self):
+        cost = PowerLaw(2.0)
+        for z in (10, 100, 1000):
+            report = run_adversarial_game("min-lcr", gen_alpha2_lb_instance(z), cost)
+            assert report.ratio <= PHI_PLUS_1 + 1e-6, (z, report.ratio)
+
+    def test_greedy_random_family_capped_by_three(self):
+        for alpha in (2.0, 3.0, 4.0):
+            cost = PowerLaw(alpha)
+            rng = np.random.default_rng(7)
+            ratios = [competitive_report(random_instance(rng, cost), "greedy", cost).ratio
+                      for _ in range(25)]
+            finite = [r for r in ratios if math.isfinite(r)]
+            assert finite and max(finite) <= 3.0 + 1e-6, (alpha, ratios)
+
+    def test_heavy_tail_family_runs(self):
+        cost = PowerLaw(2.5)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            rep = competitive_report(random_instance(rng, cost, heavy_tail=True), "sim-lcr", cost)
+            if rep.has_lcr and math.isfinite(rep.ratio):
+                assert rep.ratio <= rep.max_lcr + 1e-9
 
 
 class TestGenerators:
