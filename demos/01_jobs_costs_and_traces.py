@@ -24,8 +24,8 @@ assert loads_instance(dumps_instance(inst)).jobs == inst.jobs
 
 # Profit of two hand-built schedules. Batching both jobs into slot 1 pays
 # 8 - g(2) = 4; spreading them out pays (4-1) + (4-1) = 6.
-batched = Trace.build([SlotDecision.build(1, list(inst.jobs), cost)])
-spread = Trace.build([
+batched = Trace([SlotDecision.build(1, list(inst.jobs), cost)])
+spread = Trace([
     SlotDecision.build(1, [inst.jobs[0]], cost),
     SlotDecision.build(2, [inst.jobs[1]], cost),
 ])
@@ -33,7 +33,7 @@ print("batched profit:", evaluate_trace(inst, batched, cost))
 print("spread profit: ", evaluate_trace(inst, spread, cost))
 
 # evaluate_trace recomputes everything and rejects infeasible schedules.
-late = Trace.build([SlotDecision.build(2, [inst.jobs[0]], cost)])
+late = Trace([SlotDecision.build(2, [inst.jobs[0]], cost)])
 try:
     evaluate_trace(inst, late, cost)
 except Exception as exc:

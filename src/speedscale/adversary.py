@@ -18,7 +18,7 @@ import numpy as np
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
 from .offline import offline_profit
-from .policies import PolicyView, SlotLedger, get_policy
+from .policies import PolicyView, SlotLedger, checked_decision, get_policy
 from .reports import RatioReport, build_report
 
 DELTA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,17 +98,14 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     """
     policy = get_policy(policy)
     view = template.slot1_view()
-    decision = policy.decide(view, cost)
-    if decision.count > len(view):
-        raise ModelError(f"slot 1: policy {policy.name!r} chose {decision.count} jobs, "
-                         f"only {len(view)} available")
+    decision = checked_decision(policy, view, cost)
     chosen = tuple(jid for jid, _ in view.candidates[: decision.count])
     instance = adversary_finalize(template, chosen)
     by_id = {j.id: j for j in instance.jobs}
     decisions = [SlotDecision.build(1, [by_id[jid] for jid in chosen], cost)] if chosen else []
     ledgers = [SlotLedger(1, decision.count, decision.breakdowns)] if decision.breakdowns else []
     off_profit = offline_profit(instance, cost)
-    return build_report(template.label, off_profit, Trace.build(decisions, ledgers))
+    return build_report(template.label, off_profit, Trace(decisions, ledgers))
 
 
 def alpha2_game_ratio(z: int, k: int) -> float:
@@ -292,22 +289,16 @@ _CHUNK = 256  # z rows evaluated per numpy batch
 _CURVE_DTYPE = np.dtype([("z", np.int64), ("x", float), ("k_star", np.int64), ("value", float)])
 
 
-def eval_lower_bound(
-    alpha: float,
-    z_max: int,
-    x_grid: int,
-    keep_curve: bool = True,
-    refine: bool = True,
-) -> tuple[np.ndarray, float]:
+def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray, float]:
     """Sweep the lower-bound construction family over z = 1..z_max.
 
     For each z, x runs over a uniform grid on (0, xcap(z)] including the right
     endpoint, and the inner minimum over the policy's count k is exact. The
     curve comes back as one structured array with columns z, x, k_star and
-    value, one row per grid point in z-major order (empty without
-    `keep_curve`). The returned best additionally refines the top grid rows
-    with `_refine_peak`, because the inner min peaks where two branches in k
-    cross, which a grid point hits only by chance.
+    value, one row per grid point in z-major order. The returned best also
+    refines the top `_REFINE_TOP` grid rows with `_refine_peak`, because the
+    inner min peaks where two branches in k cross, which a grid point hits
+    only by chance.
     """
     if not alpha >= 2.0:
         raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {alpha}")
@@ -316,7 +307,7 @@ def eval_lower_bound(
     if x_grid < 2:
         raise ModelError(f"x_grid must be >= 2, got {x_grid}")
 
-    curve = np.empty(z_max * x_grid if keep_curve else 0, dtype=_CURVE_DTYPE)
+    curve = np.empty(z_max * x_grid, dtype=_CURVE_DTYPE)
     best = -math.inf
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
@@ -332,16 +323,12 @@ def eval_lower_bound(
         row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
                             x[rows, arg].tolist(), xcap.tolist()))
         best = max(best, float(values.max()))
-        if keep_curve:
-            part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
-            part["z"], part["x"] = zz.ravel(), x.ravel()
-            part["k_star"], part["value"] = kstars.ravel(), values.ravel()
+        part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
+        part["z"], part["x"] = zz.ravel(), x.ravel()
+        part["k_star"], part["value"] = kstars.ravel(), values.ravel()
 
-    if refine:
-        h = 1.0 / x_grid
-        _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
-        lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
-        hi = np.minimum(xcap, x_at + xcap * h)
-        best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
-
-    return curve, best
+    h = 1.0 / x_grid
+    _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
+    lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
+    hi = np.minimum(xcap, x_at + xcap * h)
+    return curve, max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))

@@ -312,12 +312,11 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
 # ---------------------------------------------------------------------------
 
 def random_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
-                    label: str = "", infinite_prob: float = 0.15,
-                    mean_gap: float = 0.8, max_deadline: int = 6,
+                    label: str = "", mean_gap: float = 0.8, max_deadline: int = 6,
                     heavy_tail: bool = False) -> Instance:
-    """Bursty arrivals with a mix of profitable/unprofitable values and finite or
-    never-expiring deadlines; values are uniform, or Pareto-tailed with
-    `heavy_tail`."""
+    """Bursty arrivals with a mix of profitable/unprofitable values; a job never
+    expires with probability 0.15, else its deadline is uniform on
+    1..max_deadline. Values are uniform, or Pareto-tailed with `heavy_tail`."""
     scale = cost.effective_cost(2)
     n = int(rng.integers(1, n_max + 1))
     arrival = 1
@@ -325,7 +324,7 @@ def random_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
     for i in range(n):
         if i:
             arrival += int(rng.poisson(mean_gap))
-        deadline = INFINITE if rng.random() < infinite_prob else int(rng.integers(1, max_deadline + 1))
+        deadline = INFINITE if rng.random() < 0.15 else int(rng.integers(1, max_deadline + 1))
         if heavy_tail:
             value = float(scale * (rng.pareto(2.0) + 0.5))
         else:
@@ -334,17 +333,18 @@ def random_instance(rng: np.random.Generator, cost: CostModel, n_max: int = 30,
     return Instance(tuple(jobs), label=label)
 
 
-def _small_instance(rng: np.random.Generator, horizon_cap: int = 6, n_max: int = 8) -> Instance:
-    """Tiny instance whose clairvoyant horizon stays within the brute-force guard."""
-    n = int(rng.integers(1, n_max + 1))
-    arrivals = sorted(int(a) for a in rng.integers(1, min(3, horizon_cap) + 1, size=n))
-    allow_inf = arrivals[-1] + n <= horizon_cap
+def _small_instance(rng: np.random.Generator) -> Instance:
+    """Tiny instance whose clairvoyant horizon stays within the brute-force guard:
+    1 to 8 jobs arrive in slots 1..3, and every window ends by slot 6."""
+    n = int(rng.integers(1, 9))
+    arrivals = sorted(int(a) for a in rng.integers(1, 4, size=n))
+    allow_inf = arrivals[-1] + n <= 6
     jobs = []
     for i, a in enumerate(arrivals):
         if allow_inf and rng.random() < 0.25:
             deadline: float = INFINITE
         else:
-            deadline = int(rng.integers(1, horizon_cap - a + 2))
+            deadline = int(rng.integers(1, 8 - a))
         jobs.append(Job(i, a, float(rng.uniform(0.0, 20.0)), deadline))
     return Instance(tuple(jobs))
 
@@ -353,13 +353,15 @@ def _small_instance(rng: np.random.Generator, horizon_cap: int = 6, n_max: int =
 # Oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024,
-                              alphas=(2.0, 2.5, 3.0)) -> dict:
+_VERIFY_ALPHAS = (2.0, 2.5, 3.0)  # cost exponents the two sampling verifiers cycle through
+
+
+def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024) -> dict:
     """Flow solver vs exhaustive search on random small instances, |diff| <= 1e-6."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(samples):
-        alpha = alphas[i % len(alphas)]
+        alpha = _VERIFY_ALPHAS[i % len(_VERIFY_ALPHAS)]
         cost = PowerLaw(alpha)
         inst = _small_instance(rng)
         flow = offline_profit(inst, cost)
@@ -375,12 +377,12 @@ def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024,
     return {"samples": samples, "worst_diff": worst}
 
 
-def verify_subadditivity(samples: int = 1000, seed: int = 7, alphas=(2.0, 2.5, 3.0)) -> dict:
+def verify_subadditivity(samples: int = 1000, seed: int = 7) -> dict:
     """Clairvoyant profit of a union never beats the sum of the parts (within 1e-6)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for i in range(samples):
-        alpha = alphas[i % len(alphas)]
+        alpha = _VERIFY_ALPHAS[i % len(_VERIFY_ALPHAS)]
         cost = PowerLaw(alpha)
         a = random_instance(rng, cost, n_max=8, max_deadline=4)
         b = random_instance(rng, cost, n_max=8, max_deadline=4)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 INFINITE = math.inf
@@ -207,29 +207,21 @@ def union(a: Instance, b: Instance) -> Instance:
 
 @dataclass(frozen=True)
 class SlotDecision:
-    """The jobs processed in one slot and the resulting profit."""
+    """The jobs processed in one slot, their payoff sum and the slot's energy cost."""
 
     slot: int
     processed: frozenset[int]
     payoff_sum: float
     energy: float
-    profit: float
 
-    def __post_init__(self):
-        if abs(self.profit - (self.payoff_sum - self.energy)) > PROFIT_TOL:
-            raise ModelError(f"slot {self.slot}: profit != payoff_sum - energy")
+    @property
+    def profit(self) -> float:
+        return self.payoff_sum - self.energy
 
     @staticmethod
     def build(slot: int, jobs: Sequence[Job], cost: CostModel) -> "SlotDecision":
-        payoff = float(sum(j.value for j in jobs))
-        energy = cost.g(len(jobs))
-        return SlotDecision(
-            slot=slot,
-            processed=frozenset(j.id for j in jobs),
-            payoff_sum=payoff,
-            energy=energy,
-            profit=payoff - energy,
-        )
+        return SlotDecision(slot, frozenset(j.id for j in jobs),
+                            float(sum(j.value for j in jobs)), cost.g(len(jobs)))
 
 
 @dataclass(frozen=True)
@@ -237,29 +229,26 @@ class Trace:
     """An algorithm run: per-slot decisions plus optional per-slot audit ledgers."""
 
     decisions: tuple[SlotDecision, ...]
-    total_profit: float
+    total_profit: float = field(init=False)
     ledgers: tuple = ()
 
     def __post_init__(self):
-        slots = [d.slot for d in self.decisions]
-        if slots != sorted(slots) or len(set(slots)) != len(slots):
+        decisions = tuple(self.decisions)
+        slots = [d.slot for d in decisions]
+        if slots != sorted(set(slots)):
             raise ModelError("trace decisions must be strictly ordered by slot")
-        if abs(self.total_profit - sum(d.profit for d in self.decisions)) > PROFIT_TOL:
-            raise ModelError("trace total_profit does not equal the sum of decision profits")
-
-    @staticmethod
-    def build(decisions: Sequence[SlotDecision], ledgers: Sequence = ()) -> "Trace":
-        decisions = tuple(decisions)
-        return Trace(decisions, float(sum(d.profit for d in decisions)), tuple(ledgers))
+        object.__setattr__(self, "decisions", decisions)
+        object.__setattr__(self, "ledgers", tuple(self.ledgers))
+        object.__setattr__(self, "total_profit", float(sum([d.profit for d in decisions])))
 
 
-EMPTY_TRACE = Trace((), 0.0)
+EMPTY_TRACE = Trace(())
 
 
 def evaluate_trace(instance: Instance, trace: Trace, cost: CostModel) -> float:
     """Recompute a trace's total profit from scratch, validating feasibility.
 
-    Cached payoff/energy/profit fields are not trusted. Raises
+    Stored payoff and energy fields are not trusted. Raises
     InfeasibleTraceError naming the offending job and slot if any job is
     processed outside its availability window or more than once.
     """
@@ -341,7 +330,9 @@ def _job_from_obj(obj: Mapping, line: int) -> Job:
 
 def loads_instance(text: str, label: str = "") -> Instance:
     jobs = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line: str.splitlines also splits at \x0c, U+2028 and
+    # others, which may stand unescaped inside a JSON string
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -65,8 +65,8 @@ class OfflineSizeError(ModelError):
 
 
 def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> Trace:
-    return Trace.build([SlotDecision.build(slot, slot_jobs[slot], cost)
-                        for slot in sorted(slot_jobs) if slot_jobs[slot]])
+    return Trace([SlotDecision.build(slot, slot_jobs[slot], cost)
+                  for slot in sorted(slot_jobs) if slot_jobs[slot]])
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,15 @@ def get_policy(policy) -> Policy:
     raise ModelError(f"unknown policy {policy!r}; valid names: {valid}")
 
 
+def checked_decision(policy: Policy, view: PolicyView, cost: CostModel) -> Decision:
+    """The policy's decision at a view, refused unless its count lies in 0..len(view)."""
+    decision = policy.decide(view, cost)
+    if not 0 <= decision.count <= len(view):
+        raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {decision.count} jobs, "
+                         f"only {len(view)} available")
+    return decision
+
+
 def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     """Simulate a policy over an instance, visiting only slots where something can happen.
 
@@ -357,12 +366,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         # onto that length's free list, which only a full gc pass empties;
         # built from a list it is taken from that free list in the first place.
         view = PolicyView(slot, tuple([(j.id, j.value) for _, _, j in live]))
-        decision = policy.decide(view, cost)
+        decision = checked_decision(policy, view, cost)
         count = decision.count
-        if count > len(live):
-            raise ModelError(
-                f"slot {slot}: policy {policy.name!r} chose {count} jobs, "
-                f"only {len(live)} available")
         if count > 0:
             decisions.append(SlotDecision.build(slot, [j for _, _, j in live[:count]], cost))
             del live[:count]
@@ -374,4 +379,4 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             slot = jobs[arrived].arrival
         else:
             break
-    return Trace.build(decisions, ledgers)
+    return Trace(decisions, ledgers)

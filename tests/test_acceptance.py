@@ -76,7 +76,7 @@ def test_criterion_2_sqrt2_construction():
 @criterion(3, budget=4.0)
 def test_criterion_3_lower_bound_curve(tmp_path):
     """Lower-bound curve: phi+1 anchor at alpha=2 and sqrt2+1 floor on the alpha grid."""
-    _, best2 = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+    _, best2 = eval_lower_bound(2.0, 10_000, 64)
     assert abs(best2 - PHI_PLUS_1) <= 1e-2, f"alpha=2 best {best2}"
 
     alphas = [round(2.1 + 0.1 * i, 1) for i in range(20)]  # 2.1 .. 4.0

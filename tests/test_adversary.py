@@ -15,7 +15,7 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, _inner_min_batch, _r
                                   run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, ModelError, PowerLaw
 from speedscale.offline import solve_offline_flow
-from speedscale.policies import FixedCountPolicy, Policy, get_policy, run_policy
+from speedscale.policies import Decision, FixedCountPolicy, Policy, get_policy, run_policy
 from speedscale.reports import build_report
 
 
@@ -198,6 +198,18 @@ class TestGames:
         off, _ = solve_offline_flow(inst, alpha2)
         assert math.isclose(report.off_profit, off, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("count", [7, -1])
+    def test_count_outside_view_rejected(self, alpha2, count):
+        # read as a slice, a count of -1 would take 5 of the 6 jobs
+        class Fixed(Policy):
+            name = "fixed-count"
+
+            def decide(self, view, cost):
+                return Decision(count)
+
+        with pytest.raises(ModelError, match="only 6 available"):
+            run_adversarial_game(Fixed(), gen_alpha2_lb_instance(3), alpha2)
+
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
     def test_policy_decides_once(self, alpha2, policy):
         counting = CountingPolicy(policy)
@@ -233,7 +245,7 @@ class TestLowerBoundCurve:
 
     def test_z1_degenerate(self):
         # z=1 forces k=1; at exponent 2 the ratio is exactly 2 for any feasible x
-        curve, best = eval_lower_bound(2.0, 1, 8, refine=False)
+        curve, best = eval_lower_bound(2.0, 1, 8)
         assert len(curve) == 8
         assert (curve["k_star"] == 1).all()
         assert np.allclose(curve["value"], 2.0, rtol=0.0, atol=1e-9)
@@ -251,7 +263,7 @@ class TestLowerBoundCurve:
     def test_inner_min_matches_direct_scan(self):
         # exact integer minimum cross-checked against full enumeration over k
         for alpha in (2.0, 2.7, 3.3):
-            curve, _ = eval_lower_bound(alpha, 9, 7, refine=False)
+            curve, _ = eval_lower_bound(alpha, 9, 7)
             for z, x, value in zip(curve["z"].tolist(), curve["x"].tolist(),
                                    curve["value"].tolist()):
                 ratios = []
@@ -313,13 +325,13 @@ class TestLowerBoundCurve:
         assert k_star[0, 1] == k_star[1, 1] == 8
 
     def test_bisection_stop_matches_80_steps_at_alpha2_z10000(self):
-        _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+        _, best = eval_lower_bound(2.0, 10_000, 64)
         with mock.patch.object(adversary, "_inner_min_batch", inner_min_batch_80):
-            _, reference = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+            _, reference = eval_lower_bound(2.0, 10_000, 64)
         assert best == reference
 
     def test_alpha2_limit_approaches_phi_plus_1(self):
-        _, best = eval_lower_bound(2.0, 10_000, 64, keep_curve=False)
+        _, best = eval_lower_bound(2.0, 10_000, 64)
         assert abs(best - PHI_PLUS_1) < 1e-3
         assert best <= PHI_PLUS_1 + 1e-9
 
@@ -328,16 +340,12 @@ class TestLowerBoundCurve:
         _, best = eval_lower_bound(3.0, 2, 64)
         assert abs(best - SQRT2_PLUS_1) <= 4 * math.ulp(SQRT2_PLUS_1)
 
-    def test_keep_curve_off(self):
-        curve, best = eval_lower_bound(2.0, 50, 16, keep_curve=False)
-        assert len(curve) == 0 and best > 2.0
-
     @given(st.floats(2.0, 8.0), st.integers(1, 150), st.sampled_from([2, 3, 8, 64]))
     @settings(max_examples=10, deadline=None)
     def test_crossing_refinement_matches_golden_section(self, alpha, z_max, x_grid):
-        _, best = eval_lower_bound(alpha, z_max, x_grid, keep_curve=False)
+        _, best = eval_lower_bound(alpha, z_max, x_grid)
         with mock.patch.object(adversary, "_refine_peak", golden_refine_peak):
-            _, reference = eval_lower_bound(alpha, z_max, x_grid, keep_curve=False)
+            _, reference = eval_lower_bound(alpha, z_max, x_grid)
         assert best >= reference * (1.0 - 1e-14)
         assert format(best, ".12g") == format(reference, ".12g")
 

@@ -7,16 +7,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["01_jobs_costs_and_traces.py", "02_online_policies.py",
-         "03_clairvoyant_oracle.py", "04_adversarial_games.py",
-         "05_lowerbound_curve.py", "06_bound_verifiers.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.model import (INFINITE, InfeasibleTraceError, Instance,
+from speedscale.model import (EMPTY_TRACE, INFINITE, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace,
                               dumps_instance, evaluate_trace, loads_instance, union)
 
 from speedscale.offline import offline_profit
-from speedscale.policies import run_policy
+from speedscale.policies import SlotLedger, run_policy
 
 from conftest import available_jobs, mk_instance
 
@@ -164,17 +165,17 @@ class TestUnion:
 class TestEvaluateTrace:
     def test_single_job(self, alpha2):
         inst = mk_instance((1, 10.0, 1))
-        trace = Trace.build([SlotDecision.build(1, [inst.jobs[0]], alpha2)])
+        trace = Trace([SlotDecision.build(1, [inst.jobs[0]], alpha2)])
         assert evaluate_trace(inst, trace, alpha2) == 9.0
 
     def test_pair_in_one_slot(self, alpha2):
         inst = mk_instance((1, 10.0, 1), (1, 6.0, 1))
-        trace = Trace.build([SlotDecision.build(1, list(inst.jobs), alpha2)])
+        trace = Trace([SlotDecision.build(1, list(inst.jobs), alpha2)])
         assert evaluate_trace(inst, trace, alpha2) == 12.0
 
     def test_processing_after_expiry_rejected(self, alpha2):
         inst = mk_instance((1, 10.0, 1))
-        trace = Trace.build([SlotDecision.build(2, [inst.jobs[0]], alpha2)])
+        trace = Trace([SlotDecision.build(2, [inst.jobs[0]], alpha2)])
         with pytest.raises(InfeasibleTraceError) as err:
             evaluate_trace(inst, trace, alpha2)
         assert err.value.job_id == 0 and err.value.slot == 2
@@ -182,8 +183,8 @@ class TestEvaluateTrace:
     def test_double_processing_rejected(self, alpha2):
         inst = mk_instance((1, 10.0, INFINITE))
         job = inst.jobs[0]
-        trace = Trace.build([SlotDecision.build(1, [job], alpha2),
-                             SlotDecision.build(2, [job], alpha2)])
+        trace = Trace([SlotDecision.build(1, [job], alpha2),
+                       SlotDecision.build(2, [job], alpha2)])
         with pytest.raises(InfeasibleTraceError):
             evaluate_trace(inst, trace, alpha2)
 
@@ -201,10 +202,42 @@ class TestEvaluateTrace:
                 continue
             used.update(j.id for j in batch)
             decisions.append(SlotDecision.build(slot, batch, cost))
-        trace = Trace.build(decisions)
+        trace = Trace(decisions)
         total = evaluate_trace(inst, trace, cost)
         assert math.isclose(total, sum(d.profit for d in decisions), abs_tol=1e-9)
         assert math.isclose(total, trace.total_profit, abs_tol=1e-9)
+
+
+class TestTrace:
+    def test_slot_profit_derived(self, alpha2):
+        decision = SlotDecision.build(1, mk_instance((1, 10.0, 1), (1, 6.0, 1)).jobs, alpha2)
+        assert [f.name for f in dataclasses.fields(SlotDecision)] == [
+            "slot", "processed", "payoff_sum", "energy"]
+        assert (decision.payoff_sum, decision.energy, decision.profit) == (16.0, 4.0, 12.0)
+
+    @pytest.mark.parametrize("slots", [pytest.param((2, 1), id="out-of-order"),
+                                       pytest.param((1, 3, 3), id="duplicate")])
+    def test_slots_strictly_ordered(self, alpha2, slots):
+        job = Job(0, 1, 5.0)
+        with pytest.raises(ModelError, match="strictly ordered"):
+            Trace([SlotDecision.build(slot, [job], alpha2) for slot in slots])
+
+    def test_lists_stored_as_tuples(self, alpha2):
+        jobs = mk_instance((1, 10.0, 1), (2, 6.0, INFINITE)).jobs
+        decisions = [SlotDecision.build(1, jobs[:1], alpha2), SlotDecision.build(4, jobs[1:], alpha2)]
+        ledgers = [SlotLedger(1, 1, ()), SlotLedger(4, 1, ())]
+        trace = Trace(decisions, ledgers)
+        assert trace == Trace(tuple(decisions), tuple(ledgers))
+        assert type(trace.decisions) is tuple and type(trace.ledgers) is tuple
+
+    @given(st.lists(st.floats(0, 50), max_size=6), st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_total_profit_sums_decisions(self, values, alpha):
+        cost = PowerLaw(alpha)
+        inst = mk_instance(*((1, v, INFINITE) for v in values))
+        decisions = [SlotDecision.build(slot, [job], cost) for slot, job in enumerate(inst.jobs, 1)]
+        assert Trace(decisions).total_profit == float(sum(d.profit for d in decisions))
+        assert EMPTY_TRACE.total_profit == 0.0
 
 
 class TestInstanceFiles:
@@ -271,3 +304,18 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError) as err:
             loads_instance('{"id": 0, "arrival": 1, "value": 1.0}\n')
         assert err.value.line == 1
+
+    def test_line_separator_inside_string(self):
+        # U+2028 may stand unescaped inside a JSON string; it ends no line
+        text = '{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1, "note": "a\u2028b"}\n'
+        assert loads_instance(text).jobs == (Job(0, 1, 1.0, 1),)
+
+    @pytest.mark.parametrize("first, line", [
+        pytest.param("\x0c", 2, id="form-feed-line"),
+        pytest.param('{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}\x0c', 1,
+                     id="form-feed-after-job"),  # not JSON whitespace
+    ])
+    def test_only_newline_ends_a_line(self, first, line):
+        with pytest.raises(InstanceFormatError) as err:
+            loads_instance(first + '\n{"id": 1, "arrival": 1, "value": 1.0}\n')
+        assert err.value.line == line

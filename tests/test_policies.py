@@ -42,7 +42,7 @@ def _reference_run_policy(instance, policy, cost):
         if decision.count == 0 and slot > last_arrival:
             break
         slot += 1
-    return Trace.build(decisions, ledgers)
+    return Trace(decisions, ledgers)
 
 
 @st.composite
@@ -392,14 +392,16 @@ class TestRunPolicy:
         assert policy.calls <= 4
 
     def test_overlong_count_rejected(self, alpha2):
-        class Overreach(Policy):
-            name = "overreach"
+        # counts outside 0..len(view), too many and negative, are refused
+        for count in (lambda view: len(view) + 1, lambda view: -1):
+            class Overreach(Policy):
+                name = "overreach"
 
-            def decide(self, view, cost):
-                return Decision(len(view) + 1)
+                def decide(self, view, cost):
+                    return Decision(count(view))
 
-        with pytest.raises(ModelError, match="only 1 available"):
-            run_policy(mk_instance((1, 5.0, INFINITE)), Overreach(), alpha2)
+            with pytest.raises(ModelError, match="only 1 available"):
+                run_policy(mk_instance((1, 5.0, INFINITE)), Overreach(), alpha2)
 
 
 class TestInformationHiding:
