@@ -183,8 +183,12 @@ def cmd_lowerbound(args) -> int:
             summaries.append({"alpha": alpha, "best": best})
         else:
             tag = _fmt(alpha)
-            # '%d' and '%.12g' give the strings _fmt gives for ints and floats
-            body.extend(map(f"{tag},%d,%.12g,%d,%.12g".__mod__, zip(*columns)))
+            # one '%' over the cells row by row; '%d' and '%.12g' give the
+            # strings _fmt gives for ints and floats
+            cells = [None] * (len(columns) * len(curve))
+            for offset, column in enumerate(columns):
+                cells[offset::len(columns)] = column
+            body.append("\n".join([f"{tag},%d,%.12g,%d,%.12g"] * len(curve)) % tuple(cells))
             body.append(f"{tag},,,,{_fmt(best)}")
     if as_json:
         _write_text(args.out, json.dumps({"summaries": summaries, "points": points}, indent=2) + "\n")

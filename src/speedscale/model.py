@@ -7,7 +7,9 @@ g(k) for a convex g with g(0) = 0; the profit of a slot is the payoff sum of
 the processed jobs minus that energy cost.
 
 All types here are immutable after construction and safe to share across
-threads; every operation is a pure function.
+threads; every operation is a pure function. ``SlotDecision`` is a named
+tuple, since the simulator makes one per processing slot, and ``Job`` a
+slotted dataclass with no per-instance ``__dict__``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 INFINITE = math.inf
 """Deadline sentinel: the job never expires."""
@@ -56,7 +58,7 @@ def _is_int(x) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Job:
     """One unit-length task: identity, arrival slot, payoff, deadline in slots."""
 
@@ -66,22 +68,23 @@ class Job:
     deadline: float = INFINITE
 
     def __post_init__(self):
-        if not (_is_int(self.id) and self.id >= 0):
-            raise ModelError(f"job id must be a non-negative integer, got {self.id}")
-        if not (_is_int(self.arrival) and self.arrival >= 1):
-            raise ModelError(f"arrival must be an integer slot >= 1, got {self.arrival}")
-        if type(self.id) is not int or type(self.arrival) is not int:
+        job_id, arrival, value, deadline = self.id, self.arrival, self.value, self.deadline
+        if not ((type(job_id) is int or _is_int(job_id)) and job_id >= 0):
+            raise ModelError(f"job id must be a non-negative integer, got {job_id}")
+        if not ((type(arrival) is int or _is_int(arrival)) and arrival >= 1):
+            raise ModelError(f"arrival must be an integer slot >= 1, got {arrival}")
+        if type(job_id) is not int or type(arrival) is not int:
             # other integer types (numpy's) have fixed widths that wrap around in slot sums
-            object.__setattr__(self, "id", operator.index(self.id))
-            object.__setattr__(self, "arrival", operator.index(self.arrival))
-        if isinstance(self.value, bool) or not (0.0 <= self.value < INFINITE):
-            raise ModelError(f"value must be non-negative and finite, got {self.value}")
-        if self.deadline != INFINITE and not (
-                (_is_int(self.deadline)
-                 or isinstance(self.deadline, float) and self.deadline.is_integer())
-                and self.deadline >= 1):
+            object.__setattr__(self, "id", operator.index(job_id))
+            object.__setattr__(self, "arrival", operator.index(arrival))
+        if isinstance(value, bool) or not (0.0 <= value < INFINITE):
+            raise ModelError(f"value must be non-negative and finite, got {value}")
+        if deadline != INFINITE and not (
+                (type(deadline) is int or _is_int(deadline)
+                 or isinstance(deadline, float) and deadline.is_integer())
+                and deadline >= 1):
             raise ModelError(
-                f"deadline must be a positive integer or INFINITE, got {self.deadline}")
+                f"deadline must be a positive integer or INFINITE, got {deadline}")
 
     @property
     def expires(self) -> bool:
@@ -205,8 +208,7 @@ def union(a: Instance, b: Instance) -> Instance:
     return Instance(jobs, label=label)
 
 
-@dataclass(frozen=True)
-class SlotDecision:
+class SlotDecision(NamedTuple):
     """The jobs processed in one slot, their payoff sum and the slot's energy cost."""
 
     slot: int

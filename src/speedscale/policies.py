@@ -16,17 +16,21 @@ Shipped policies:
 * ``greedy``   - always processes all m profitable jobs;
 * ``fixed:K``  - greedy capped at K jobs a slot, a probe for the adaptive game
   (``FixedCountPolicy(K)``; not in ``POLICIES``).
+
+``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
+the simulator makes several per visited slot.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .model import (CostModel, Instance, Job, ModelError, PowerLaw,
-                    SlotDecision, Trace, _value_order_key)
+from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, SlotDecision,
+                    Trace, _is_int, _value_order_key)
 
 
 class UnsupportedCostError(ModelError):
@@ -46,7 +50,7 @@ class PolicyView:
 
     def __post_init__(self):
         values = [v for _, v in self.candidates]
-        if any(a < b for a, b in zip(values, values[1:])):
+        if not all(map(operator.ge, values, values[1:])):
             raise ModelError("view candidates must be sorted by non-increasing value")
 
     @property
@@ -57,8 +61,7 @@ class PolicyView:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
-class LcrBreakdown:
+class LcrBreakdown(NamedTuple):
     """The LCR of processing the top ``i`` jobs, with its three ingredients.
 
     M is the clairvoyant profit from the i chosen jobs processed alone in
@@ -73,12 +76,10 @@ class LcrBreakdown:
     lcr: float
 
     def to_obj(self) -> dict:
-        return {"i": self.i, "M": self.M, "P": self.P,
-                "c_greedy": self.c_greedy, "lcr": self.lcr}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SlotLedger:
+class SlotLedger(NamedTuple):
     """Audit record of one slot: the candidate breakdowns a policy examined."""
 
     slot: int
@@ -96,8 +97,7 @@ class SlotLedger:
                 "breakdowns": [b.to_obj() for b in self.breakdowns]}
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A policy's output for one slot: how many top jobs to process."""
 
     count: int
@@ -111,11 +111,13 @@ def compute_m(view: PolicyView, cost: CostModel) -> int:
     marginal costs are non-decreasing, so the profitable counts form a prefix.
     """
     m = 0
-    for j, (_, v) in enumerate(view.candidates, start=1):
-        if v - cost.effective_cost(j) > 0.0:
-            m = j
-        else:
+    g_prev = cost.g(0)
+    for _, v in view.candidates:
+        g_m = cost.g(m + 1)
+        if not v - (g_m - g_prev) > 0.0:
             break
+        m += 1
+        g_prev = g_m
     return m
 
 
@@ -128,7 +130,7 @@ def inner_greedy_profit(leftover_values: Sequence[float], cost: CostModel) -> fl
     as `_prefix_ledger` does, and never evaluates a g(j) past it.
     """
     values = list(leftover_values)
-    if any(a < b for a, b in zip(values, values[1:])):
+    if not all(map(operator.ge, values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
     best = 0.0
     running = 0.0
@@ -313,10 +315,14 @@ def get_policy(policy) -> Policy:
 
 
 def checked_decision(policy: Policy, view: PolicyView, cost: CostModel) -> Decision:
-    """The policy's decision at a view, refused unless its count lies in 0..len(view)."""
+    """The policy's decision at a view, refused unless its count is an integer in 0..len(view).
+
+    A bool or float count is refused, as `Job` refuses them.
+    """
     decision = policy.decide(view, cost)
-    if not 0 <= decision.count <= len(view):
-        raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {decision.count} jobs, "
+    count = decision.count
+    if not ((type(count) is int or _is_int(count)) and 0 <= count <= len(view)):
+        raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {count!r} jobs, "
                          f"only {len(view)} available")
     return decision
 
@@ -325,11 +331,13 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     """Simulate a policy over an instance, visiting only slots where something can happen.
 
     Only this harness sees deadlines; the policy receives a PolicyView of the
-    live jobs, kept in value order (model._value_order_key). Arrivals are
-    merged in once per visited slot. Processed jobs leave from the front,
-    since a policy always takes a top prefix. Expired jobs leave lazily: a
-    min-heap of window ends tells when one has closed, and the live list is
-    then filtered, at the cost of building one view.
+    live jobs, kept in value order (model._value_order_key). Each job's
+    (id, value) candidate pair and expiry are made once, when it arrives, and
+    every view shares those pairs. Arrivals are merged in once per visited
+    slot. Processed jobs leave from the front, since a policy always takes a
+    top prefix. Expired jobs leave lazily: a min-heap of window ends tells
+    when one has closed, and the live list is then filtered, at the cost of
+    building one view.
 
     Slots where nothing is processed add no decision and no ledger entry.
     After such a slot the loop jumps to the next arrival, or ends once every
@@ -342,7 +350,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     jobs = instance.jobs
     n = len(jobs)
     hard_stop = instance.last_arrival + n + 1
-    live: list[tuple[tuple, float, Job]] = []  # (_value_order_key(job), expiry, job)
+    live: list[tuple[tuple, float, tuple[int, float]]] = []  # (order key, expiry, (id, value))
     expiries: list[float] = []  # min-heap of the windows' last slots
     decisions: list[SlotDecision] = []
     ledgers: list[SlotLedger] = []
@@ -352,9 +360,10 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         first = arrived
         while arrived < n and jobs[arrived].arrival <= slot:
             job = jobs[arrived]
-            live.append((_value_order_key(job), job.expiry, job))
-            if job.expires:
-                heappush(expiries, job.expiry)
+            expiry = job.expiry
+            live.append((_value_order_key(job), expiry, (job.id, job.value)))
+            if expiry != INFINITE:
+                heappush(expiries, expiry)
             arrived += 1
         if arrived > first:
             live.sort()
@@ -365,11 +374,14 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         # A tuple built from a generator is resized to its length, yet freed
         # onto that length's free list, which only a full gc pass empties;
         # built from a list it is taken from that free list in the first place.
-        view = PolicyView(slot, tuple([(j.id, j.value) for _, _, j in live]))
+        view = PolicyView(slot, tuple([pair for _, _, pair in live]))
         decision = checked_decision(policy, view, cost)
         count = decision.count
         if count > 0:
-            decisions.append(SlotDecision.build(slot, [j for _, _, j in live[:count]], cost))
+            chosen = view.candidates[:count]
+            # the sum and g(count) of SlotDecision.build, on the chosen pairs
+            decisions.append(SlotDecision(slot, frozenset([jid for jid, _ in chosen]),
+                                          float(sum([v for _, v in chosen])), cost.g(count)))
             del live[:count]
         if decision.breakdowns:
             ledgers.append(SlotLedger(slot, count, decision.breakdowns))

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import PROFIT_TOL, Trace
 
 
-@dataclass(frozen=True)
-class SlotLcr:
+class SlotLcr(NamedTuple):
     slot: int
     i_chosen: int
     lcr: float
@@ -45,9 +45,7 @@ class RatioReport:
 
     def to_obj(self) -> dict:
         obj = self.to_row()
-        obj["per_slot_lcr"] = [
-            {"slot": r.slot, "i_chosen": r.i_chosen, "lcr": r.lcr} for r in self.per_slot_lcr
-        ]
+        obj["per_slot_lcr"] = [r._asdict() for r in self.per_slot_lcr]
         return obj
 
 

@@ -198,9 +198,10 @@ class TestGames:
         off, _ = solve_offline_flow(inst, alpha2)
         assert math.isclose(report.off_profit, off, abs_tol=1e-9)
 
-    @pytest.mark.parametrize("count", [7, -1])
+    @pytest.mark.parametrize("count", [7, -1, 1.5, True])
     def test_count_outside_view_rejected(self, alpha2, count):
-        # read as a slice, a count of -1 would take 5 of the 6 jobs
+        # read as a slice, a count of -1 would take 5 of the 6 jobs, 1.5 would
+        # raise TypeError and True would take one job
         class Fixed(Policy):
             name = "fixed-count"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -13,7 +12,8 @@ from speedscale.model import (EMPTY_TRACE, INFINITE, InfeasibleTraceError, Insta
                               dumps_instance, evaluate_trace, loads_instance, union)
 
 from speedscale.offline import offline_profit
-from speedscale.policies import SlotLedger, run_policy
+from speedscale.policies import Decision, LcrBreakdown, SlotLedger, run_policy
+from speedscale.reports import SlotLcr
 
 from conftest import available_jobs, mk_instance
 
@@ -102,6 +102,24 @@ class TestJob:
     def test_value_must_be_finite(self, value):
         with pytest.raises(ModelError, match="finite"):
             Job(0, 1, value, 1)
+
+    def test_slotted(self):
+        assert not hasattr(Job(0, 1, 5.0, 2), "__dict__")
+
+
+@pytest.mark.parametrize("record, field", [
+    (LcrBreakdown(1, 2.0, 3.0, 0.5, 0.8), "lcr"),
+    (Decision(1), "count"),
+    (SlotLedger(1, 1, ()), "chosen"),
+    (SlotDecision(1, frozenset({0}), 5.0, 1.0), "payoff_sum"),
+    (SlotLcr(1, 1, 1.5), "lcr"),
+    (Job(0, 1, 5.0), "value"),
+], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_records_immutable(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 7)
+    assert getattr(record, field) == before
 
 
 class TestAvailableJobs:
@@ -211,7 +229,7 @@ class TestEvaluateTrace:
 class TestTrace:
     def test_slot_profit_derived(self, alpha2):
         decision = SlotDecision.build(1, mk_instance((1, 10.0, 1), (1, 6.0, 1)).jobs, alpha2)
-        assert [f.name for f in dataclasses.fields(SlotDecision)] == [
+        assert list(SlotDecision._fields) == [
             "slot", "processed", "payoff_sum", "energy"]
         assert (decision.payoff_sum, decision.energy, decision.profit) == (16.0, 4.0, 12.0)
 

@@ -392,8 +392,10 @@ class TestRunPolicy:
         assert policy.calls <= 4
 
     def test_overlong_count_rejected(self, alpha2):
-        # counts outside 0..len(view), too many and negative, are refused
-        for count in (lambda view: len(view) + 1, lambda view: -1):
+        # counts outside 0..len(view), too many and negative, are refused, and
+        # so are counts that are not integers: a float, and a bool as Job does
+        for count in (lambda view: len(view) + 1, lambda view: -1,
+                      lambda view: 1.5, lambda view: True):
             class Overreach(Policy):
                 name = "overreach"
 
