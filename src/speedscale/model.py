@@ -9,7 +9,12 @@ the processed jobs minus that energy cost.
 All types here are immutable after construction and safe to share across
 threads; every operation is a pure function. ``SlotDecision`` is a named
 tuple, since the simulator makes one per processing slot, and ``Job`` a
-slotted dataclass with no per-instance ``__dict__``.
+slotted dataclass with no per-instance ``__dict__``. A job's ``expiry`` is
+computed once, at construction, and stored in a slot.
+
+Float sums in the records (``SlotDecision.payoff_sum``, ``Trace.total_profit``)
+are added left to right by ``_ltr_sum``, so they have the same bits on every
+Python version (the builtin ``sum`` adds floats with compensation from 3.12).
 """
 from __future__ import annotations
 
@@ -66,6 +71,7 @@ class Job:
     arrival: int
     value: float
     deadline: float = INFINITE
+    expiry: float = field(init=False, repr=False, compare=False)  # last slot it may run in
 
     def __post_init__(self):
         job_id, arrival, value, deadline = self.id, self.arrival, self.value, self.deadline
@@ -85,17 +91,12 @@ class Job:
                 and deadline >= 1):
             raise ModelError(
                 f"deadline must be a positive integer or INFINITE, got {deadline}")
+        object.__setattr__(self, "expiry", INFINITE if deadline == INFINITE
+                           else self.arrival + int(deadline) - 1)
 
     @property
     def expires(self) -> bool:
         return self.deadline != INFINITE
-
-    @property
-    def expiry(self) -> float:
-        """Last slot at which the job may be processed (inf when never expiring)."""
-        if not self.expires:
-            return INFINITE
-        return self.arrival + int(self.deadline) - 1
 
     def available_at(self, slot: int) -> bool:
         return self.arrival <= slot <= self.expiry
@@ -208,6 +209,14 @@ def union(a: Instance, b: Instance) -> Instance:
     return Instance(jobs, label=label)
 
 
+def _ltr_sum(values) -> float:
+    """The float sum of `values`, added left to right from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class SlotDecision(NamedTuple):
     """The jobs processed in one slot, their payoff sum and the slot's energy cost."""
 
@@ -223,7 +232,7 @@ class SlotDecision(NamedTuple):
     @staticmethod
     def build(slot: int, jobs: Sequence[Job], cost: CostModel) -> "SlotDecision":
         return SlotDecision(slot, frozenset(j.id for j in jobs),
-                            float(sum(j.value for j in jobs)), cost.g(len(jobs)))
+                            float(_ltr_sum([j.value for j in jobs])), cost.g(len(jobs)))
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,7 @@ class Trace:
             raise ModelError("trace decisions must be strictly ordered by slot")
         object.__setattr__(self, "decisions", decisions)
         object.__setattr__(self, "ledgers", tuple(self.ledgers))
-        object.__setattr__(self, "total_profit", float(sum([d.profit for d in decisions])))
+        object.__setattr__(self, "total_profit", float(_ltr_sum([d.profit for d in decisions])))
 
 
 EMPTY_TRACE = Trace(())

@@ -115,7 +115,8 @@ class _FlowState:
         lo, hi = seed
         rings: list[tuple[int, int, int]] = []
         left, right = lo, lo - 1  # slots left..right are visited
-        busy = first_idle(lo) > hi
+        idle = first_idle(lo)  # the first idle slot >= lo once the interval holds one
+        busy = idle > hi
         while busy and (lo < left or right < hi):
             if right < hi:
                 right = slot = right + 1
@@ -124,17 +125,20 @@ class _FlowState:
             start, end = spans[slot]
             if start < lo:
                 rings.append((start, lo - 1, slot))
-                busy = first_idle(start) >= lo
+                idle = first_idle(start)
+                busy = idle >= lo
                 lo = start
             if end > hi:
                 rings.append((hi + 1, end, slot))
-                busy = busy and first_idle(hi + 1) > end
+                if busy:  # lo..hi are all busy, so first_idle(lo) is this one too
+                    idle = first_idle(hi + 1)
+                    busy = idle > end
                 hi = end
         if busy:  # at most one slot per placed job
             target = min(range(lo, hi + 1), key=loads.__getitem__)
             load = loads[target]
         else:
-            target, load = first_idle(lo), 0
+            target, load = idle, 0
         while len(self.marginal) <= load:  # tabulated only as far as loads reach
             self.marginal.append(self.cost.effective_cost(len(self.marginal) + 1))
         return self.marginal[load], target, rings

@@ -18,19 +18,21 @@ Shipped policies:
   (``FixedCountPolicy(K)``; not in ``POLICIES``).
 
 ``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
-the simulator makes several per visited slot.
+the simulator makes several per visited slot. A policy step scans the view
+once (``_scan``): the g values and prefix sums it finds while computing m feed
+every breakdown of the step.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, SlotDecision,
-                    Trace, _is_int, _value_order_key)
+                    Trace, _is_int, _ltr_sum, _value_order_key)
 
 
 class UnsupportedCostError(ModelError):
@@ -47,15 +49,13 @@ class PolicyView:
 
     slot: int
     candidates: tuple[tuple[int, float], ...]
+    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = [v for _, v in self.candidates]
+        values = tuple([v for _, v in self.candidates])
         if not all(map(operator.ge, values, values[1:])):
             raise ModelError("view candidates must be sorted by non-increasing value")
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple([v for _, v in self.candidates])  # from a list: see run_policy
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -104,86 +104,110 @@ class Decision(NamedTuple):
     breakdowns: tuple[LcrBreakdown, ...] = ()
 
 
+def _scan(values: Sequence[float], cost: CostModel) -> tuple[int, list[float], list[float]]:
+    """m, the g values the scan for it evaluated, and the top-m prefix sums.
+
+    Returns (m, g, prefix): g holds g(0), g(1), ... up to the first count
+    whose job does not beat its marginal cost (g(min(m + 1, n)) for n jobs),
+    and prefix[i] is the sum of the top i values added left to right, for
+    i = 0..m. Every LCR breakdown of the step reads both lists, and g covers
+    every leftover count j they read: the view is sorted, so when the j-th
+    leftover job beats c_j, the view's j-th job does too and m >= j. So a
+    g(k) the step never reads is never evaluated (it may overflow, or lie
+    past a cost table).
+    """
+    g_prev = cost.g(0)
+    g = [g_prev]
+    prefix = [0.0]
+    top = 0.0
+    for v in values:
+        g_k = cost.g(len(g))
+        g.append(g_k)
+        if not v - (g_k - g_prev) > 0.0:
+            break
+        top += v
+        prefix.append(top)
+        g_prev = g_k
+    return len(prefix) - 1, g, prefix
+
+
 def compute_m(view: PolicyView, cost: CostModel) -> int:
     """Largest j such that the j-th best value strictly beats its marginal cost.
 
     Returns 0 when nothing is profitable. Values are non-increasing while
     marginal costs are non-decreasing, so the profitable counts form a prefix.
     """
-    m = 0
-    g_prev = cost.g(0)
-    for _, v in view.candidates:
-        g_m = cost.g(m + 1)
-        if not v - (g_m - g_prev) > 0.0:
+    return _scan(view.values, cost)[0]
+
+
+def _greedy_profit(values: Sequence[float], start: int, g: list[float]) -> float:
+    """max_j (sum of values[start:start + j] - g(j)), j >= 0, with g read from a `_scan` table.
+
+    The profit is concave in j, so the loop stops at the first j whose value
+    does not beat its marginal g(j) - g(j-1), the last g(j) it reads.
+    """
+    best = running = 0.0
+    for j, v in enumerate(values[start:], 1):
+        g_j = g[j]
+        if not v - (g_j - g[j - 1]) > 0.0:
             break
-        m += 1
-        g_prev = g_m
-    return m
+        running += v
+        if running - g_j > best:
+            best = running - g_j
+    return best
 
 
 def inner_greedy_profit(leftover_values: Sequence[float], cost: CostModel) -> float:
     """Best single-slot profit from a leftover pool: max_j (top-j sum - g(j)).
 
     Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
-    so the result is never negative. The profit is concave in j, so the scan
-    stops at the first j whose value does not beat its marginal g(j) - g(j-1),
-    as `_prefix_ledger` does, and never evaluates a g(j) past it.
+    so the result is never negative. The pool's own scan tabulates g as far
+    as the profit loop reads it, and no further.
     """
     values = list(leftover_values)
     if not all(map(operator.ge, values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
-    best = 0.0
-    running = 0.0
-    g_prev = cost.g(0)
-    for j, v in enumerate(values, start=1):
-        g_j = cost.g(j)
-        if not v - (g_j - g_prev) > 0.0:
-            break
-        running += v
-        best = max(best, running - g_j)
-        g_prev = g_j
-    return best
+    return _greedy_profit(values, 0, _scan(values, cost)[1])
 
 
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     """LCR ingredients for processing the top ``i`` jobs of the view."""
-    m = compute_m(view, cost)
+    m, g, prefix = _scan(view.values, cost)
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
-    return _breakdown(view.values, cost, i)
+    return _breakdown(view.values, g, prefix, i)
 
 
-def _breakdown(values: Sequence[float], cost: CostModel, i: int) -> LcrBreakdown:
-    """lcr_breakdown for a policy that has already checked 1 <= i <= compute_m."""
-    top = sum(values[:i])
-    M = top - i * cost.g(1)
-    P = top - cost.g(i)
-    cg = inner_greedy_profit(values[i:], cost)
-    return LcrBreakdown(i=i, M=M, P=P, c_greedy=cg, lcr=(M + cg) / P)
+def _breakdown(values: Sequence[float], g: list[float], prefix: list[float], i: int) -> LcrBreakdown:
+    """lcr_breakdown for a policy that has already scanned the view and checked 1 <= i <= m."""
+    top = prefix[i]
+    M = top - i * g[1]
+    P = top - g[i]
+    cg = _greedy_profit(values, i, g)
+    return LcrBreakdown(i, M, P, cg, (M + cg) / P)
 
 
-def _prefix_ledger(values: Sequence[float], cost: CostModel, m: int) -> list[LcrBreakdown]:
-    """The breakdowns for i = 1..m in one pass over prefix sums.
+def _prefix_ledger(values: Sequence[float], g: list[float],
+                   prefix: list[float]) -> list[LcrBreakdown]:
+    """The breakdowns for i = 1..m, m = len(prefix) - 1, in one pass over prefix sums.
 
     c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
     peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
-    never grows with i, so one pointer walked downwards serves every i. g is
-    tabulated only as far as the counts i <= m and that scan reach, so a
-    g(k) the ledger never uses is never evaluated (it may overflow, or lie
-    past a cost table).
+    never grows with i, so one pointer walked downwards serves every i, and
+    the prefix sums are extended only as far as i + j can reach. g and prefix
+    come from `_scan`, whose g table covers every count read here.
     """
     n = len(values)
-    g = [cost.g(k) for k in range(m + 1)]
-    prefix = [0.0]
-    for v in values:
-        prefix.append(prefix[-1] + v)
+    m = len(prefix) - 1
     j = 0
     while j < n - 1:
-        if len(g) == j + 1:
-            g.append(cost.g(j + 1))
         if not values[1 + j] - (g[j + 1] - g[j]) > 0.0:
             break
         j += 1
+    top = prefix[-1]
+    for v in values[m:m + j]:  # i + j <= m + j for every i below
+        top += v
+        prefix.append(top)
     ledger = []
     for i in range(1, m + 1):
         j = min(j, n - i)
@@ -193,7 +217,7 @@ def _prefix_ledger(values: Sequence[float], cost: CostModel, m: int) -> list[Lcr
         M = top - i * g[1]
         P = top - g[i]
         cg = max(prefix[i + j] - top - g[j], 0.0)
-        ledger.append(LcrBreakdown(i=i, M=M, P=P, c_greedy=cg, lcr=(M + cg) / P))
+        ledger.append(LcrBreakdown(i, M, P, cg, (M + cg) / P))
     return ledger
 
 
@@ -244,7 +268,7 @@ class Policy:
 class MinLcrPolicy(Policy):
     """Argmin-LCR count over i = 1..m, with the full ledger of breakdowns.
 
-    The ledger comes from one O(n) pass over prefix sums (_prefix_ledger);
+    The ledger comes from one pass over prefix sums (_prefix_ledger);
     lcr_breakdown stays the single-candidate definition it is tested against.
     Processes nothing when no count is profitable. Ties pick the smallest count.
     """
@@ -252,10 +276,11 @@ class MinLcrPolicy(Policy):
     name = "min-lcr"
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        m = compute_m(view, cost)
+        values = view.values
+        m, g, prefix = _scan(values, cost)
         if m == 0:
             return Decision(0)
-        ledger = _prefix_ledger(view.values, cost, m)
+        ledger = _prefix_ledger(values, g, prefix)
         return Decision(min(ledger, key=lambda b: (b.lcr, b.i)).i, tuple(ledger))
 
 
@@ -267,11 +292,11 @@ class SimLcrPolicy(Policy):
             raise UnsupportedCostError("sim-lcr requires a power-law cost model")
         if cost.alpha < 2.0:
             raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {cost.alpha}")
-        m = compute_m(view, cost)
+        values = view.values
+        m, g, prefix = _scan(values, cost)
         if m == 0:
             return Decision(0)
-        values = view.values
-        breakdowns = tuple(_breakdown(values, cost, i) for i in _sim_lcr_candidates(m, cost.alpha))
+        breakdowns = tuple(_breakdown(values, g, prefix, i) for i in _sim_lcr_candidates(m, cost.alpha))
         return Decision(min(breakdowns, key=lambda b: (b.lcr, b.i)).i, breakdowns)
 
 
@@ -282,11 +307,12 @@ class GreedyPolicy(Policy):
     k: float = math.inf
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        m = compute_m(view, cost)
+        values = view.values
+        m, g, prefix = _scan(values, cost)
         if m == 0:
             return Decision(0)
         count = min(self.k, m)
-        return Decision(count, (_breakdown(view.values, cost, count),))
+        return Decision(count, (_breakdown(values, g, prefix, count),))
 
 
 class FixedCountPolicy(GreedyPolicy):
@@ -381,7 +407,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             chosen = view.candidates[:count]
             # the sum and g(count) of SlotDecision.build, on the chosen pairs
             decisions.append(SlotDecision(slot, frozenset([jid for jid, _ in chosen]),
-                                          float(sum([v for _, v in chosen])), cost.g(count)))
+                                          float(_ltr_sum([v for _, v in chosen])), cost.g(count)))
             del live[:count]
         if decision.breakdowns:
             ledgers.append(SlotLedger(slot, count, decision.breakdowns))

@@ -20,7 +20,7 @@ from speedscale.analysis import (random_instance, theta,
                                  verify_small_m_cases, verify_subadditivity)
 from speedscale.cli import main
 from speedscale.model import PowerLaw
-from speedscale.offline import solve_offline_flow
+from speedscale.offline import offline_profit
 from speedscale.policies import FixedCountPolicy, beta_root, run_policy
 from speedscale.reports import build_report, profit_ratio
 
@@ -138,7 +138,7 @@ def battery():
         alpha = BATTERY_ALPHAS[i % len(BATTERY_ALPHAS)]
         cost = PowerLaw(alpha)
         inst = random_instance(rng, cost, n_max=30, label=f"battery-{i}")
-        off, _ = solve_offline_flow(inst, cost)
+        off = offline_profit(inst, cost)
         stats["count"] += 1
 
         for policy in ("min-lcr", "sim-lcr"):
@@ -166,7 +166,7 @@ def battery():
                 stats["slots_checked"] += 1
                 stats["sim_worst"] = max(stats["sim_worst"],
                                          min(b.lcr for b in entry.breakdowns))
-            run_greedy(inst, cost, solve_offline_flow(inst, cost)[0])
+            run_greedy(inst, cost, offline_profit(inst, cost))
     stats["elapsed"] = time.time() - t0
     return stats
 

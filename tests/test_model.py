@@ -254,8 +254,20 @@ class TestTrace:
         cost = PowerLaw(alpha)
         inst = mk_instance(*((1, v, INFINITE) for v in values))
         decisions = [SlotDecision.build(slot, [job], cost) for slot, job in enumerate(inst.jobs, 1)]
-        assert Trace(decisions).total_profit == float(sum(d.profit for d in decisions))
+        total = 0.0
+        for d in decisions:  # left to right, as on Python 3.11
+            total += d.profit
+        assert Trace(decisions).total_profit == total
         assert EMPTY_TRACE.total_profit == 0.0
+
+    def test_sums_added_left_to_right(self, alpha2):
+        # compensated summation, the builtin sum's from Python 3.12, gives 1.0000000000000002
+        values = [1.0, 1e-16, 1e-16]
+        jobs = mk_instance(*((1, v, 1) for v in values)).jobs
+        assert SlotDecision.build(1, jobs, alpha2).payoff_sum == 1.0
+        decisions = [SlotDecision(slot, frozenset([slot]), v, 0.0)
+                     for slot, v in enumerate(values, 1)]
+        assert Trace(decisions).total_profit == 1.0
 
 
 class TestInstanceFiles:

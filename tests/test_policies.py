@@ -1,16 +1,16 @@
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale import policies
 from speedscale.adversary import PHI_PLUS_1
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace, evaluate_trace)
-from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, Policy,
+from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, LcrBreakdown, Policy,
                                  PolicyView, SlotLedger, UnsupportedCostError,
                                  beta_root, compute_m, get_policy,
                                  inner_greedy_profit, lcr_breakdown, run_policy)
@@ -68,6 +68,37 @@ def view_of(*values, slot=1):
     return PolicyView(slot, tuple((i, float(v)) for i, v in enumerate(values)))
 
 
+def ltr_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def ltr_breakdown(values, cost, i):
+    """The LCR breakdown of the top i, every sum added left to right from 0.0."""
+    top = ltr_sum(values[:i])
+    M = top - i * cost.g(1)
+    P = top - cost.g(i)
+    best = 0.0
+    for j in range(1, len(values) - i + 1):
+        if not values[i + j - 1] - (cost.g(j) - cost.g(j - 1)) > 0.0:
+            break
+        best = max(best, ltr_sum(values[i:i + j]) - cost.g(j))
+    return LcrBreakdown(i, M, P, best, (M + best) / P)
+
+
+@dataclass(frozen=True)
+class CountingPowerLaw(PowerLaw):
+    """A power law that records the k of every g(k) it evaluates."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def g(self, k):
+        self.calls.append(k)
+        return super().g(k)
+
+
 def brute_inner_greedy(values, cost):
     # independent oracle: try every prefix size explicitly
     return max((sum(values[:j]) - cost.g(j) for j in range(len(values) + 1)), default=0.0)
@@ -105,22 +136,43 @@ class TestComputeM:
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(2)],
                              ids=["min-lcr", "sim-lcr", "greedy", "fixed:2"])
-    def test_one_call_per_decide(self, alpha2, monkeypatch, policy):
-        # a policy computes m once and hands it on; its breakdowns still
-        # equal the public one-candidate definition bit for bit
-        calls = []
-
-        def counting(view, cost):
-            calls.append(view)
-            return compute_m(view, cost)
-
-        monkeypatch.setattr(policies, "compute_m", counting)
+    def test_one_call_per_decide(self, policy):
+        # one scan finds m and tabulates g for every breakdown: a decide
+        # evaluates g(0), g(1), ... each once, as far as it reads, and its
+        # breakdowns still equal the public one-candidate definition bit for bit
+        cost = CountingPowerLaw(2.0)
         view = view_of(20, 12, 9, 7, 4, 1)
-        decision = get_policy(policy).decide(view, alpha2)
-        assert len(calls) == 1
+        decision = get_policy(policy).decide(view, cost)
         assert decision.count >= 1
-        monkeypatch.undo()
-        assert all(b == lcr_breakdown(view, alpha2, b.i) for b in decision.breakdowns)
+        assert sorted(cost.calls) == list(range(len(cost.calls))) == list(range(5))
+        assert all(b == lcr_breakdown(view, cost, b.i) for b in decision.breakdowns)
+
+    @given(st.lists(st.floats(0, 100), min_size=0, max_size=16),
+           st.sampled_from(["sim-lcr", "greedy", "fixed:1", "fixed:2", "fixed:5"]),
+           st.sampled_from([2.0, 2.5, 3.0]) | st.lists(st.integers(1, 80), min_size=17,
+                                                        max_size=17))
+    @settings(max_examples=150, deadline=None)
+    def test_breakdowns_match_left_to_right_definition(self, values, name, cost_spec):
+        # greedy, fixed:K and sim-lcr against sums written out left to right
+        values = sorted(values, reverse=True)
+        if isinstance(cost_spec, float):
+            cost = PowerLaw(cost_spec)
+        else:
+            if name == "sim-lcr":
+                name = "greedy"  # sim-lcr refuses a table
+            marginals = sorted(c / 4 for c in cost_spec)  # sums of quarters are exact
+            cost = TabulatedConvex(tuple(ltr_sum(marginals[:k]) for k in range(18)))
+        policy = FixedCountPolicy(int(name[6:])) if name.startswith("fixed:") else POLICIES[name]
+        decision = policy.decide(view_of(*values), cost)
+        m = brute_m(values, cost)
+        if name == "sim-lcr" and m:
+            expected = sorted({max(1, math.floor(beta_root(cost.alpha) * m)),
+                               min(m, math.ceil(beta_root(cost.alpha) * m))})
+        else:
+            expected = [min(policy.k, m)] if m else []
+        assert [b.i for b in decision.breakdowns] == expected
+        for b in decision.breakdowns:
+            assert b == ltr_breakdown(values, cost, b.i)
 
 
 class TestInnerGreedyProfit:
@@ -390,6 +442,16 @@ class TestRunPolicy:
         trace = run_policy(inst, policy, alpha2)
         assert [d.slot for d in trace.decisions] == [1, 200_000]
         assert policy.calls <= 4
+
+    @pytest.mark.parametrize("name", ["min-lcr", "greedy"])
+    def test_sums_added_left_to_right(self, name):
+        # every job beats its 2**-60 marginal; 1.0 + 1e-16 + 1e-16 is 1.0 left
+        # to right, where compensated summation gives 1.0000000000000002
+        cost = TabulatedConvex(tuple(k * 2.0 ** -60 for k in range(4)))
+        trace = run_policy(mk_instance((1, 1.0, 1), (1, 1e-16, 1), (1, 1e-16, 1)), name, cost)
+        assert [b.P for b in trace.ledgers[0].breakdowns if b.i == 3] == [1.0]
+        if name == "greedy":
+            assert trace.decisions[0].payoff_sum == 1.0
 
     def test_overlong_count_rejected(self, alpha2):
         # counts outside 0..len(view), too many and negative, are refused, and
