@@ -84,8 +84,8 @@ def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
     unknown = chosen.difference(range(len(template.values)))
     if unknown:
         raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
-    jobs = tuple(Job(id=jid, arrival=1, value=value, deadline=INFINITE if jid in chosen else 1)
-                 for jid, value in enumerate(template.values))
+    jobs = tuple([Job(jid, 1, value, INFINITE if jid in chosen else 1)
+                  for jid, value in enumerate(template.values)])
     return Instance(jobs, label=template.label)
 
 

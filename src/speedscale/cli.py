@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -57,12 +58,26 @@ GENERATOR_KEYS = {"random": ("n",), "heavy-tail": ("n",),
                   "alpha2-lb": ("z", "k"), "sqrt2-lb": ("k",)}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal_int(raw: str) -> int:
+    """The integer `raw` spells in ASCII decimal digits, with an optional minus sign.
+
+    int() alone also reads "1_0" as 10, and takes " 2", "+3" and non-ASCII
+    digits; those raise the ValueError int() raises for text it cannot read.
+    """
+    if not _DECIMAL.fullmatch(raw):
+        raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
+    return int(raw)
+
+
 def _int_param(params: dict[str, str], key: str, default: int, lo: int, hi: float = math.inf) -> int:
     raw = params.get(key)
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = _decimal_int(raw)
     except ValueError:
         raise UsageError(f"generator parameter {key} must be an integer, got {raw!r}") from None
     if not lo <= value <= hi:
@@ -110,7 +125,7 @@ def _parse_gen(spec: str, alpha: float, seed: int):
 def _parse_policy(name: str):
     if name.startswith("fixed:"):
         try:
-            return FixedCountPolicy(int(name.split(":", 1)[1]))
+            return FixedCountPolicy(_decimal_int(name.split(":", 1)[1]))
         except (ValueError, ModelError) as exc:
             raise UsageError(f"bad fixed policy {name!r}: {exc}") from exc
     try:

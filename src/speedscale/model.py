@@ -9,8 +9,11 @@ the processed jobs minus that energy cost.
 All types here are immutable after construction and safe to share across
 threads; every operation is a pure function. ``SlotDecision`` is a named
 tuple, since the simulator makes one per processing slot, and ``Job`` a
-slotted dataclass with no per-instance ``__dict__``. A job's ``expiry`` is
-computed once, at construction, and stored in a slot.
+slotted dataclass with no per-instance ``__dict__``. ``Job`` builds itself in
+one hand-written ``__init__``: it checks its arguments, stores numpy integers
+as ``int``, computes ``expiry`` (the last slot the job may run in) and fills
+the five slots. ``dataclasses.replace`` goes through it too, so ``expiry`` is
+recomputed.
 
 Float sums in the records (``SlotDecision.payoff_sum``, ``Trace.total_profit``)
 are added left to right by ``_ltr_sum``, so they have the same bits on every
@@ -63,7 +66,7 @@ def _is_int(x) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Job:
     """One unit-length task: identity, arrival slot, payoff, deadline in slots."""
 
@@ -73,26 +76,29 @@ class Job:
     deadline: float = INFINITE
     expiry: float = field(init=False, repr=False, compare=False)  # last slot it may run in
 
-    def __post_init__(self):
-        job_id, arrival, value, deadline = self.id, self.arrival, self.value, self.deadline
-        if not ((type(job_id) is int or _is_int(job_id)) and job_id >= 0):
-            raise ModelError(f"job id must be a non-negative integer, got {job_id}")
+    def __init__(self, id: int, arrival: int, value: float, deadline: float = INFINITE):
+        if not ((type(id) is int or _is_int(id)) and id >= 0):
+            raise ModelError(f"job id must be a non-negative integer, got {id}")
         if not ((type(arrival) is int or _is_int(arrival)) and arrival >= 1):
             raise ModelError(f"arrival must be an integer slot >= 1, got {arrival}")
-        if type(job_id) is not int or type(arrival) is not int:
+        if type(id) is not int or type(arrival) is not int:
             # other integer types (numpy's) have fixed widths that wrap around in slot sums
-            object.__setattr__(self, "id", operator.index(job_id))
-            object.__setattr__(self, "arrival", operator.index(arrival))
+            id, arrival = operator.index(id), operator.index(arrival)
         if isinstance(value, bool) or not (0.0 <= value < INFINITE):
             raise ModelError(f"value must be non-negative and finite, got {value}")
-        if deadline != INFINITE and not (
-                (type(deadline) is int or _is_int(deadline)
-                 or isinstance(deadline, float) and deadline.is_integer())
-                and deadline >= 1):
+        if deadline == INFINITE:
+            expiry = INFINITE
+        elif ((type(deadline) is int or _is_int(deadline)
+               or isinstance(deadline, float) and deadline.is_integer()) and deadline >= 1):
+            expiry = arrival + int(deadline) - 1
+        else:
             raise ModelError(
                 f"deadline must be a positive integer or INFINITE, got {deadline}")
-        object.__setattr__(self, "expiry", INFINITE if deadline == INFINITE
-                           else self.arrival + int(deadline) - 1)
+        _set_id(self, id)
+        _set_arrival(self, arrival)
+        _set_value(self, value)
+        _set_deadline(self, deadline)
+        _set_expiry(self, expiry)
 
     @property
     def expires(self) -> bool:
@@ -100,6 +106,12 @@ class Job:
 
     def available_at(self, slot: int) -> bool:
         return self.arrival <= slot <= self.expiry
+
+
+# Job.__init__ fills the slots through their descriptors, which the frozen
+# class's __setattr__ does not guard
+_set_id, _set_arrival, _set_value, _set_deadline, _set_expiry = (
+    Job.__dict__[name].__set__ for name in ("id", "arrival", "value", "deadline", "expiry"))
 
 
 class CostModel:

@@ -37,7 +37,10 @@ because a slot never goes idle again: a move hands every slot on the chain one
 job and takes one away. So "is [a, b] all busy" is `first_idle(a) > b`, an
 interval that holds an idle slot takes its first one as the target, and an
 all-busy interval has at most one slot per placed job, scanned for its first
-least-loaded slot. Idle gaps between arrivals cost nothing, however long.
+least-loaded slot. A job whose own window holds an idle slot is placed there
+with no search (`_FlowState.place`); only an all-busy window is searched, from
+the idle slot already found. Idle gaps between arrivals cost nothing, however
+long.
 
 The flow cuts every window at last arrival + n for n jobs: at most n jobs are
 ever processed, so one per slot right after the final arrival suffices and
@@ -84,7 +87,7 @@ class _FlowState:
         self.ends = [min(j.expiry, cap) for j in jobs]
         self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
-        self.marginal: list[float] = []  # marginal[k]: cost of a (k+1)-th job in one slot
+        self.marginal = [cost.effective_cost(1)]  # marginal[k]: cost of a (k+1)-th job in one slot
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
@@ -102,21 +105,20 @@ class _FlowState:
             skip[slot] = t
         return t
 
-    def cheapest_reachable(self, seed: tuple[int, int]):
-        """Min marginal cost over all slots reachable from `seed` by reassignment chains.
+    def cheapest_reachable(self, lo: int, hi: int, idle: int):
+        """Min marginal cost over all slots reachable from the all-busy window [lo, hi].
 
-        Returns (marginal, target slot, rings). A ring (first, last, slot) is
-        one extension of the interval: some job now in `slot` can move to any
-        slot of it. The search stops once the interval holds an idle slot,
-        which is then the target; over an all-busy interval the target is its
-        first least-loaded slot.
+        `idle` is first_idle(lo), which lies past hi. Returns (marginal, target
+        slot, rings). A ring (first, last, slot) is one extension of the
+        interval: some job now in `slot` can move to any slot of it. The
+        search stops once the interval holds an idle slot, which is then the
+        target; over an all-busy interval the target is its first
+        least-loaded slot.
         """
         loads, spans, first_idle = self.loads, self.spans, self.first_idle
-        lo, hi = seed
         rings: list[tuple[int, int, int]] = []
         left, right = lo, lo - 1  # slots left..right are visited
-        idle = first_idle(lo)  # the first idle slot >= lo once the interval holds one
-        busy = idle > hi
+        busy = True  # while so, idle is first_idle(lo) and lies past hi
         while busy and (lo < left or right < hi):
             if right < hi:
                 right = slot = right + 1
@@ -130,8 +132,7 @@ class _FlowState:
                 lo = start
             if end > hi:
                 rings.append((hi + 1, end, slot))
-                if busy:  # lo..hi are all busy, so first_idle(lo) is this one too
-                    idle = first_idle(hi + 1)
+                if busy:
                     busy = idle > end
                 hi = end
         if busy:  # at most one slot per placed job
@@ -145,6 +146,31 @@ class _FlowState:
 
     # -- mutation ----------------------------------------------------------
 
+    def place(self, pos: int) -> bool:
+        """Places job `pos` on its cheapest residual path, or skips it; True if placed.
+
+        The job is placed when its value beats that path's marginal cost by
+        more than 1e-12. An idle slot in its window is that path, with no
+        search. Only an all-busy window is searched, and only a plan with
+        rings moves a chain.
+        """
+        value, start, end = self.values[pos], self.starts[pos], self.ends[pos]
+        idle = self.first_idle(start)
+        if idle <= end:
+            if not value - self.marginal[0] > 1e-12:
+                return False
+            self._attach(pos, idle)
+        else:
+            price, target, rings = self.cheapest_reachable(start, end, idle)
+            if not value - price > 1e-12:
+                return False
+            if rings:
+                self.apply(pos, target, rings)
+            else:
+                self._attach(pos, target)
+        self.payoff += value
+        return True
+
     def _attach(self, pos: int, slot: int) -> None:
         start, end = self.starts[pos], self.ends[pos]
         load = self.loads.get(slot, 0)
@@ -157,11 +183,11 @@ class _FlowState:
         self.slot_jobs.setdefault(slot, []).append(pos)
         self.loads[slot] = load + 1
 
-    def apply(self, pos: int, plan) -> None:
+    def apply(self, pos: int, t: int, rings) -> None:
+        """Moves the chain from target `t` back to the seed window and attaches `pos` there."""
         # Each ring's slot lies in an earlier ring or in the seed window, so
         # one backward pass walks the chain from the target to the seed. A
         # slot on the chain holds no job for a moment, then gets one back.
-        _, t, rings = plan
         starts, ends = self.starts, self.ends
         for first, last, slot in reversed(rings):
             if first <= t <= last:
@@ -174,7 +200,6 @@ class _FlowState:
                 self._attach(moved, t)
                 t = slot
         self._attach(pos, t)
-        self.payoff += self.values[pos]
 
     # -- results -----------------------------------------------------------
 
@@ -188,17 +213,16 @@ class _FlowState:
 def _flow_pass(instance: Instance, cost: CostModel) -> _FlowState:
     """The one pass both entry points share.
 
-    Non-increasing value order, smaller id first on ties, one reachability
-    search per job. A job is placed when its value beats the cheapest
-    reachable marginal cost by more than 1e-12 and skipped for good
-    otherwise; the module docstring says why that is exact.
+    Non-increasing value order, smaller id first on ties, one `place` per
+    job: a job is placed when its value beats the cheapest reachable marginal
+    cost by more than 1e-12 and skipped for good otherwise; the module
+    docstring says why that is exact.
     """
     state = _FlowState(instance, cost)
-    ids, values, starts, ends = state.ids, state.values, state.starts, state.ends
-    for pos in sorted(range(len(ids)), key=lambda p: (-values[p], ids[p])):
-        plan = state.cheapest_reachable((starts[pos], ends[pos]))
-        if values[pos] - plan[0] > 1e-12:
-            state.apply(pos, plan)
+    order = [(-value, job_id) for value, job_id in zip(state.values, state.ids)]
+    place = state.place
+    for pos in sorted(range(len(order)), key=order.__getitem__):
+        place(pos)
     return state
 
 

@@ -39,7 +39,7 @@ class UnsupportedCostError(ModelError):
     """The policy requires a cost model it was not given (e.g. power-law)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PolicyView:
     """What a deadline-blind policy is allowed to see at one slot.
 
@@ -51,14 +51,21 @@ class PolicyView:
     candidates: tuple[tuple[int, float], ...]
     values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        values = tuple([v for _, v in self.candidates])
+    def __init__(self, slot: int, candidates: tuple[tuple[int, float], ...]):
+        values = tuple([v for _, v in candidates])
         if not all(map(operator.ge, values, values[1:])):
             raise ModelError("view candidates must be sorted by non-increasing value")
-        object.__setattr__(self, "values", values)
+        _set_slot(self, slot)
+        _set_candidates(self, candidates)
+        _set_values(self, values)
 
     def __len__(self) -> int:
         return len(self.candidates)
+
+
+# PolicyView.__init__ fills the slots through their descriptors, as Job's does
+_set_slot, _set_candidates, _set_values = (
+    PolicyView.__dict__[name].__set__ for name in ("slot", "candidates", "values"))
 
 
 class LcrBreakdown(NamedTuple):
@@ -253,6 +260,11 @@ def _sim_lcr_candidates(m: int, alpha: float) -> tuple[int, ...]:
     return (lo,) if lo == hi else (lo, hi)
 
 
+# Breakdowns come in increasing i and min keeps the first of equal keys, so
+# ties pick the smallest count
+_BY_LCR = operator.itemgetter(4)
+
+
 class Policy:
     """Deterministic per-slot decision rule over deadline-blind views."""
 
@@ -281,7 +293,7 @@ class MinLcrPolicy(Policy):
         if m == 0:
             return Decision(0)
         ledger = _prefix_ledger(values, g, prefix)
-        return Decision(min(ledger, key=lambda b: (b.lcr, b.i)).i, tuple(ledger))
+        return Decision(min(ledger, key=_BY_LCR).i, tuple(ledger))
 
 
 class SimLcrPolicy(Policy):
@@ -296,8 +308,9 @@ class SimLcrPolicy(Policy):
         m, g, prefix = _scan(values, cost)
         if m == 0:
             return Decision(0)
-        breakdowns = tuple(_breakdown(values, g, prefix, i) for i in _sim_lcr_candidates(m, cost.alpha))
-        return Decision(min(breakdowns, key=lambda b: (b.lcr, b.i)).i, breakdowns)
+        breakdowns = tuple([_breakdown(values, g, prefix, i)
+                            for i in _sim_lcr_candidates(m, cost.alpha)])
+        return Decision(min(breakdowns, key=_BY_LCR).i, breakdowns)
 
 
 class GreedyPolicy(Policy):
@@ -365,12 +378,14 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     when one has closed, and the live list is then filtered, at the cost of
     building one view.
 
-    Slots where nothing is processed add no decision and no ledger entry.
-    After such a slot the loop jumps to the next arrival, or ends once every
-    job has arrived. That rests on the invariant the slot-by-slot loop already
-    stopped on: until a job arrives the live set only shrinks, and a policy
-    that processes nothing keeps doing so on a shrinking set (every shipped
-    policy processes nothing exactly when no job beats g(1)).
+    A slot with no live job is never shown to a policy: the loop jumps to
+    the next arrival, or ends once every job has arrived. Slots where
+    nothing is processed add no decision and no ledger entry, and the loop
+    jumps on from them in the same way. That rests on the invariant the
+    slot-by-slot loop already stopped on: until a job arrives the live set
+    only shrinks, and a policy that processes nothing keeps doing so on a
+    shrinking set (every shipped policy processes nothing exactly when no job
+    beats g(1), and so on an empty view).
     """
     policy = get_policy(policy)
     jobs = instance.jobs
@@ -397,6 +412,11 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             while expiries and expiries[0] < slot:
                 heappop(expiries)
             live = [entry for entry in live if entry[1] >= slot]
+        if not live:
+            if arrived < n:
+                slot = jobs[arrived].arrival
+                continue
+            break
         # A tuple built from a generator is resized to its length, yet freed
         # onto that length's free list, which only a full gc pass empties;
         # built from a list it is taken from that free list in the first place.

@@ -108,6 +108,42 @@ class TestSimulate:
                                  "--gen", gen, "--no-header")
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    # int() reads each of these as a count; only ASCII decimal digits are one
+    @pytest.mark.parametrize("digits", ["1_0", " 2", "+3", "\u0663", "4 ", "0x5", "6.0", ""],
+                             ids=["underscore", "leading-space", "plus", "arabic-indic",
+                                  "trailing-space", "hex", "float", "empty"])
+    def test_fixed_count_in_ascii_digits_only(self, capsys, digits):
+        code, out, err = run_cli(capsys, "game", "--alpha", "2", "--z", "5",
+                                 "--policy", f"fixed:{digits}")
+        assert code == 2 and out == ""
+        assert err == (f"error: bad fixed policy 'fixed:{digits}': "
+                       f"invalid literal for int() with base 10: {digits!r}\n")
+
+    # the generator spec strips spaces around its keys and values itself
+    @pytest.mark.parametrize("digits", ["1_0", "+3", "\u0663", "1 0", "0x5", "6.0"],
+                             ids=["underscore", "plus", "arabic-indic", "inner-space",
+                                  "hex", "float"])
+    def test_generator_count_in_ascii_digits_only(self, capsys, digits):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "2", "--policy", "greedy",
+                                 "--gen", f"random:n={digits}", "--no-header")
+        assert code == 2 and out == ""
+        assert err == f"error: generator parameter n must be an integer, got {digits!r}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("game", "--alpha", "2", "--z", "5", "--policy", "fixed:-3"),
+         "bad fixed policy 'fixed:-3': fixed count must be >= 1, got -3"),
+        (("simulate", "--alpha", "2", "--policy", "greedy", "--gen", "random:n=-3"),
+         "generator parameter n must be >= 1, got -3"),
+    ], ids=["fixed", "gen"])
+    def test_negative_count_keeps_range_message(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err == f"error: {message}\n"
+
+    def test_leading_zero_is_the_same_count(self, capsys):
+        runs = [run_cli(capsys, "game", "--alpha", "2", "--z", "5", "--policy", policy)
+                for policy in ("fixed:3", "fixed:03")]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
     def test_infinite_alpha_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--alpha", "inf", "--policy", "greedy",
                                "--gen", "random:n=5")

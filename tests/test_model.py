@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -105,6 +108,69 @@ class TestJob:
 
     def test_slotted(self):
         assert not hasattr(Job(0, 1, 5.0, 2), "__dict__")
+
+
+class TestJobConstructor:
+    # checks run in a fixed order: id, arrival, value, deadline
+    @pytest.mark.parametrize("fields, message", [
+        ((-1, 0, -1.0, 0), "job id must be a non-negative integer, got -1"),
+        ((np.int64(-2), 1, 1.0), "job id must be a non-negative integer, got -2"),
+        ((0.5, 1, 1.0), "job id must be a non-negative integer, got 0.5"),
+        ((0, 0, -1.0, 0), "arrival must be an integer slot >= 1, got 0"),
+        ((0, np.int32(-3), 1.0), "arrival must be an integer slot >= 1, got -3"),
+        ((0, 2.0, 1.0), "arrival must be an integer slot >= 1, got 2.0"),
+        ((0, 1, -1.0, 0), "value must be non-negative and finite, got -1.0"),
+        ((0, 1, True, 0), "value must be non-negative and finite, got True"),
+        ((0, 1, math.nan), "value must be non-negative and finite, got nan"),
+        ((0, 1, 1.0, 0), "deadline must be a positive integer or INFINITE, got 0"),
+        ((0, 1, 1.0, 1.5), "deadline must be a positive integer or INFINITE, got 1.5"),
+        ((0, 1, 1.0, True), "deadline must be a positive integer or INFINITE, got True"),
+        ((0, 1, 1.0, -math.inf), "deadline must be a positive integer or INFINITE, got -inf"),
+    ])
+    def test_messages(self, fields, message):
+        with pytest.raises(ModelError) as info:
+            Job(*fields)
+        assert str(info.value) == message
+
+    def test_keywords_and_defaults(self):
+        job = Job(id=np.int64(4), arrival=np.int32(3), value=2.5)
+        assert (type(job.id), type(job.arrival)) == (int, int)
+        assert job == Job(4, 3, 2.5, INFINITE) and job.expiry == INFINITE
+        assert Job(0, 3, 1.0, 2.0).expiry == 4 and Job(0, 3, 1.0, np.int64(2)).expiry == 4
+        assert repr(job) == "Job(id=4, arrival=3, value=2.5, deadline=inf)"
+
+    def test_replace_recomputes_expiry(self):
+        job = Job(0, 3, 1.0, 2)
+        assert dataclasses.replace(job, deadline=5).expiry == 7
+        assert dataclasses.replace(job, arrival=10).expiry == 11
+        assert dataclasses.replace(job, deadline=INFINITE).expiry == INFINITE
+        with pytest.raises(ModelError, match="deadline"):
+            dataclasses.replace(job, deadline=0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(job, expiry=9)
+
+    def test_compare_and_hash_ignore_expiry(self):
+        assert [f.name for f in dataclasses.fields(Job) if f.compare] == \
+            ["id", "arrival", "value", "deadline"]
+        a, b = Job(1, 2, 3.0, 4), Job(1, 2, 3.0, 5)
+        assert hash(a) == hash((1, 2, 3.0, 4)) and a == Job(1, 2, 3.0, 4.0)
+        assert a < b and sorted([b, a]) == [a, b] and a != b
+        assert Job(0, 9, 1.0) < Job(1, 1, 1.0)  # ordered as (id, arrival, value, deadline)
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda job: pickle.loads(pickle.dumps(job))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, round_trip):
+        for job in (Job(3, 2, 5.0, 4), Job(0, 1, 0.0)):
+            back = round_trip(job)
+            assert back == job and back.expiry == job.expiry and repr(back) == repr(job)
+
+    @pytest.mark.parametrize("name", ["id", "arrival", "value", "deadline", "expiry"])
+    def test_frozen(self, name):
+        job = Job(0, 1, 5.0, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, name, 3)
+        assert (job.id, job.arrival, job.value, job.deadline, job.expiry) == (0, 1, 5.0, 2, 2)
 
 
 @pytest.mark.parametrize("record, field", [

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -187,33 +188,46 @@ class TestSparseBursts:
 
 class TestOnePass:
     @pytest.fixture
-    def searches(self, monkeypatch):
-        seeds = []
-        search = _FlowState.cheapest_reachable
+    def steps(self, monkeypatch):
+        # the windows read by `place`, the flow's one step per job, and by the
+        # reachability search, which only an all-busy window enters
+        windows, searches = [], []
+        place, search = _FlowState.place, _FlowState.cheapest_reachable
 
-        def counted(state, seed):
-            seeds.append(seed)
-            return search(state, seed)
+        def counted_place(state, pos):
+            windows.append((state.starts[pos], state.ends[pos]))
+            return place(state, pos)
 
-        monkeypatch.setattr(_FlowState, "cheapest_reachable", counted)
-        return seeds
+        def counted_search(state, lo, hi, idle):
+            assert idle == plain_first_idle(state, lo) > hi
+            searches.append((lo, hi))
+            return search(state, lo, hi, idle)
+
+        monkeypatch.setattr(_FlowState, "place", counted_place)
+        monkeypatch.setattr(_FlowState, "cheapest_reachable", counted_search)
+        return windows, searches
 
     @pytest.mark.parametrize("inst", [random_instance(np.random.default_rng(39), PowerLaw(2.0),
                                                       n_max=30, mean_gap=0.3),
                                       bursts_instance(11, never_expiring=150)],
                              ids=["random", "bursts"])
-    def test_one_search_per_job(self, alpha2, searches, inst):
-        # 30 jobs, and 1,000 in bursts: each window is searched exactly once,
-        # however many jobs get placed, by either entry point
+    def test_one_search_per_job(self, alpha2, steps, inst):
+        # 30 jobs, and 1,000 in bursts: each window is read exactly once,
+        # however many jobs get placed, by either entry point; it is searched
+        # at most once, and only when it holds no idle slot
+        windows, searches = steps
         profit, trace = solve_offline_flow(inst, alpha2)
         cut = inst.last_arrival + len(inst)
-        windows = sorted((j.arrival, min(j.expiry, cut)) for j in inst.jobs)
-        assert sorted(searches) == windows
+        expected = sorted((j.arrival, min(j.expiry, cut)) for j in inst.jobs)
+        assert sorted(windows) == expected
+        assert not Counter(searches) - Counter(windows) and len(searches) < len(windows)
         assert 0 < sum(len(d.processed) for d in trace.decisions) < len(inst)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+        first_searches = searches[:]
+        windows.clear()
         searches.clear()
         assert offline_profit(inst, alpha2) == profit
-        assert sorted(searches) == windows
+        assert sorted(windows) == expected and searches == first_searches
 
     def test_thousands_of_dense_jobs(self, alpha2):
         # Poisson(0.3) arrival gaps pack 3,498 jobs into ~1,000 slots, so most
@@ -303,16 +317,16 @@ def small_bursts_instance(rng):
 class TestFirstIdle:
     @pytest.fixture
     def checked(self, monkeypatch):
-        applies = []
-        apply = _FlowState.apply
+        placed = []
+        place = _FlowState.place
 
-        def checked_apply(state, pos, plan):
-            apply(state, pos, plan)
-            applies.append(pos)
+        def checked_place(state, pos):
+            if place(state, pos):
+                placed.append(pos)
             assert_first_idle_sound(state)
 
-        monkeypatch.setattr(_FlowState, "apply", checked_apply)
-        return applies
+        monkeypatch.setattr(_FlowState, "place", checked_place)
+        return placed
 
     def test_matches_plain_scan(self, alpha2, checked):
         # after every placement of 100 random and 100 burst instances
@@ -331,10 +345,10 @@ class TestFirstIdle:
         # to slot 2, leaving slot 1 with no job until job 1 lands there
         inst = mk_instance((1, 10.0, 2), (1, 9.0, 1))
         state = _FlowState(inst, alpha2)
-        for pos in (0, 1):
-            plan = state.cheapest_reachable((state.starts[pos], state.ends[pos]))
-            state.apply(pos, plan)
-            assert_first_idle_sound(state)
-        assert plan[1:] == (2, [(2, 2, 1)])
+        assert state.place(0)
+        assert_first_idle_sound(state)
+        assert state.cheapest_reachable(1, 1, state.first_idle(1)) == (1.0, 2, [(2, 2, 1)])
+        assert state.place(1)
+        assert_first_idle_sound(state)
         assert state.slot_jobs == {1: [1], 2: [0]}
         assert state.first_idle(1) == 3

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,21 @@ def sparse_instances(draw):
 
 
 MIN_LCR = POLICIES["min-lcr"]
+
+
+class CountingPolicy(Policy):
+    """A shipped policy that records the slot of every view it is shown, none empty."""
+
+    name = "counting"
+
+    def __init__(self, policy):
+        self.policy = get_policy(policy)
+        self.slots = []
+
+    def decide(self, view, cost):
+        assert len(view) > 0, f"empty view at slot {view.slot}"
+        self.slots.append(view.slot)
+        return self.policy.decide(view, cost)
 
 
 def view_of(*values, slot=1):
@@ -278,7 +296,10 @@ class TestMinLcrDecide:
         # min-lcr builds the ledger from prefix sums; lcr_breakdown is the
         # per-candidate definition. M, P and c_greedy are sums of the view's
         # values, so their rounding is bounded relative to the view's total and
-        # enters the LCR divided by P.
+        # enters the LCR divided by P. The tolerance covers two implementations
+        # of c_greedy: a difference of prefix sums here, the leftover values
+        # summed from 0.0 in lcr_breakdown. Their bits differ; the test below
+        # pins the first one exactly.
         values = sorted(values, reverse=True)
         view = view_of(*values)
         decision = MIN_LCR.decide(view, cost)
@@ -293,6 +314,36 @@ class TestMinLcrDecide:
             assert abs(a.lcr - b.lcr) <= tol * (2.0 + b.lcr) / b.P
         expected = min(reference, key=lambda b: (b.lcr, b.i)).i if reference else 0
         assert count == expected
+
+
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
+           st.sampled_from([PowerLaw(2.0), PowerLaw(2.5), PowerLaw(3.0),
+                            TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]))
+    @settings(max_examples=100, deadline=None)
+    def test_ledger_is_prefix_difference_definition(self, values, cost):
+        # bit for bit: prefix sums added left to right, and c_greedy(i) is
+        # prefix[i+j] - prefix[i] - g(j) at the last leftover count j whose
+        # job beats its marginal cost, floored at 0
+        values = sorted(values, reverse=True)
+        prefix = [0.0]
+        for v in values:
+            prefix.append(prefix[-1] + v)
+
+        def last_profitable(pool):
+            j = 0
+            while j < len(pool) and pool[j] - (cost.g(j + 1) - cost.g(j)) > 0.0:
+                j += 1
+            return j
+
+        expected = []
+        for i in range(1, last_profitable(values) + 1):
+            j = last_profitable(values[i:])
+            M = prefix[i] - i * cost.g(1)
+            P = prefix[i] - cost.g(i)
+            cg = max(prefix[i + j] - prefix[i] - cost.g(j), 0.0)
+            expected.append((i, M.hex(), P.hex(), cg.hex(), ((M + cg) / P).hex()))
+        ledger = MIN_LCR.decide(view_of(*values), cost).breakdowns
+        assert [(b.i, *(x.hex() for x in b[1:])) for b in ledger] == expected
 
 
 class TestBetaRoot:
@@ -429,19 +480,31 @@ class TestRunPolicy:
     def test_sparse_arrivals_cost_decisions_not_slots(self, alpha2, idle):
         # an unprofitable never-expiring job stays live through the gap; the
         # jump to the next arrival must not wait for an empty live set
-        class Counting(Policy):
-            name = "counting"
-            calls = 0
-
-            def decide(self, view, cost):
-                self.calls += 1
-                return POLICIES["min-lcr"].decide(view, cost)
-
         inst = mk_instance((1, 5.0, INFINITE), (200_000, 5.0, INFINITE), *idle)
-        policy = Counting()
+        policy = CountingPolicy("min-lcr")
         trace = run_policy(inst, policy, alpha2)
         assert [d.slot for d in trace.decisions] == [1, 200_000]
-        assert policy.calls <= 4
+        assert len(policy.slots) <= 4
+
+    def test_empty_view_never_decided(self, alpha2):
+        # job 0 is done at slot 1 and job 1 arrives at 10**12: the slots in
+        # between and the slot after hold no live job, and cost no decide call
+        inst = mk_instance((1, 5.0, 1), (10**12, 5.0, 1))
+        policy = CountingPolicy("min-lcr")
+        trace = run_policy(inst, policy, alpha2)
+        assert [d.slot for d in trace.decisions] == [1, 10**12]
+        assert policy.slots == [1, 10**12]
+
+    @given(sparse_instances(), st.sampled_from([2.0, 2.5, 3.0]),
+           st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:1", "fixed:3"]))
+    @settings(max_examples=40, deadline=None)
+    def test_no_empty_view_on_sparse_instances(self, inst, alpha, name):
+        # a policy shown only non-empty views gives the same trace, ledgers included
+        policy = FixedCountPolicy(int(name[6:])) if name.startswith("fixed:") else name
+        cost = PowerLaw(alpha)
+        counting = CountingPolicy(policy)
+        assert run_policy(inst, counting, cost) == run_policy(inst, policy, cost)
+        assert counting.slots == sorted(set(counting.slots))
 
     @pytest.mark.parametrize("name", ["min-lcr", "greedy"])
     def test_sums_added_left_to_right(self, name):
@@ -466,6 +529,51 @@ class TestRunPolicy:
 
             with pytest.raises(ModelError, match="only 1 available"):
                 run_policy(mk_instance((1, 5.0, INFINITE)), Overreach(), alpha2)
+
+
+class TestPolicyViewConstructor:
+    def test_sort_check(self):
+        with pytest.raises(ModelError) as info:
+            PolicyView(1, ((0, 1.0), (1, 2.0)))
+        assert str(info.value) == "view candidates must be sorted by non-increasing value"
+        assert view_of().values == () and view_of(3, 3, 1).values == (3.0, 3.0, 1.0)
+
+    def test_keywords_and_repr(self):
+        view = PolicyView(slot=2, candidates=((5, 4.0),))
+        assert view == PolicyView(2, ((5, 4.0),)) and view.values == (4.0,)
+        assert repr(view) == "PolicyView(slot=2, candidates=((5, 4.0),))"
+
+    def test_replace_recomputes_values(self):
+        view = view_of(3, 2, 1)
+        moved = dataclasses.replace(view, candidates=((7, 9.0), (8, 0.5)))
+        assert moved.slot == 1 and moved.values == (9.0, 0.5)
+        assert dataclasses.replace(view, slot=4).values == view.values
+        with pytest.raises(ModelError, match="sorted"):
+            dataclasses.replace(view, candidates=((7, 0.5), (8, 9.0)))
+        with pytest.raises(ValueError):
+            dataclasses.replace(view, values=(1.0,))
+
+    def test_compare_and_hash_ignore_values(self):
+        assert [f.name for f in dataclasses.fields(PolicyView) if f.compare] == \
+            ["slot", "candidates"]
+        view = view_of(3, 2, 1)
+        assert hash(view) == hash((1, view.candidates)) and view == view_of(3, 2, 1)
+        assert view != view_of(3, 2, 1, slot=2)
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda view: pickle.loads(pickle.dumps(view))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, round_trip):
+        view = view_of(3, 2, 1)
+        back = round_trip(view)
+        assert back == view and back.values == view.values and len(back) == 3
+
+    @pytest.mark.parametrize("name", ["slot", "candidates", "values"])
+    def test_frozen_and_slotted(self, name):
+        view = view_of(3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(view, name, ())
+        assert view.values == (3.0, 2.0) and not hasattr(view, "__dict__")
 
 
 class TestInformationHiding:
