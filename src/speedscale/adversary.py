@@ -7,19 +7,24 @@ in the worst way consistent with what the policy saw: the chosen jobs never
 expire (their payoff was already banked at group cost), everything else
 expires immediately. A clairvoyant scheduler instead processes the leftover
 pool greedily at slot 1 and the chosen jobs one per later slot.
+
+The lower-bound numerics import numpy inside each routine, so the game and
+the constructions run without loading it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
                     SlotDecision, Trace)
 from .offline import offline_profit
 from .policies import PolicyView, SlotLedger, checked_decision, get_policy
 from .reports import RatioReport, build_report
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DELTA = (math.sqrt(5.0) - 1.0) / 2.0
 PHI = 1.0 / DELTA
@@ -41,12 +46,15 @@ class InstanceTemplate:
     def __post_init__(self):
         if not self.values:
             raise ModelError("template needs at least one job")
-        if any(v < 0 for v in self.values):
-            raise ModelError("template values must be non-negative")
+        for v in self.values:  # Job's rule, checked before any policy sees the values
+            if isinstance(v, bool) or not (0.0 <= v < INFINITE):
+                raise ModelError(f"value must be non-negative and finite, got {v}")
 
     def slot1_view(self) -> PolicyView:
-        ranked = sorted(enumerate(self.values), key=lambda t: (-t[1], t[0]))
-        return PolicyView(1, tuple((jid, v) for jid, v in ranked))
+        # a reverse sort is stable, so equal values keep increasing ids
+        values = self.values
+        ranked = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        return PolicyView(1, tuple([(jid, values[jid]) for jid in ranked]))
 
 
 def gen_alpha2_lb_instance(z: int) -> InstanceTemplate:
@@ -150,6 +158,8 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     Either way the candidates, and so the result, are those of the full 80
     steps, which remain only as a cap.
     """
+    import numpy as np
+
     zf = z.astype(float)
     cz = zf ** alpha - (zf - 1.0) ** alpha
     v = cz + x
@@ -225,6 +235,8 @@ def _crossings(alpha: float, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.
     setting branches j and k equal gives a v**2 + b v + c = 0 with the
     coefficients below, solved in the cancellation-free form q / a and c / q.
     """
+    import numpy as np
+
     zf, jf, kf = z.astype(float), j.astype(float), k.astype(float)
     za, ja, ka = zf ** alpha, jf ** alpha, kf ** alpha
     a = zf * (kf - jf)
@@ -254,6 +266,8 @@ def _refine_peak(alpha: float, z: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray
     through `_inner_min_batch`, so the result is a value the inner min takes:
     it can fall short of the peak but never overshoot it.
     """
+    import numpy as np
+
     x = x_lo[:, None] + (x_hi - x_lo)[:, None] * np.linspace(0.0, 1.0, _REFINE_SAMPLES)
     values, ks = _inner_min_batch(alpha, np.broadcast_to(z[:, None], x.shape), x)
     best = float(values.max())
@@ -286,7 +300,6 @@ def _refine_peak(alpha: float, z: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray
 _REFINE_TOP = 12
 _REFINE_SAMPLES = 33  # points per refinement bracket, endpoints included
 _CHUNK = 256  # z rows evaluated per numpy batch
-_CURVE_DTYPE = np.dtype([("z", np.int64), ("x", float), ("k_star", np.int64), ("value", float)])
 
 
 def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray, float]:
@@ -300,6 +313,8 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     inner min peaks where two branches in k cross, which a grid point hits
     only by chance.
     """
+    import numpy as np
+
     if not alpha >= 2.0:
         raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {alpha}")
     if z_max < 1:
@@ -307,7 +322,8 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     if x_grid < 2:
         raise ModelError(f"x_grid must be >= 2, got {x_grid}")
 
-    curve = np.empty(z_max * x_grid, dtype=_CURVE_DTYPE)
+    curve = np.empty(z_max * x_grid, dtype=[("z", np.int64), ("x", float),
+                                            ("k_star", np.int64), ("value", float)])
     best = -math.inf
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)

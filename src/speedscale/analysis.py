@@ -7,13 +7,13 @@ and its monotonicity in the exponent, the small-m case bounds for the
 simplified policy, and the quadratic/psi case split at exponent 2.
 
 Each verifier returns a plain-dict report and raises VerificationError (with
-the check name and witness values) on the first violated inequality.
+the check name and witness values) on the first violated inequality. The
+sampling verifiers import numpy inside the routine; nothing else here loads it.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .adversary import DELTA, PHI_PLUS_1, golden_section_max, sqrt2_job_value
 from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, union
@@ -21,6 +21,9 @@ from .offline import offline_profit, solve_offline_bruteforce
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
                        lcr_breakdown, run_policy)
 from .reports import RatioReport, build_report
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LCR_SOUNDNESS_TOL = 1e-9
 
@@ -160,6 +163,8 @@ def verify_small_m_cases(alpha_grid, seed: int = 0, samples: int = 40) -> dict:
     min(LCR_floor, LCR_ceil) <= phi + 1 on synthetic views with exactly m
     profitable jobs.
     """
+    import numpy as np
+
     rows = []
     rng = np.random.default_rng(seed)
     for alpha in alpha_grid:
@@ -246,6 +251,8 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
     too; it dips above phi + 1 at m = 5 even though the integer point is fine,
     so it is only asserted for m >= 6.
     """
+    import numpy as np
+
     rows = []
     for m in m_grid:
         if m < 1:
@@ -358,6 +365,8 @@ _VERIFY_ALPHAS = (2.0, 2.5, 3.0)  # cost exponents the two sampling verifiers cy
 
 def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024) -> dict:
     """Flow solver vs exhaustive search on random small instances, |diff| <= 1e-6."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(samples):
@@ -379,6 +388,8 @@ def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024) -> dict:
 
 def verify_subadditivity(samples: int = 1000, seed: int = 7) -> dict:
     """Clairvoyant profit of a union never beats the sum of the parts (within 1e-6)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for i in range(samples):

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a verification suite failed, 2 usage or input error.
 CSV cells are formatted as '%.12g' ('.' decimals, 12 significant digits, nan
 and inf spelled out); the timestamp header line can be suppressed with
 --no-header for byte-identical reruns.
+
+numpy is imported only where a command needs it: `lowerbound`, `verify`, and
+`simulate --gen random|heavy-tail`.
 """
 from __future__ import annotations
 
@@ -13,8 +16,6 @@ import math
 import re
 import sys
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import analysis
 from .adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1, adversary_finalize,
@@ -104,6 +105,7 @@ def _parse_gen(spec: str, alpha: float, seed: int):
     cost = PowerLaw(alpha)
     try:
         if name in ("random", "heavy-tail"):
+            import numpy as np
             rng = np.random.default_rng(seed)
             return analysis.random_instance(rng, cost, n_max=_int_param(params, "n", 30, 1),
                                             label=f"{name}:seed={seed}",
@@ -236,6 +238,8 @@ def cmd_verify(args) -> int:
 
 
 def _run_suite(suite: str, args) -> str:
+    import numpy as np
+
     if suite == "mincran":
         delta = DELTA + args.inject_delta
         parts = []

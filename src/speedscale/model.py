@@ -177,10 +177,6 @@ class TabulatedConvex(CostModel):
         return self.table[k]
 
 
-def _job_sort_key(job: Job):
-    return (job.arrival, job.id)
-
-
 def _value_order_key(job: Job):
     # Non-increasing value; ties broken by earlier arrival, then smaller id.
     return (-job.value, job.arrival, job.id)
@@ -194,7 +190,7 @@ class Instance:
     label: str = ""
 
     def __post_init__(self):
-        jobs = tuple(sorted(self.jobs, key=_job_sort_key))
+        jobs = tuple(sorted(self.jobs, key=operator.attrgetter("arrival", "id")))
         object.__setattr__(self, "jobs", jobs)
         seen = set()
         for j in jobs:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedscale import adversary, offline
-from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, _inner_min_batch, _refine_peak,
-                                  _x_cap, adversary_finalize, alpha2_game_ratio,
+from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, InstanceTemplate,
+                                  _inner_min_batch, _refine_peak, _x_cap,
+                                  adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance,
                                   gen_sqrt2_lb_instance, golden_section_max,
                                   run_adversarial_game, sqrt2_job_value)
-from speedscale.model import INFINITE, ModelError, PowerLaw
+from speedscale.model import INFINITE, Job, ModelError, PowerLaw
 from speedscale.offline import solve_offline_flow
 from speedscale.policies import Decision, FixedCountPolicy, Policy, get_policy, run_policy
 from speedscale.reports import build_report
@@ -144,6 +145,23 @@ class TestTemplates:
     def test_sqrt2_rejects_alpha_at_2(self):
         with pytest.raises(ModelError):
             gen_sqrt2_lb_instance(2.0)
+
+    @pytest.mark.parametrize("value,shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-1.0"),
+        (True, "True"), (False, "False"),
+    ])
+    def test_template_refuses_what_job_refuses(self, value, shown):
+        message = f"value must be non-negative and finite, got {shown}"
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            InstanceTemplate((5.0, value))
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            Job(0, 1, value)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.0, 7.25]), min_size=1, max_size=40))
+    def test_slot1_view_ranks_by_value_then_id(self, values):
+        view = InstanceTemplate(tuple(values)).slot1_view()
+        ranked = sorted(enumerate(values), key=lambda t: (-t[1], t[0]))
+        assert view.candidates == tuple(ranked)
 
 
 class TestFinalize:

@@ -260,6 +260,50 @@ def test_exit_code_of_the_module_entry_point(tmp_path, argv, code, stream, needl
     assert needle in getattr(proc, stream)
 
 
+# Runs each argv through cli.main in one fresh interpreter and prints, per run, the
+# exit code, whether numpy is loaded after it, and the output. The test process
+# itself has numpy loaded already (conftest imports it).
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import speedscale, speedscale.cli
+runs = [{"argv": None, "numpy": "numpy" in sys.modules}]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = speedscale.cli.main(argv)
+    runs.append({"argv": argv, "code": code, "numpy": "numpy" in sys.modules,
+                 "out": out.getvalue()})
+print(json.dumps(runs))
+"""
+
+
+def test_game_and_simulate_run_without_numpy(capsys, instance_file):
+    numpy_free = [
+        ["game", "--alpha", "2", "--z", "50", "--policy", "min-lcr"],
+        ["simulate", "--instance", instance_file, "--alpha", "2", "--policy", "min-lcr",
+         "--no-header"],
+        ["simulate", "--instance", instance_file, "--alpha", "2", "--policy", "min-lcr",
+         "--format", "json"],
+        ["simulate", "--gen", "alpha2-lb:z=20", "--alpha", "2", "--policy", "min-lcr",
+         "--no-header"],
+    ]
+    lowerbound = ["lowerbound", "--alpha", "2,3", "--z-max", "12", "--x-grid", "8", "--no-header"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(numpy_free + [lowerbound])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported, *runs = json.loads(proc.stdout)
+    assert imported["numpy"] is False
+    for run in runs[:-1]:
+        assert (run["code"], run["numpy"]) == (0, False), run["argv"]
+    # lowerbound needs numpy: the probe sees it load, and the bytes match this process's run
+    assert (runs[-1]["code"], runs[-1]["numpy"]) == (0, True)
+    for run in runs:
+        assert run["out"] == run_cli(capsys, *run["argv"])[1], run["argv"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "hbound", "--format", "json"),
     ("verify", "hbound", "--no-header"),
