@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
-                    SlotDecision, Trace)
+                    SlotDecision, Trace, _ltr_sum)
 from .offline import offline_profit
 from .policies import PolicyView, SlotLedger, checked_decision, get_policy
 from .reports import RatioReport, build_report
@@ -107,11 +107,14 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     policy = get_policy(policy)
     view = template.slot1_view()
     decision = checked_decision(policy, view, cost)
-    chosen = tuple(jid for jid, _ in view.candidates[: decision.count])
-    instance = adversary_finalize(template, chosen)
-    by_id = {j.id: j for j in instance.jobs}
-    decisions = [SlotDecision.build(1, [by_id[jid] for jid in chosen], cost)] if chosen else []
-    ledgers = [SlotLedger(1, decision.count, decision.breakdowns)] if decision.breakdowns else []
+    count = decision.count
+    chosen = view.candidates[:count]
+    ids = [jid for jid, _ in chosen]
+    instance = adversary_finalize(template, ids)
+    # the sum and g(count) of SlotDecision.build, on the chosen pairs
+    decisions = [SlotDecision(1, frozenset(ids), float(_ltr_sum([v for _, v in chosen])),
+                              cost.g(count))] if count else []
+    ledgers = [SlotLedger(1, count, decision.breakdowns)] if decision.breakdowns else []
     off_profit = offline_profit(instance, cost)
     return build_report(template.label, off_profit, Trace(decisions, ledgers))
 

@@ -1,6 +1,8 @@
 """Command-line front end: simulate, lowerbound, verify, game.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or input error.
+Every integer the command line holds, in an option, `fixed:K` or a generator
+parameter, is read by `_decimal_int`: ASCII decimal digits only.
 CSV cells are formatted as '%.12g' ('.' decimals, 12 significant digits, nan
 and inf spelled out); the timestamp header line can be suppressed with
 --no-header for byte-identical reruns.
@@ -11,6 +13,7 @@ numpy is imported only where a command needs it: `lowerbound`, `verify`, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -71,6 +74,14 @@ def _decimal_int(raw: str) -> int:
     if not _DECIMAL.fullmatch(raw):
         raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
     return int(raw)
+
+
+def _int_option(raw: str) -> int:
+    """argparse type of every integer option: `_decimal_int`, refused in argparse's words for int."""
+    try:
+        return _decimal_int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
 def _int_param(params: dict[str, str], key: str, default: int, lo: int, hi: float = math.inf) -> int:
@@ -161,6 +172,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("exactly one input source required: --instance or --gen")
     if args.alpha < 1.0:
         raise UsageError(f"--alpha must be >= 1, got {args.alpha}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     policy = _parse_policy(args.policy)
     if args.instance:
         instance = read_instance(args.instance)
@@ -220,6 +233,8 @@ VERIFY_SUITES = ("mincran", "hbound", "smallm", "alpha2lcr", "subadd", "oracle")
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     lines = []
     failed = None
@@ -310,6 +325,7 @@ def cmd_game(args) -> int:
 POLICY_HELP = "|".join(sorted(POLICIES)) + "|fixed:K"
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speedscale",
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=False, table=False):
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_option, default=0)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         if table:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -336,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowerbound", help="numeric lower-bound curve over the construction family")
     p.add_argument("--alpha", required=True, help="comma-separated list, e.g. 2,2.5,3")
-    p.add_argument("--z-max", type=int, default=200)
-    p.add_argument("--x-grid", type=int, default=64)
+    p.add_argument("--z-max", type=_int_option, default=200)
+    p.add_argument("--x-grid", type=_int_option, default=64)
     common(p, table=True)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("verify", help="run numeric verification suites")
     p.add_argument("suite", choices=VERIFY_SUITES + ("all",))
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_option, default=1000)
     p.add_argument("--inject-delta", type=float, default=0.0,
                    help="negative-control offset added to the golden-section target")
     common(p, seed=True)
@@ -352,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="play the adaptive deadline game against a policy")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--policy", required=True, help=POLICY_HELP)
-    p.add_argument("--z", type=int, default=0, help="batch size parameter of the alpha=2 template")
+    p.add_argument("--z", type=_int_option, default=0, help="batch size parameter of the alpha=2 template")
     p.add_argument("--sqrt2", action="store_true", help="use the 4-job construction (alpha > 2)")
     common(p)
     p.set_defaults(func=cmd_game)

@@ -42,6 +42,20 @@ with no search (`_FlowState.place`); only an all-busy window is searched, from
 the idle slot already found. Idle gaps between arrivals cost nothing, however
 long.
 
+Jobs with one window often come in runs in pass order: the adaptive game's
+2z equal-value jobs share two windows between them. `place` keeps a memo of
+the last job's window and what became of it, and a next job with the same
+window reuses it; the reuse is exact. After a skip the next job is skipped
+too: a skip changes no state, and pass order never raises the value. After
+an all-busy search that reached the closed interval R and placed the job on
+a slot of its own window, only that slot's load changed, and its hull of
+windows grew within R. So a next search from the same window would visit the
+same slots, read the same hulls and reach the same R with the same rings;
+only R's first least-loaded slot and the price test are redone. A target
+outside the window moves a chain along the kept rings and ends the run, as
+does an idle slot taken or any other window. So a run of jobs with one
+window costs one search until a chain move.
+
 The flow cuts every window at last arrival + n for n jobs: at most n jobs are
 ever processed, so one per slot right after the final arrival suffices and
 later slots never help. Never-expiring windows end there, and a far deadline
@@ -91,6 +105,11 @@ class _FlowState:
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
+        # the run memo: what the last `place` left standing for a next job with
+        # window [run_start, run_end]; None if that job was skipped, else the
+        # reach (lo, hi, rings) of its search. run_start 0 matches no job
+        self.run_start = self.run_end = 0
+        self.run_reach = None
 
     # -- reachability ------------------------------------------------------
 
@@ -106,16 +125,17 @@ class _FlowState:
         return t
 
     def cheapest_reachable(self, lo: int, hi: int, idle: int):
-        """Min marginal cost over all slots reachable from the all-busy window [lo, hi].
+        """Where the cheapest slot reachable from the all-busy window [lo, hi] lies.
 
-        `idle` is first_idle(lo), which lies past hi. Returns (marginal, target
-        slot, rings). A ring (first, last, slot) is one extension of the
-        interval: some job now in `slot` can move to any slot of it. The
-        search stops once the interval holds an idle slot, which is then the
-        target; over an all-busy interval the target is its first
-        least-loaded slot.
+        `idle` is first_idle(lo), which lies past hi. Returns (idle slot,
+        reach), where reach is (lo, hi, rings) for the reached interval
+        [lo, hi]. A ring (first, last, slot) is one extension of the interval:
+        some job now in `slot` can move to any slot of it. The search stops
+        once the interval holds an idle slot, the cheapest target, and returns
+        it; it returns 0 for an all-busy interval, whose first least-loaded
+        slot `place` then takes.
         """
-        loads, spans, first_idle = self.loads, self.spans, self.first_idle
+        spans, first_idle = self.spans, self.first_idle
         rings: list[tuple[int, int, int]] = []
         left, right = lo, lo - 1  # slots left..right are visited
         busy = True  # while so, idle is first_idle(lo) and lies past hi
@@ -135,14 +155,7 @@ class _FlowState:
                 if busy:
                     busy = idle > end
                 hi = end
-        if busy:  # at most one slot per placed job
-            target = min(range(lo, hi + 1), key=loads.__getitem__)
-            load = loads[target]
-        else:
-            target, load = idle, 0
-        while len(self.marginal) <= load:  # tabulated only as far as loads reach
-            self.marginal.append(self.cost.effective_cost(len(self.marginal) + 1))
-        return self.marginal[load], target, rings
+        return 0 if busy else idle, (lo, hi, rings)
 
     # -- mutation ----------------------------------------------------------
 
@@ -151,23 +164,51 @@ class _FlowState:
 
         The job is placed when its value beats that path's marginal cost by
         more than 1e-12. An idle slot in its window is that path, with no
-        search. Only an all-busy window is searched, and only a plan with
-        rings moves a chain.
+        search. Only an all-busy window is searched, and only a target
+        outside the window moves a chain. A job with the window of the job
+        placed or skipped just before it reuses what the run memo kept, as the
+        module docstring says, so jobs must come in pass order.
         """
         value, start, end = self.values[pos], self.starts[pos], self.ends[pos]
-        idle = self.first_idle(start)
-        if idle <= end:
-            if not value - self.marginal[0] > 1e-12:
+        if start == self.run_start and end == self.run_end:
+            reach = self.run_reach
+            if reach is None:
                 return False
-            self._attach(pos, idle)
+            target = 0
         else:
-            price, target, rings = self.cheapest_reachable(start, end, idle)
-            if not value - price > 1e-12:
-                return False
-            if rings:
-                self.apply(pos, target, rings)
-            else:
-                self._attach(pos, target)
+            idle = self.first_idle(start)
+            if idle <= end:
+                if not value - self.marginal[0] > 1e-12:
+                    self.run_start, self.run_end, self.run_reach = start, end, None
+                    return False
+                # a fresh slot: no load, span, job list or skip link yet
+                self.loads[idle] = 1
+                self.skip[idle] = idle + 1
+                self.spans[idle] = (start, end)
+                self.slot_jobs[idle] = [pos]
+                self.run_start = 0
+                self.payoff += value
+                return True
+            target, reach = self.cheapest_reachable(start, end, idle)
+        if target:
+            price = self.marginal[0]
+        else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
+            lo, hi, _ = reach
+            loads, marginal = self.loads, self.marginal
+            target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
+            load = loads[target]
+            while len(marginal) <= load:  # tabulated only as far as loads reach
+                marginal.append(self.cost.effective_cost(len(marginal) + 1))
+            price = marginal[load]
+        if not value - price > 1e-12:
+            self.run_start, self.run_end, self.run_reach = start, end, None
+            return False
+        if start <= target <= end:  # no ring covers the window: no chain moves
+            self._attach(pos, target)
+            self.run_start, self.run_end, self.run_reach = start, end, reach
+        else:
+            self.apply(pos, target, reach[2])
+            self.run_start = 0
         self.payoff += value
         return True
 

@@ -318,6 +318,53 @@ def test_option_the_subcommand_does_not_read_exits_2(argv):
     assert exc.value.code == 2
 
 
+# every integer option, in a command line that runs quickly once the option reads 10
+INTEGER_OPTIONS = {
+    "--z": ("game", "--alpha", "2", "--policy", "greedy", "--z"),
+    "--seed": ("simulate", "--alpha", "2", "--policy", "greedy", "--gen", "random:n=3",
+               "--seed"),
+    "--z-max": ("lowerbound", "--alpha", "2", "--x-grid", "4", "--z-max"),
+    "--x-grid": ("lowerbound", "--alpha", "2", "--z-max", "4", "--x-grid"),
+    "--samples": ("verify", "subadd", "--samples"),
+}
+
+
+class TestIntegerOptions:
+    # argparse's int() reads each of these as 10 or 3; only ASCII decimal digits are one
+    @pytest.mark.parametrize("digits", ["1_0", "\u0661\u0660", "+3", " 2", "0x5", "6.0"],
+                             ids=["underscore", "arabic-indic", "plus", "leading-space",
+                                  "hex", "float"])
+    @pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+    def test_ascii_digits_only(self, capsys, option, digits):
+        argv = INTEGER_OPTIONS[option]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, digits])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"speedscale {argv[0]}: error: argument {option}: invalid int value: {digits!r}")
+
+    @pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+    def test_leading_zero_is_the_same_number(self, capsys, option):
+        argv = INTEGER_OPTIONS[option]
+        runs = [run_cli(capsys, *argv, digits) for digits in ("10", "010")]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--alpha", "2", "--policy", "greedy", "--gen", "random:n=5", "--seed", "-1"),
+        ("simulate", "--alpha", "2", "--policy", "greedy", "--gen", "heavy-tail:n=5",
+         "--seed", "-3"),
+        ("verify", "subadd", "--seed", "-1"),
+        ("verify", "oracle", "--seed", "-1"),
+        ("verify", "smallm", "--seed", "-2"),
+    ], ids=["random", "heavy-tail", "subadd", "oracle", "smallm"])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        # numpy refuses a negative seed with a traceback; the CLI refuses it first
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --seed must be >= 0, got {argv[-1]}\n"
+
+
 class TestLowerbound:
     def test_summary_row_near_phi_plus_1(self, capsys):
         code, out, _ = run_cli(capsys, "lowerbound", "--alpha", "2",
@@ -532,6 +579,25 @@ class TestGoldenOutput:
         assert out == ("template: alpha2-lb:z=500\npolicy: min-lcr\nslot1_count: 309\n"
                        "off: 558691\nalg: 213519\nratio: 2.61658681429\n"
                        "predicted: 2.61658681429\n")
+
+    @pytest.mark.parametrize("z, policy, count, off, alg, ratio", [
+        (500, "min-lcr", 309, 558691, 213519, "2.61658681429"),
+        (500, "sim-lcr", 309, 558691, 213519, "2.61658681429"),
+        (500, "greedy", 500, 749500, 250000, "2.998"),
+        (1000, "min-lcr", 618, 2235382, 854076, "2.61731040329"),
+        (1000, "sim-lcr", 618, 2235382, 854076, "2.61731040329"),
+        (1000, "greedy", 1000, 2999000, 1000000, "2.999"),
+        (2000, "min-lcr", 1236, 8942764, 3416304, "2.61767219779"),
+        (2000, "sim-lcr", 1236, 8942764, 3416304, "2.61767219779"),
+        (2000, "greedy", 2000, 11998000, 4000000, "2.9995"),
+    ])
+    def test_benchmark_games(self, capsys, z, policy, count, off, alg, ratio):
+        # the nine runs of the benchmark's game workload, whose flow is runs of one window
+        code, out, err = run_cli(capsys, "game", "--alpha", "2", "--z", str(z),
+                                 "--policy", policy)
+        assert code == 0 and err == ""
+        assert out == (f"template: alpha2-lb:z={z}\npolicy: {policy}\nslot1_count: {count}\n"
+                       f"off: {off}\nalg: {alg}\nratio: {ratio}\npredicted: {ratio}\n")
 
     def test_game_without_prediction(self, capsys):
         # alpha != 2 and no sqrt2 template: there is no closed form to predict

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speedscale import offline
+from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance
 from speedscale.model import (INFINITE, CostModel, Instance, Job, PowerLaw, TabulatedConvex,
                               evaluate_trace)
-from speedscale.offline import (OfflineSizeError, offline_profit, solve_offline_bruteforce,
-                                solve_offline_flow)
+from speedscale.offline import (OfflineSizeError, _flow_pass, _FlowState, offline_profit,
+                                solve_offline_bruteforce, solve_offline_flow)
 
 
 class RefGraph:
@@ -185,3 +187,58 @@ def test_reference_on_known_instances(alpha2):
     assert math.isclose(reference_offline(inst, alpha2), 4.0)
     inst = Instance((Job(0, 1, 8.0, 3), Job(1, 1, 9.0, 2), Job(2, 1, 10.0, 1)))
     assert math.isclose(reference_offline(inst, alpha2), 24.0)
+
+
+# -- runs of one window --------------------------------------------------------
+
+class NoMemoState(_FlowState):
+    """The flow with its run memo cleared before every placement: every job starts afresh."""
+
+    def place(self, pos):
+        self.run_start = 0
+        return super().place(pos)
+
+
+def flow_outputs(instance, cost):
+    state = _flow_pass(instance, cost)
+    profit, trace = solve_offline_flow(instance, cost)
+    return (offline_profit(instance, cost).hex(), profit.hex(),
+            [(d.slot, d.processed, d.payoff_sum.hex(), d.energy.hex()) for d in trace.decisions],
+            list(state.slot_jobs.items()), state.payoff.hex())
+
+
+def assert_memo_exact(instance, cost):
+    with_memo = flow_outputs(instance, cost)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(offline, "_FlowState", NoMemoState)
+        assert flow_outputs(instance, cost) == with_memo
+    assert abs(float.fromhex(with_memo[0]) - reference_offline(instance, cost)) <= 1e-9
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.one_of(st.integers(1, 4), st.none()),
+                          st.sampled_from([0.5, 1.0, 3.0, 5.0, 7.5, 12.0, 20.0])),
+                min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=24),
+       st.sampled_from([2.0, 2.5, 3.0]))
+# the third [3, 3] job: the second one's chain move pulled a [3, 5] job out
+# of slot 3, so the run's kept reach [3, 5] no longer holds
+@example([(3, 1, 7.5), (3, 3, 12.0)], [0, 0, 1, 0, 1, 1], 2.0)
+@settings(max_examples=150, deadline=None)
+def test_run_memo_is_exact_on_repeated_jobs(kinds, picks, alpha):
+    # a few distinct (arrival, deadline, value) kinds, each repeated many
+    # times, so that pass order meets long runs of one window with one value,
+    # and values that tie the first marginals 1, 3, 5, 7 (alpha = 2)
+    jobs = []
+    for i, k in enumerate(picks):
+        arrival, deadline, value = kinds[k % len(kinds)]
+        jobs.append(Job(i, arrival, value, INFINITE if deadline is None else deadline))
+    assert_memo_exact(Instance(tuple(jobs)), PowerLaw(alpha))
+
+
+@given(st.integers(1, 8), st.data(), st.sampled_from([2.0, 2.5, 3.0]))
+@settings(max_examples=100, deadline=None)
+def test_run_memo_is_exact_on_games(z, data, alpha):
+    # the adaptive game's instance for any slot-1 choice, not only a prefix
+    template = gen_alpha2_lb_instance(z)
+    chosen = data.draw(st.sets(st.integers(0, 2 * z - 1)))
+    assert_memo_exact(adversary_finalize(template, chosen), PowerLaw(alpha))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speedscale.adversary import gen_alpha2_lb_instance, run_adversarial_game
 from speedscale.analysis import _small_instance, competitive_report, random_instance
 from speedscale.model import (EMPTY_TRACE, INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
@@ -229,6 +230,16 @@ class TestOnePass:
         assert offline_profit(inst, alpha2) == profit
         assert sorted(windows) == expected and searches == first_searches
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("policy", ["min-lcr", "greedy"])
+    def test_game_searches_twice(self, steps, alpha, policy):
+        # 4,000 jobs in two runs of one window: the chosen jobs each take an
+        # idle slot, and the rest, all with window [1, 1], search twice: once
+        # to move a chain, once more for the run's memo
+        windows, searches = steps
+        run_adversarial_game(policy, gen_alpha2_lb_instance(2000), PowerLaw(alpha))
+        assert len(windows) == 4000 and len(searches) <= 2
+
     def test_thousands_of_dense_jobs(self, alpha2):
         # Poisson(0.3) arrival gaps pack 3,498 jobs into ~1,000 slots, so most
         # searches cross long runs of busy slots
@@ -347,7 +358,7 @@ class TestFirstIdle:
         state = _FlowState(inst, alpha2)
         assert state.place(0)
         assert_first_idle_sound(state)
-        assert state.cheapest_reachable(1, 1, state.first_idle(1)) == (1.0, 2, [(2, 2, 1)])
+        assert state.cheapest_reachable(1, 1, state.first_idle(1)) == (2, (1, 2, [(2, 2, 1)]))
         assert state.place(1)
         assert_first_idle_sound(state)
         assert state.slot_jobs == {1: [1], 2: [0]}
