@@ -7,26 +7,28 @@
 # competitive ratio. Anchors: phi + 1 at exponent 2, at least sqrt(2) + 1
 # beyond it.
 import csv
+import sys
 
-from speedscale import (PHI_PLUS_1, SQRT2_PLUS_1, eval_lower_bound,
-                        lower_bound_ratio)
+from speedscale import PHI_PLUS_1, SQRT2_PLUS_1, lower_bound_ratio
+from speedscale.cli import main
 
 # One hand-checked point: z=10, x=2, k=6 at exponent 2.
 print("sample ratio(z=10, x=2, k=6) =", lower_bound_ratio(2.0, 10, 2.0, 6))
 
+# The dataset is what `speedscale lowerbound` writes: after each alpha's grid
+# points (columns z, x, k_star and value) comes a summary row with z, x and
+# k_star empty and the refined best as its value.
+argv = ["lowerbound", "--alpha", "2,2.2,2.5,3,3.5,4", "--z-max", "200", "--x-grid", "64",
+        "--no-header", "--out", "lowerbound_curve.csv"]
+if main(argv) != 0:
+    sys.exit("lowerbound failed")
+with open("lowerbound_curve.csv", newline="") as fh:
+    rows = list(csv.DictReader(fh))
+
 print(f"\n{'alpha':>6} {'best':>10}   anchors: phi+1={PHI_PLUS_1:.5f}, "
       f"sqrt2+1={SQRT2_PLUS_1:.5f}")
-rows = []
-for alpha in (2.0, 2.2, 2.5, 3.0, 3.5, 4.0):
-    # the curve is a structured array with columns z, x, k_star and value
-    curve, best = eval_lower_bound(alpha, z_max=200, x_grid=64)
-    print(f"{alpha:6.1f} {best:10.6f}")
-    columns = [curve[name].tolist() for name in ("z", "x", "k_star", "value")]
-    rows.extend([alpha, *point] for point in zip(*columns))
-
-with open("lowerbound_curve.csv", "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["alpha", "z", "x", "k_star", "value"])
-    writer.writerows(rows)
-print(f"\nwrote {len(rows)} grid points to lowerbound_curve.csv")
-print("equivalently: speedscale lowerbound --alpha 2,2.5,3 --out curve.csv")
+for row in rows:
+    if not row["z"]:
+        print(f"{float(row['alpha']):6.1f} {float(row['value']):10.6f}")
+print(f"\nwrote {len(rows)} rows to lowerbound_curve.csv")
+print("the same file from the shell: speedscale " + " ".join(argv))

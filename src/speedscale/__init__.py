@@ -28,13 +28,12 @@ from .model import (INFINITE, CostModel, InfeasibleTraceError, Instance,
                     InstanceFormatError, Job, ModelError, PowerLaw,
                     SlotDecision, TabulatedConvex, Trace, dumps_instance,
                     evaluate_trace, job_to_obj, loads_instance, read_instance,
-                    trace_to_obj, union, write_instance)
+                    trace_to_obj, union)
 from .offline import (OfflineSizeError, offline_profit, solve_offline_bruteforce,
                       solve_offline_flow)
 from .policies import (Decision, FixedCountPolicy, LcrBreakdown, Policy, POLICIES,
                        PolicyView, SlotLedger, UnsupportedCostError, beta_root,
-                       compute_m, get_policy, inner_greedy_profit, lcr_breakdown,
-                       run_policy)
+                       compute_m, get_policy, lcr_breakdown, run_policy)
 from .reports import RatioReport, SlotLcr, build_report
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ After watching what the online policy processes in slot 1 it fixes deadlines
 in the worst way consistent with what the policy saw: the chosen jobs never
 expire (their payoff was already banked at group cost), everything else
 expires immediately. A clairvoyant scheduler instead processes the leftover
-pool greedily at slot 1 and the chosen jobs one per later slot.
+pool greedily at slot 1 and the chosen jobs one per later slot. The online
+side is the simulator's slot step (``policies._play_slot``), played once.
 
 The lower-bound numerics import numpy inside each routine, so the game and
 the constructions run without loading it.
@@ -17,10 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import (INFINITE, CostModel, Instance, Job, ModelError, PowerLaw,
-                    SlotDecision, Trace, _ltr_sum)
+from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, Trace
 from .offline import offline_profit
-from .policies import PolicyView, SlotLedger, checked_decision, get_policy
+from .policies import PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
 
 if TYPE_CHECKING:
@@ -101,20 +101,14 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     """Play one adaptive round: observe the policy's slot-1 choice, fix deadlines,
     then score the finalized instance offline vs online.
 
-    The online run is that one slot: afterwards the chosen jobs are done and
-    every other job has expired.
+    The online run is that one slot, through the simulator's slot step:
+    afterwards the chosen jobs are done and every other job has expired.
     """
     policy = get_policy(policy)
     view = template.slot1_view()
-    decision = checked_decision(policy, view, cost)
-    count = decision.count
-    chosen = view.candidates[:count]
-    ids = [jid for jid, _ in chosen]
-    instance = adversary_finalize(template, ids)
-    # the sum and g(count) of SlotDecision.build, on the chosen pairs
-    decisions = [SlotDecision(1, frozenset(ids), float(_ltr_sum([v for _, v in chosen])),
-                              cost.g(count))] if count else []
-    ledgers = [SlotLedger(1, count, decision.breakdowns)] if decision.breakdowns else []
+    decisions, ledgers = [], []
+    count = _play_slot(policy, view, cost, decisions, ledgers)
+    instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
     off_profit = offline_profit(instance, cost)
     return build_report(template.label, off_profit, Trace(decisions, ledgers))
 
@@ -314,7 +308,8 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     value, one row per grid point in z-major order. The returned best also
     refines the top `_REFINE_TOP` grid rows with `_refine_peak`, because the
     inner min peaks where two branches in k cross, which a grid point hits
-    only by chance.
+    only by chance. A curve with a non-finite x or value, or a non-finite
+    best, overflowed a float on the way and is refused with a ModelError.
     """
     import numpy as np
 
@@ -331,23 +326,29 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
 
-    for start in range(1, z_max + 1, _CHUNK):
-        zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
-        xcap = _x_cap(alpha, zs)
-        x = xcap[:, None] * frac[None, :]
-        zz = np.broadcast_to(zs[:, None], x.shape)
-        values, kstars = _inner_min_batch(alpha, zz, x)
-        arg = np.argmax(values, axis=1)
-        rows = np.arange(len(zs))
-        row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
-                            x[rows, arg].tolist(), xcap.tolist()))
-        best = max(best, float(values.max()))
-        part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
-        part["z"], part["x"] = zz.ravel(), x.ravel()
-        part["k_star"], part["value"] = kstars.ravel(), values.ravel()
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite point or best, refused below
+        for start in range(1, z_max + 1, _CHUNK):
+            zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
+            xcap = _x_cap(alpha, zs)
+            x = xcap[:, None] * frac[None, :]
+            zz = np.broadcast_to(zs[:, None], x.shape)
+            values, kstars = _inner_min_batch(alpha, zz, x)
+            arg = np.argmax(values, axis=1)
+            rows = np.arange(len(zs))
+            row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
+                                x[rows, arg].tolist(), xcap.tolist()))
+            best = max(best, float(values.max()))
+            part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
+            part["z"], part["x"] = zz.ravel(), x.ravel()
+            part["k_star"], part["value"] = kstars.ravel(), values.ravel()
 
-    h = 1.0 / x_grid
-    _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
-    lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
-    hi = np.minimum(xcap, x_at + xcap * h)
-    return curve, max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
+        h = 1.0 / x_grid
+        _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
+        lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
+        hi = np.minimum(xcap, x_at + xcap * h)
+        best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
+    bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(curve["value"])))
+    if bad or not math.isfinite(best):
+        raise ModelError(f"the lower-bound curve overflows a float at alpha={alpha:g}: "
+                         f"{bad} of {curve.size} grid points are not finite, best is {best}")
+    return curve, best

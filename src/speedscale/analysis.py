@@ -50,7 +50,7 @@ def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioRepo
     off_profit = offline_profit(instance, cost)
     report = build_report(instance.label, off_profit, trace)
     if (policy.name in ("min-lcr", "sim-lcr")
-            and report.has_lcr and math.isfinite(report.ratio)
+            and report.per_slot_lcr and math.isfinite(report.ratio)
             and report.ratio > report.max_lcr + LCR_SOUNDNESS_TOL):
         raise VerificationError(
             "lcr-ledger-soundness",

@@ -104,9 +104,6 @@ class Job:
     def expires(self) -> bool:
         return self.deadline != INFINITE
 
-    def available_at(self, slot: int) -> bool:
-        return self.arrival <= slot <= self.expiry
-
 
 # Job.__init__ fills the slots through their descriptors, which the frozen
 # class's __setattr__ does not guard
@@ -282,7 +279,7 @@ def evaluate_trace(instance: Instance, trace: Trace, cost: CostModel) -> float:
                 raise InfeasibleTraceError(f"job {jid} not in instance (slot {d.slot})", jid, d.slot)
             if jid in seen:
                 raise InfeasibleTraceError(f"job {jid} processed twice (slot {d.slot})", jid, d.slot)
-            if not job.available_at(d.slot):
+            if not job.arrival <= d.slot <= job.expiry:
                 raise InfeasibleTraceError(
                     f"job {jid} processed at slot {d.slot} outside its window "
                     f"[{job.arrival}, {job.expiry}]", jid, d.slot)
@@ -370,11 +367,6 @@ def read_instance(path, label: str | None = None) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return loads_instance(text, label=label if label is not None else str(path))
-
-
-def write_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(instance))
 
 
 def trace_to_obj(trace: Trace) -> dict:

@@ -101,7 +101,8 @@ class _FlowState:
         self.ends = [min(j.expiry, cap) for j in jobs]
         self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
-        self.marginal = [cost.effective_cost(1)]  # marginal[k]: cost of a (k+1)-th job in one slot
+        self.g = [cost.g(0), cost.g(1)]  # g(0), g(1), ...: grown only as far as loads reach
+        self.idle_price = self.g[1] - self.g[0]  # the marginal cost of a job in an idle slot
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
@@ -178,7 +179,7 @@ class _FlowState:
         else:
             idle = self.first_idle(start)
             if idle <= end:
-                if not value - self.marginal[0] > 1e-12:
+                if not value - self.idle_price > 1e-12:
                     self.run_start, self.run_end, self.run_reach = start, end, None
                     return False
                 # a fresh slot: no load, span, job list or skip link yet
@@ -191,15 +192,15 @@ class _FlowState:
                 return True
             target, reach = self.cheapest_reachable(start, end, idle)
         if target:
-            price = self.marginal[0]
+            price = self.idle_price
         else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
             lo, hi, _ = reach
-            loads, marginal = self.loads, self.marginal
+            loads, g = self.loads, self.g
             target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
             load = loads[target]
-            while len(marginal) <= load:  # tabulated only as far as loads reach
-                marginal.append(self.cost.effective_cost(len(marginal) + 1))
-            price = marginal[load]
+            while len(g) <= load + 1:  # tabulated only as far as loads reach
+                g.append(self.cost.g(len(g)))
+            price = g[load + 1] - g[load]
         if not value - price > 1e-12:
             self.run_start, self.run_end, self.run_reach = start, end, None
             return False
@@ -245,9 +246,9 @@ class _FlowState:
     # -- results -----------------------------------------------------------
 
     def profit(self) -> float:
-        total = self.payoff
-        for slot in sorted(self.loads):  # slot order: rounding independent of placement order
-            total -= self.cost.g(self.loads[slot])
+        total, g, loads = self.payoff, self.g, self.loads
+        for slot in sorted(loads):  # slot order: rounding independent of placement order
+            total -= g[loads[slot]]
         return float(total)
 
 

@@ -20,7 +20,9 @@ Shipped policies:
 ``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
 the simulator makes several per visited slot. A policy step scans the view
 once (``_scan``): the g values and prefix sums it finds while computing m feed
-every breakdown of the step.
+every breakdown of the step. The simulator ``run_policy`` and the adaptive
+game share one slot step, ``_play_slot``, which checks the policy's count and
+appends the slot's records.
 """
 from __future__ import annotations
 
@@ -82,9 +84,6 @@ class LcrBreakdown(NamedTuple):
     c_greedy: float
     lcr: float
 
-    def to_obj(self) -> dict:
-        return self._asdict()
-
 
 class SlotLedger(NamedTuple):
     """Audit record of one slot: the candidate breakdowns a policy examined."""
@@ -101,7 +100,7 @@ class SlotLedger(NamedTuple):
 
     def to_obj(self) -> dict:
         return {"slot": self.slot, "chosen": self.chosen,
-                "breakdowns": [b.to_obj() for b in self.breakdowns]}
+                "breakdowns": [b._asdict() for b in self.breakdowns]}
 
 
 class Decision(NamedTuple):
@@ -162,19 +161,6 @@ def _greedy_profit(values: Sequence[float], start: int, g: list[float]) -> float
         if running - g_j > best:
             best = running - g_j
     return best
-
-
-def inner_greedy_profit(leftover_values: Sequence[float], cost: CostModel) -> float:
-    """Best single-slot profit from a leftover pool: max_j (top-j sum - g(j)).
-
-    Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
-    so the result is never negative. The pool's own scan tabulates g as far
-    as the profit loop reads it, and no further.
-    """
-    values = list(leftover_values)
-    if not all(map(operator.ge, values, values[1:])):
-        raise ModelError("leftover values must be sorted non-increasing")
-    return _greedy_profit(values, 0, _scan(values, cost)[1])
 
 
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
@@ -353,17 +339,26 @@ def get_policy(policy) -> Policy:
     raise ModelError(f"unknown policy {policy!r}; valid names: {valid}")
 
 
-def checked_decision(policy: Policy, view: PolicyView, cost: CostModel) -> Decision:
-    """The policy's decision at a view, refused unless its count is an integer in 0..len(view).
+def _play_slot(policy: Policy, view: PolicyView, cost: CostModel,
+               decisions: list[SlotDecision], ledgers: list[SlotLedger]) -> int:
+    """The policy's decision at `view`, checked and recorded; returns its count.
 
-    A bool or float count is refused, as `Job` refuses them.
+    A count other than an integer in 0..len(view) is refused, a bool or float
+    too, as `Job` refuses them. A positive count appends the SlotDecision of
+    the top `count` candidates, and a decision with breakdowns its SlotLedger.
     """
     decision = policy.decide(view, cost)
     count = decision.count
     if not ((type(count) is int or _is_int(count)) and 0 <= count <= len(view)):
         raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {count!r} jobs, "
                          f"only {len(view)} available")
-    return decision
+    if count:
+        chosen = view.candidates[:count]
+        decisions.append(SlotDecision(view.slot, frozenset([jid for jid, _ in chosen]),
+                                      float(_ltr_sum([v for _, v in chosen])), cost.g(count)))
+    if decision.breakdowns:
+        ledgers.append(SlotLedger(view.slot, count, decision.breakdowns))
+    return count
 
 
 def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
@@ -421,17 +416,9 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         # onto that length's free list, which only a full gc pass empties;
         # built from a list it is taken from that free list in the first place.
         view = PolicyView(slot, tuple([pair for _, _, pair in live]))
-        decision = checked_decision(policy, view, cost)
-        count = decision.count
-        if count > 0:
-            chosen = view.candidates[:count]
-            # the sum and g(count) of SlotDecision.build, on the chosen pairs
-            decisions.append(SlotDecision(slot, frozenset([jid for jid, _ in chosen]),
-                                          float(_ltr_sum([v for _, v in chosen])), cost.g(count)))
-            del live[:count]
-        if decision.breakdowns:
-            ledgers.append(SlotLedger(slot, count, decision.breakdowns))
+        count = _play_slot(policy, view, cost, decisions, ledgers)
         if count != 0:
+            del live[:count]
             slot += 1
         elif arrived < n:
             slot = jobs[arrived].arrival

@@ -30,10 +30,6 @@ class RatioReport:
     per_slot_lcr: tuple[SlotLcr, ...]
     max_lcr: float
 
-    @property
-    def has_lcr(self) -> bool:
-        return bool(self.per_slot_lcr)
-
     def to_row(self) -> dict:
         return {
             "label": self.label,

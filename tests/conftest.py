@@ -16,7 +16,7 @@ def available_jobs(instance, slot, already_processed=()):
     if slot < 1:
         raise ModelError(f"slot index must be >= 1, got {slot}")
     done = set(already_processed)
-    live = [j for j in instance.jobs if j.id not in done and j.available_at(slot)]
+    live = [j for j in instance.jobs if j.id not in done and j.arrival <= slot <= j.expiry]
     live.sort(key=lambda j: (-j.value, j.arrival, j.id))
     return live
 

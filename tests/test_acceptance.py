@@ -144,7 +144,7 @@ def battery():
         for policy in ("min-lcr", "sim-lcr"):
             trace = run_policy(inst, policy, cost)
             report = build_report(inst.label, off, trace)
-            if report.has_lcr and math.isfinite(report.ratio):
+            if report.per_slot_lcr and math.isfinite(report.ratio):
                 stats["ledger_checked"] += 1
                 if report.ratio > report.max_lcr + 1e-9:
                     stats["ledger_violations"].append((i, alpha, policy, report.ratio,

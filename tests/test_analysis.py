@@ -32,7 +32,7 @@ class TestCompetitiveReport:
     def test_empty_instance(self, alpha2):
         rep = competitive_report(Instance((), label="empty"), "min-lcr", alpha2)
         assert rep.off_profit == 0.0 and rep.alg_profit == 0.0 and rep.ratio == 1.0
-        assert not rep.has_lcr and math.isnan(rep.max_lcr)
+        assert not rep.per_slot_lcr and math.isnan(rep.max_lcr)
 
     def test_ledger_rows_match_slots(self, alpha2, rng):
         inst = random_instance(rng, alpha2, n_max=20)
@@ -186,7 +186,7 @@ class TestSweep:
         rng = np.random.default_rng(1)
         for _ in range(10):
             rep = competitive_report(random_instance(rng, cost, heavy_tail=True), "sim-lcr", cost)
-            if rep.has_lcr and math.isfinite(rep.ratio):
+            if rep.per_slot_lcr and math.isfinite(rep.ratio):
                 assert rep.ratio <= rep.max_lcr + 1e-9
 
 

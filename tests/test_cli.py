@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from speedscale.adversary import eval_lower_bound
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
-from speedscale.model import INFINITE, Instance, Job, write_instance
+from speedscale.model import INFINITE, Instance, Job, dumps_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -428,6 +430,30 @@ class TestLowerbound:
         assert code == 0
         assert out.startswith("# speedscale lowerbound generated=")
 
+    @pytest.mark.parametrize("alpha, bad, best", [("180", 14, "2.027257159474973"),
+                                                  ("650", 784, "inf")])
+    def test_overflowing_curve_exits_2(self, capsys, alpha, bad, best):
+        # at alpha = 180 only 14 grid points overflow, though 51 ** 180 is
+        # finite, so no check of z_max ** alpha alone would find them
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", alpha, "--z-max", "50",
+                                 "--x-grid", "16", "--no-header")
+        assert code == 2 and out == ""
+        assert err == (f"error: the lower-bound curve overflows a float at alpha={alpha}: "
+                       f"{bad} of 800 grid points are not finite, best is {best}\n")
+
+    def test_finite_curve_at_large_alpha_keeps_its_bytes(self, capsys):
+        # alpha = 178 overflows inside the bisection, yet every point comes out
+        # finite: the bytes are those printed before overflows were refused,
+        # and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "lowerbound", "--alpha", "178", "--z-max", "50",
+                                     "--x-grid", "16", "--no-header")
+        assert code == 0 and err == ""
+        assert out.endswith("\n178,,,,2.02658347682\n") and out.count("\n") == 802
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "27578c659edda07ac87ba8239011791429ca1c342041d41556c08dc93a4767cd")
+
 
 def reference_fmt(value) -> str:
     if isinstance(value, float):
@@ -565,7 +591,7 @@ class TestGoldenOutput:
         jobs = [Job(10 * b + i, 1 + 2000 * b + i // 3, 1.5 + 1.25 * (7 * (10 * b + i) % 11),
                     INFINITE if i % 5 == 0 else 1 + i % 4)
                 for b in range(3) for i in range(10)]
-        write_instance(Instance(tuple(jobs)), path)
+        path.write_text(dumps_instance(Instance(tuple(jobs))), encoding="utf-8")
         code, out, _ = run_cli(capsys, "simulate", "--alpha", "2.5", "--policy", "min-lcr",
                                "--instance", str(path), "--no-header")
         assert code == 0

@@ -17,3 +17,8 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if demo.name == "05_lowerbound_curve.py":
+        # the lowerbound command's CSV: 6 alphas of 200 x 64 grid points and one summary row
+        lines = (tmp_path / "lowerbound_curve.csv").read_text().splitlines()
+        assert lines[0] == "alpha,z,x,k_star,value"
+        assert len(lines) == 1 + 6 * (200 * 64 + 1)

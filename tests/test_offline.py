@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import gen_alpha2_lb_instance, run_adversarial_game
+from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance, run_adversarial_game
 from speedscale.analysis import _small_instance, competitive_report, random_instance
 from speedscale.model import (EMPTY_TRACE, INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
@@ -249,6 +249,37 @@ class TestOnePass:
         profit, trace = solve_offline_flow(inst, alpha2)
         assert time.perf_counter() - start < 3.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+
+class CountingPowerLaw(PowerLaw):
+    """PowerLaw(alpha) that counts its g evaluations by k."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        object.__setattr__(self, "calls", Counter())
+
+    def g(self, k):
+        self.calls[k] += 1
+        return super().g(k)
+
+
+class TestOneCostTable:
+    @pytest.mark.parametrize("inst", [
+        random_instance(np.random.default_rng(39), PowerLaw(2.0), n_max=30, mean_gap=0.3),
+        bursts_instance(11, never_expiring=150),
+        adversary_finalize(gen_alpha2_lb_instance(2000), range(1236)),
+    ], ids=["random", "bursts", "game"])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_each_g_once_per_pass(self, inst, alpha):
+        # the flow prices and scores from one table g(0), g(1), ..., grown
+        # only as far as loads reach
+        cost = CountingPowerLaw(alpha)
+        profit = offline_profit(inst, cost)
+        assert max(cost.calls.values()) == 1
+        assert sorted(cost.calls) == list(range(len(cost.calls)))
+        assert profit == offline_profit(inst, PowerLaw(alpha))
+        _, trace = solve_offline_flow(inst, PowerLaw(alpha))
+        assert len(cost.calls) <= 2 + max(len(d.processed) for d in trace.decisions)
 
 
 class TestLongDeadlines:

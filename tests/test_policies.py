@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import operator
 import pickle
 from dataclasses import dataclass, field
 
@@ -14,11 +15,24 @@ from speedscale.adversary import PHI_PLUS_1
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace, evaluate_trace)
 from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, LcrBreakdown, Policy,
-                                 PolicyView, SlotLedger, UnsupportedCostError,
-                                 beta_root, compute_m, get_policy,
-                                 inner_greedy_profit, lcr_breakdown, run_policy)
+                                 PolicyView, SlotLedger, UnsupportedCostError, _greedy_profit,
+                                 _scan, beta_root, compute_m, get_policy, lcr_breakdown,
+                                 run_policy)
 
 from conftest import available_jobs, mk_instance
+
+
+def inner_greedy_profit(leftover_values, cost):
+    """Best single-slot profit from a leftover pool: max_j (top-j sum - g(j)).
+
+    Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
+    so the result is never negative. The pool's own scan tabulates g as far
+    as the profit loop reads it, and no further.
+    """
+    values = list(leftover_values)
+    if not all(map(operator.ge, values, values[1:])):
+        raise ModelError("leftover values must be sorted non-increasing")
+    return _greedy_profit(values, 0, _scan(values, cost)[1])
 
 
 def _reference_run_policy(instance, policy, cost):
