@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, Trace
+from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
+                    _instance_from_checked)
 from .offline import offline_profit
 from .policies import PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
@@ -44,9 +45,13 @@ class InstanceTemplate:
     label: str = ""
 
     def __post_init__(self):
-        if not self.values:
+        # a tuple, so that changing the caller's list later cannot reach
+        # adversary_finalize, which builds its jobs without checking them again
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if not values:
             raise ModelError("template needs at least one job")
-        for v in self.values:  # Job's rule, checked before any policy sees the values
+        for v in values:  # Job's rule, checked before any policy sees the values
             if isinstance(v, bool) or not (0.0 <= v < INFINITE):
                 raise ModelError(f"value must be non-negative and finite, got {v}")
 
@@ -92,9 +97,11 @@ def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
     unknown = chosen.difference(range(len(template.values)))
     if unknown:
         raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
-    jobs = tuple([Job(jid, 1, value, INFINITE if jid in chosen else 1)
-                  for jid, value in enumerate(template.values)])
-    return Instance(jobs, label=template.label)
+    # InstanceTemplate checked the values; ids 0..n-1 at arrival 1 are in
+    # (arrival, id) order, and a deadline of 1 or INFINITE is its own expiry
+    return _instance_from_checked(
+        ((jid, 1, value, INFINITE, INFINITE) if jid in chosen else (jid, 1, value, 1, 1)
+         for jid, value in enumerate(template.values)), template.label)
 
 
 def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) -> RatioReport:
@@ -168,9 +175,29 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     t_lo, t_hi = np.full(v.size, 1e-9), kbar.ravel()  # brackets of the unsettled points
     todo = np.arange(v.size)  # where each unsettled point goes in lo and hi
     lo, hi = np.empty(v.size), np.empty(v.size)
+    # Each term of the test grows with mid and its coefficient, so no term
+    # overflows if none does at the largest coefficients and bracket top. Where
+    # one does (B v or a_lead mid**alpha, at large alpha), mid**(alpha-1)
+    # (a_lead mid + b_lead) < B v is compared in logs instead.
+    logs = None
+    top = np.max(t_hi, initial=0.0)
+    if not np.isfinite(np.max(a_lead, initial=0.0) * top ** alpha
+                       + np.max(b_lead, initial=0.0) * top ** (alpha - 1.0)
+                       + np.max(bv, initial=0.0)):
+        log_b, log_v = np.log(B).ravel(), np.log(v).ravel()
+        logs = np.stack([np.log(A).ravel() + math.log(alpha - 1.0),
+                         log_b + math.log(alpha), log_b + log_v])
     for _ in range(80):
         mid = 0.5 * (t_lo + t_hi)
-        neg = a_lead * mid ** alpha + b_lead * mid ** (alpha - 1.0) - bv < 0.0
+        test = a_lead * mid ** alpha + b_lead * mid ** (alpha - 1.0) - bv
+        neg = test < 0.0
+        if logs is not None:
+            over = ~np.isfinite(test)
+            if over.any():
+                log_mid = np.log(mid[over])
+                log_a, log_b, log_bv = logs[:, over]
+                neg[over] = (np.logaddexp(log_a + log_mid, log_b)
+                             + (alpha - 1.0) * log_mid < log_bv)
         fixed = mid == np.where(neg, t_lo, t_hi)
         t_lo = np.where(neg, mid, t_lo)
         t_hi = np.where(neg, t_hi, mid)
@@ -181,6 +208,8 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
             keep = ~settled
             todo, t_lo, t_hi = todo[keep], t_lo[keep], t_hi[keep]
             a_lead, b_lead, bv = a_lead[keep], b_lead[keep], bv[keep]
+            if logs is not None:
+                logs = logs[:, keep]
             if not todo.size:
                 break
     lo[todo], hi[todo] = t_lo, t_hi

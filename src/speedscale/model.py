@@ -15,6 +15,16 @@ as ``int``, computes ``expiry`` (the last slot the job may run in) and fills
 the five slots. ``dataclasses.replace`` goes through it too, so ``expiry`` is
 recomputed.
 
+Input is checked where it enters: ``Job(...)``, ``Instance(...)`` (which sorts
+its jobs by (arrival, id) and refuses duplicate ids), ``loads_instance`` and
+``read_instance``, and ``adversary.InstanceTemplate``. One private path,
+``_instance_from_checked``, builds an instance from job fields the program has
+already checked, with no check, sort or scan of its own. It has two callers,
+each of which derives its fields from checked objects: ``union`` (two valid
+instances, new dense ids in (arrival, side, id) order) and
+``adversary.adversary_finalize`` (a checked template, ids ``0..n-1``, arrival
+1, deadline 1 or ``INFINITE``).
+
 Float sums in the records (``SlotDecision.payoff_sum``, ``Trace.total_profit``)
 are added left to right by ``_ltr_sum``, so they have the same bits on every
 Python version (the builtin ``sum`` adds floats with compensation from 3.12).
@@ -105,8 +115,8 @@ class Job:
         return self.deadline != INFINITE
 
 
-# Job.__init__ fills the slots through their descriptors, which the frozen
-# class's __setattr__ does not guard
+# Job.__init__ and _instance_from_checked fill the slots through their
+# descriptors, which the frozen class's __setattr__ does not guard
 _set_id, _set_arrival, _set_value, _set_deadline, _set_expiry = (
     Job.__dict__[name].__set__ for name in ("id", "arrival", "value", "deadline", "expiry"))
 
@@ -209,9 +219,36 @@ def union(a: Instance, b: Instance) -> Instance:
     Ids are re-assigned densely, in (arrival, a before b, original id) order.
     """
     tagged = sorted((j.arrival, side, j.id, j) for side, part in enumerate((a, b)) for j in part.jobs)
-    jobs = tuple(Job(new_id, j.arrival, j.value, j.deadline) for new_id, (*_, j) in enumerate(tagged))
+    # every field comes from a valid job, and dense ids in (arrival, side, id)
+    # order leave the jobs in (arrival, id) order with unique ids
     label = "|".join(l for l in (a.label, b.label) if l)
-    return Instance(jobs, label=label)
+    return _instance_from_checked(((new_id, j.arrival, j.value, j.deadline, j.expiry)
+                                   for new_id, (*_, j) in enumerate(tagged)), label)
+
+
+def _instance_from_checked(rows, label: str) -> Instance:
+    """An Instance of jobs built from fields the program has already checked.
+
+    Each row is ``(id, arrival, value, deadline, expiry)``, exactly as
+    ``Job.__init__`` would store them, and the rows come in (arrival, id)
+    order with unique ids. Nothing is checked, sorted or scanned: the caller
+    states why its rows hold. Input from outside goes through ``Job`` and
+    ``Instance`` instead.
+    """
+    new = object.__new__
+    jobs = []
+    for job_id, arrival, value, deadline, expiry in rows:
+        job = new(Job)
+        _set_id(job, job_id)
+        _set_arrival(job, arrival)
+        _set_value(job, value)
+        _set_deadline(job, deadline)
+        _set_expiry(job, expiry)
+        jobs.append(job)
+    instance = new(Instance)
+    object.__setattr__(instance, "jobs", tuple(jobs))
+    object.__setattr__(instance, "label", label)
+    return instance
 
 
 def _ltr_sum(values) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from speedscale.model import Instance, Job, ModelError, PowerLaw
 
@@ -8,6 +9,43 @@ def mk_instance(*specs, label=""):
     """Build an instance from (arrival, value, deadline) triples; ids follow order."""
     jobs = tuple(Job(i, a, float(v), d) for i, (a, v, d) in enumerate(specs))
     return Instance(jobs, label=label)
+
+
+JOB_FIELDS = ("id", "arrival", "value", "deadline", "expiry")
+
+# job values as Job accepts them: floats with 0.0 and -0.0, ints, numpy floats
+job_values = st.one_of(st.sampled_from([0.0, -0.0, 2.0]), st.floats(0.0, 1e9),
+                       st.integers(0, 100), st.floats(0.0, 1e9).map(np.float64))
+
+
+def assert_same_instance(got, want):
+    """Equal field for field, types included: the jobs, their order and expiry, the label."""
+    assert type(got) is Instance and type(got.jobs) is tuple
+    assert type(got.label) is type(want.label) and got.label == want.label
+    assert len(got.jobs) == len(want.jobs)
+    for g, w in zip(got.jobs, want.jobs):
+        assert type(g) is Job
+        for name in JOB_FIELDS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert type(a) is type(b) and repr(a) == repr(b), (name, a, b)
+
+
+def count_checked_constructions(monkeypatch):
+    """Count calls of Job.__init__ and Instance.__post_init__ from here on."""
+    calls = []
+    job_init, post_init = Job.__init__, Instance.__post_init__
+
+    def counting_job_init(self, *args, **kwargs):
+        calls.append("Job.__init__")
+        job_init(self, *args, **kwargs)
+
+    def counting_post_init(self):
+        calls.append("Instance.__post_init__")
+        post_init(self)
+
+    monkeypatch.setattr(Job, "__init__", counting_job_init)
+    monkeypatch.setattr(Instance, "__post_init__", counting_post_init)
+    return calls
 
 
 def available_jobs(instance, slot, already_processed=()):

@@ -14,10 +14,12 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, InstanceTemplate,
                                   gen_alpha2_lb_instance,
                                   gen_sqrt2_lb_instance, golden_section_max,
                                   run_adversarial_game, sqrt2_job_value)
-from speedscale.model import INFINITE, Job, ModelError, PowerLaw
+from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw
 from speedscale.offline import solve_offline_flow
 from speedscale.policies import Decision, FixedCountPolicy, Policy, get_policy, run_policy
 from speedscale.reports import build_report
+
+from conftest import assert_same_instance, count_checked_constructions, job_values
 
 
 class CountingPolicy(Policy):
@@ -186,6 +188,40 @@ class TestFinalize:
         t = gen_alpha2_lb_instance(2)
         with pytest.raises(ModelError):
             adversary_finalize(t, (99,))
+
+    @pytest.mark.parametrize("choice, unknown", [
+        ((4,), "[4]"), ((-1, 0), "[-1]"), ((0, 7, 5), "[5, 7]"), ((1.5,), "[1.5]")])
+    def test_unknown_ids_named(self, choice, unknown):
+        with pytest.raises(ModelError, match=rf"^choice contains unknown job ids: \{unknown}$"):
+            adversary_finalize(gen_alpha2_lb_instance(2), choice)
+
+    @given(st.lists(job_values, min_size=1, max_size=30).flatmap(
+        lambda values: st.tuples(st.just(values), st.sets(st.integers(0, len(values) - 1)))),
+        st.sampled_from(["", "drawn"]))
+    def test_equals_checked_construction(self, values_choice, label):
+        values, choice = values_choice
+        want = Instance(tuple(Job(jid, 1, value, INFINITE if jid in choice else 1)
+                              for jid, value in enumerate(values)), label=label)
+        got = adversary_finalize(InstanceTemplate(values, label), choice)
+        assert_same_instance(got, want)
+
+    def test_template_keeps_the_values_it_checked(self):
+        values = [3.0, 5.0, 0.0]
+        template = InstanceTemplate(values)
+        values[0] = -1.0  # Job refuses this, and finalize checks nothing again
+        values.append(math.nan)
+        assert template.values == (3.0, 5.0, 0.0)
+        instance = adversary_finalize(template, [1])
+        assert [(j.value, j.deadline) for j in instance.jobs] == [
+            (3.0, 1), (5.0, INFINITE), (0.0, 1)]
+
+    def test_builds_no_checked_job_at_scale(self, monkeypatch):
+        # the template checked every value once; z = 2000 makes 4,000 jobs
+        template = gen_alpha2_lb_instance(2000)
+        calls = count_checked_constructions(monkeypatch)
+        instance = adversary_finalize(template, range(1236))
+        assert len(instance) == 4000 and calls == []
+        assert sum(j.expires for j in instance.jobs) == 4000 - 1236
 
 
 class TestGames:

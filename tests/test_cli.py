@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -9,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import eval_lower_bound
+from speedscale import adversary
+from speedscale.adversary import eval_lower_bound, lower_bound_ratio
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
 from speedscale.model import INFINITE, Instance, Job, dumps_instance
 
@@ -430,29 +431,104 @@ class TestLowerbound:
         assert code == 0
         assert out.startswith("# speedscale lowerbound generated=")
 
-    @pytest.mark.parametrize("alpha, bad, best", [("180", 14, "2.027257159474973"),
-                                                  ("650", 784, "inf")])
-    def test_overflowing_curve_exits_2(self, capsys, alpha, bad, best):
+    @pytest.mark.parametrize("alpha, bad, best", [("180", 14, "k-scan"), ("650", 784, "inf")])
+    def test_overflowing_curve_exits_2(self, capsys, monkeypatch, alpha, bad, best):
         # at alpha = 180 only 14 grid points overflow, though 51 ** 180 is
-        # finite, so no check of z_max ** alpha alone would find them
+        # finite, so no check of z_max ** alpha alone would find them; the
+        # best it names is still a value the inner min takes
+        taken = record_inner_min(monkeypatch)
         code, out, err = run_cli(capsys, "lowerbound", "--alpha", alpha, "--z-max", "50",
                                  "--x-grid", "16", "--no-header")
         assert code == 2 and out == ""
-        assert err == (f"error: the lower-bound curve overflows a float at alpha={alpha}: "
-                       f"{bad} of 800 grid points are not finite, best is {best}\n")
+        head = (f"error: the lower-bound curve overflows a float at alpha={alpha}: "
+                f"{bad} of 800 grid points are not finite, best is ")
+        assert err.startswith(head) and err.endswith("\n")
+        shown = err[len(head):-1]
+        if best == "inf":
+            assert shown == "inf"
+        else:
+            assert_best_is_k_scan_value(float(alpha), float(shown), taken)
 
-    def test_finite_curve_at_large_alpha_keeps_its_bytes(self, capsys):
-        # alpha = 178 overflows inside the bisection, yet every point comes out
-        # finite: the bytes are those printed before overflows were refused,
-        # and numpy warns of nothing
+    def test_finite_curve_at_large_alpha_matches_k_scan(self, capsys, monkeypatch):
+        # alpha = 178 overflows B v inside the bisection, yet every point and
+        # the best come out as a direct scan over k gives them, and numpy
+        # warns of nothing
+        taken = record_inner_min(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "lowerbound", "--alpha", "178", "--z-max", "50",
                                      "--x-grid", "16", "--no-header")
         assert code == 0 and err == ""
-        assert out.endswith("\n178,,,,2.02658347682\n") and out.count("\n") == 802
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "27578c659edda07ac87ba8239011791429ca1c342041d41556c08dc93a4767cd")
+        assert out.count("\n") == 802
+        assert_rows_match_k_scan(out, 178.0)
+        summary = out.splitlines()[-1]
+        assert summary.startswith("178,,,,")
+        assert_best_is_k_scan_value(178.0, float(summary.split(",")[4]), taken)
+
+    @pytest.mark.parametrize("alpha, z_max, x_grid, z_min", [
+        ("80", "200", "64", 190),  # B v overflows from z = 83 on; the top rows keep it short
+        ("100", "50", "16", 1),
+    ])
+    def test_large_alpha_rows_match_k_scan(self, capsys, alpha, z_max, x_grid, z_min):
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", alpha, "--z-max", z_max,
+                                 "--x-grid", x_grid, "--no-header")
+        assert code == 0 and err == ""
+        assert_rows_match_k_scan(out, float(alpha), z_min)
+
+
+def k_scan(alpha, z, x):
+    """The min over k = 1..z of lower_bound_ratio at a positive denominator,
+    by direct enumeration."""
+    v = (float(z) ** alpha - float(z - 1) ** alpha) + x
+    best = math.inf
+    for k in range(1, z + 1):
+        if k * v - float(k) ** alpha > 0:
+            ratio = lower_bound_ratio(alpha, z, x, k)
+            if ratio < best:  # a nan, from an overflow, is never taken
+                best = ratio
+    return best
+
+
+def assert_rows_match_k_scan(out, alpha, z_min=1):
+    """Each printed grid row with z >= z_min holds the k-scan minimum, and
+    its k_star attains it."""
+    checked = 0
+    for line in out.splitlines()[1:]:
+        _, z, x, k, value = line.split(",")
+        if z == "" or int(z) < z_min:
+            continue
+        z, x = int(z), float(x)
+        best = k_scan(alpha, z, x)
+        assert math.isclose(float(value), best, rel_tol=1e-11), line
+        assert math.isclose(lower_bound_ratio(alpha, z, x, int(k)), best, rel_tol=1e-11), line
+        checked += 1
+    assert checked
+
+
+def record_inner_min(monkeypatch):
+    """Record every point _inner_min_batch evaluates, as value -> [(z, x), ...]."""
+    taken = {}
+    inner = adversary._inner_min_batch
+
+    def recording(alpha, z, x):
+        values, ks = inner(alpha, z, x)
+        zs, xs = np.broadcast_arrays(z, x)
+        for point in zip(values.ravel().tolist(), zs.ravel().tolist(), xs.ravel().tolist()):
+            taken.setdefault(point[0], []).append(point[1:])
+        return values, ks
+
+    monkeypatch.setattr(adversary, "_inner_min_batch", recording)
+    return taken
+
+
+def assert_best_is_k_scan_value(alpha, best, taken):
+    """The best printed is the inner min at some point evaluated, as the k-scan
+    gives it: the refinement can fall short of the peak, never overshoot it."""
+    shown = format(best, ".12g")
+    points = [p for value, at in taken.items() if format(value, ".12g") == shown for p in at]
+    assert points
+    for z, x in points:
+        assert format(k_scan(alpha, z, x), ".12g") == shown, (z, x)
 
 
 def reference_fmt(value) -> str:

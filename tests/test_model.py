@@ -18,7 +18,13 @@ from speedscale.offline import offline_profit
 from speedscale.policies import Decision, LcrBreakdown, SlotLedger, run_policy
 from speedscale.reports import SlotLcr
 
-from conftest import available_jobs, mk_instance
+from conftest import (assert_same_instance, available_jobs, count_checked_constructions,
+                      job_values, mk_instance)
+
+# (arrival, value, deadline) as Job accepts them, numpy integers included
+drawn_jobs = st.tuples(st.one_of(st.integers(1, 5), st.integers(1, 5).map(np.int64)), job_values,
+                       st.one_of(st.just(INFINITE), st.integers(1, 4), st.just(2.0),
+                                 st.integers(1, 4).map(np.int64)))
 
 
 class TestEffectiveCost:
@@ -244,6 +250,26 @@ class TestUnion:
         merged = union(a, b)
         assert [j.arrival for j in merged.jobs] == [1, 5]
         assert len({j.id for j in merged.jobs}) == 2
+
+    @given(st.lists(drawn_jobs, max_size=12), st.lists(drawn_jobs, max_size=12),
+           st.sampled_from(["", "a"]), st.sampled_from(["", "b"]))
+    def test_equals_checked_construction(self, a_rows, b_rows, a_label, b_label):
+        a = Instance(tuple(Job(i, *row) for i, row in enumerate(a_rows)), label=a_label)
+        b = Instance(tuple(Job(10 * i + 5, *row) for i, row in enumerate(reversed(b_rows))),
+                     label=b_label)
+        tagged = sorted((j.arrival, side, j.id, j) for side, part in enumerate((a, b))
+                        for j in part.jobs)
+        want = Instance(tuple(Job(new_id, j.arrival, j.value, j.deadline)
+                              for new_id, (*_, j) in enumerate(tagged)),
+                        label="|".join(l for l in (a_label, b_label) if l))
+        assert_same_instance(union(a, b), want)
+
+    def test_builds_no_checked_job(self, monkeypatch):
+        a = mk_instance(*[(1 + i % 4, float(i), 3) for i in range(50)])
+        b = mk_instance(*[(2 + i % 3, float(i), INFINITE) for i in range(50)])
+        calls = count_checked_constructions(monkeypatch)
+        merged = union(a, b)
+        assert len(merged) == 100 and calls == []
 
 
 class TestEvaluateTrace:
