@@ -149,18 +149,14 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     """Min over integer k in 1..z of the ratio, for broadcast arrays z and x.
 
     The ratio (A k + B) / (v k - k**alpha) with A, B > 0 is unimodal in k on
-    the positive-denominator range, so the integer minimum sits at floor/ceil
-    of the stationary point (or at the clamped ends), found by bisection on
-    the increasing function A(alpha-1)k**alpha + alpha B k**(alpha-1) - B v.
-    The bisection runs per element on the unsettled points alone. Only
-    floor(k*) and ceil(k*) are read, so a point settles as soon as its
-    bracket holds no integer: every later midpoint lies strictly between the
-    same two integers, and so do the final k* of the full 80 steps and the
-    midpoint of the bracket kept. A point whose k* lies within rounding of an
-    integer instead settles at its float fixed point, where the midpoint
-    equals the end it would replace and every later step repeats itself.
-    Either way the candidates, and so the result, are those of the full 80
-    steps, which remain only as a cap.
+    the positive-denominator range k < kbar, so on the integers 1..kmax,
+    kmax = min(z, ceil(kbar) - 1), it falls and then rises. A binary search
+    that goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
+    therefore ends at the smallest integer minimiser, after about log2(z)
+    steps. Points leave the search as soon as their range holds one integer.
+    Only ratios are compared, never a stationary condition: a numerator that
+    overflows reads inf, which is never less than a neighbour, so the search
+    stays on the finite side and needs no separate overflow path.
     """
     import numpy as np
 
@@ -171,64 +167,25 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     B = zf * v - zf ** alpha
     kbar = v ** (1.0 / (alpha - 1.0))  # denominator positive iff k < kbar
 
-    a_lead, b_lead, bv = (A * (alpha - 1.0)).ravel(), (alpha * B).ravel(), (B * v).ravel()
-    t_lo, t_hi = np.full(v.size, 1e-9), kbar.ravel()  # brackets of the unsettled points
-    todo = np.arange(v.size)  # where each unsettled point goes in lo and hi
-    lo, hi = np.empty(v.size), np.empty(v.size)
-    # Each term of the test grows with mid and its coefficient, so no term
-    # overflows if none does at the largest coefficients and bracket top. Where
-    # one does (B v or a_lead mid**alpha, at large alpha), mid**(alpha-1)
-    # (a_lead mid + b_lead) < B v is compared in logs instead.
-    logs = None
-    top = np.max(t_hi, initial=0.0)
-    if not np.isfinite(np.max(a_lead, initial=0.0) * top ** alpha
-                       + np.max(b_lead, initial=0.0) * top ** (alpha - 1.0)
-                       + np.max(bv, initial=0.0)):
-        log_b, log_v = np.log(B).ravel(), np.log(v).ravel()
-        logs = np.stack([np.log(A).ravel() + math.log(alpha - 1.0),
-                         log_b + math.log(alpha), log_b + log_v])
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        test = a_lead * mid ** alpha + b_lead * mid ** (alpha - 1.0) - bv
-        neg = test < 0.0
-        if logs is not None:
-            over = ~np.isfinite(test)
-            if over.any():
-                log_mid = np.log(mid[over])
-                log_a, log_b, log_bv = logs[:, over]
-                neg[over] = (np.logaddexp(log_a + log_mid, log_b)
-                             + (alpha - 1.0) * log_mid < log_bv)
-        fixed = mid == np.where(neg, t_lo, t_hi)
-        t_lo = np.where(neg, mid, t_lo)
-        t_hi = np.where(neg, t_hi, mid)
-        settled = fixed | (np.ceil(t_lo) > t_hi)  # no integer in the bracket
-        if settled.any():
-            done = todo[settled]
-            lo[done], hi[done] = t_lo[settled], t_hi[settled]
-            keep = ~settled
-            todo, t_lo, t_hi = todo[keep], t_lo[keep], t_hi[keep]
-            a_lead, b_lead, bv = a_lead[keep], b_lead[keep], bv[keep]
-            if logs is not None:
-                logs = logs[:, keep]
-            if not todo.size:
-                break
-    lo[todo], hi[todo] = t_lo, t_hi
-    kstar = (0.5 * (lo + hi)).reshape(v.shape)
+    def ratio(k, A, B, v):
+        den = v * k - k ** alpha
+        return np.where(den > 1e-300, (A * k + B) / den, np.inf)
 
-    kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
-    candidates = np.stack([
-        np.clip(np.floor(kstar), 1.0, zf),
-        np.clip(np.ceil(kstar), 1.0, zf),
-        np.ones_like(zf),
-        np.clip(kmax, 1.0, zf),
-    ])
-    num = A * candidates + B
-    den = v * candidates - candidates ** alpha
-    ratio = np.where(den > 1e-300, num / den, np.inf)
-    pick = np.argmin(ratio, axis=0)
-    best = np.take_along_axis(ratio, pick[None], axis=0)[0]
-    best_k = np.take_along_axis(candidates, pick[None], axis=0)[0]
-    return best, best_k.astype(np.int64)
+    k = np.ones(v.size)
+    todo = np.arange(v.size)  # where each open point goes in k
+    t_lo, t_hi = k.copy(), np.clip(np.minimum(zf, np.ceil(kbar) - 1.0), 1.0, zf).ravel()
+    a, b, w = A.ravel(), B.ravel(), v.ravel()
+    while todo.size:
+        open_ = t_lo < t_hi
+        if not open_.all():
+            k[todo[~open_]] = t_lo[~open_]
+            todo, t_lo, t_hi, a, b, w = (arr[open_] for arr in (todo, t_lo, t_hi, a, b, w))
+        mid = np.floor(0.5 * (t_lo + t_hi))
+        right = ratio(mid + 1.0, a, b, w) < ratio(mid, a, b, w)
+        t_lo = np.where(right, mid + 1.0, t_lo)
+        t_hi = np.where(right, t_hi, mid)
+    k = k.reshape(v.shape)
+    return ratio(k, A, B, v), k.astype(np.int64)
 
 
 def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float, float]:
@@ -337,8 +294,9 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     value, one row per grid point in z-major order. The returned best also
     refines the top `_REFINE_TOP` grid rows with `_refine_peak`, because the
     inner min peaks where two branches in k cross, which a grid point hits
-    only by chance. A curve with a non-finite x or value, or a non-finite
-    best, overflowed a float on the way and is refused with a ModelError.
+    only by chance. A curve with a non-finite x or value overflowed a float
+    on the way and is refused with a ModelError before any refinement,
+    naming its largest value with nan skipped; so is a non-finite best.
     """
     import numpy as np
 
@@ -351,11 +309,10 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
 
     curve = np.empty(z_max * x_grid, dtype=[("z", np.int64), ("x", float),
                                             ("k_star", np.int64), ("value", float)])
-    best = -math.inf
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
     row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
 
-    with np.errstate(all="ignore"):  # an overflow leaves a non-finite point or best, refused below
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite point, refused below
         for start in range(1, z_max + 1, _CHUNK):
             zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
             xcap = _x_cap(alpha, zs)
@@ -366,17 +323,20 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
             rows = np.arange(len(zs))
             row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
                                 x[rows, arg].tolist(), xcap.tolist()))
-            best = max(best, float(values.max()))
             part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
             part["z"], part["x"] = zz.ravel(), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()
 
+    values = curve["value"]
+    bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(values)))
+    best = float(np.fmax.reduce(values))  # nan skipped
+    if not bad:  # row_best holds no nan to sort, and every refined row is finite
         h = 1.0 / x_grid
         _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
         lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
         hi = np.minimum(xcap, x_at + xcap * h)
-        best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
-    bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(curve["value"])))
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite best, refused below
+            best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
     if bad or not math.isfinite(best):
         raise ModelError(f"the lower-bound curve overflows a float at alpha={alpha:g}: "
                          f"{bad} of {curve.size} grid points are not finite, best is {best}")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from speedscale.adversary import lower_bound_ratio
 from speedscale.model import Instance, Job, ModelError, PowerLaw
 
 
@@ -46,6 +49,19 @@ def count_checked_constructions(monkeypatch):
     monkeypatch.setattr(Job, "__init__", counting_job_init)
     monkeypatch.setattr(Instance, "__post_init__", counting_post_init)
     return calls
+
+
+def k_scan(alpha, z, x):
+    """The min over k = 1..z of lower_bound_ratio at a positive denominator,
+    by direct enumeration."""
+    v = (float(z) ** alpha - float(z - 1) ** alpha) + x
+    best = math.inf
+    for k in range(1, z + 1):
+        if k * v - float(k) ** alpha > 0:
+            ratio = lower_bound_ratio(alpha, z, x, k)
+            if ratio < best:  # a nan, from an overflow, is never taken
+                best = ratio
+    return best
 
 
 def available_jobs(instance, slot, already_processed=()):

@@ -19,7 +19,7 @@ from speedscale.offline import solve_offline_flow
 from speedscale.policies import Decision, FixedCountPolicy, Policy, get_policy, run_policy
 from speedscale.reports import build_report
 
-from conftest import assert_same_instance, count_checked_constructions, job_values
+from conftest import assert_same_instance, count_checked_constructions, job_values, k_scan
 
 
 class CountingPolicy(Policy):
@@ -117,6 +117,23 @@ def inner_min_batch_80(alpha, z, x):
     best = np.take_along_axis(ratio, pick[None], axis=0)[0]
     best_k = np.take_along_axis(candidates, pick[None], axis=0)[0]
     return best, best_k.astype(np.int64)
+
+
+def assert_matches_k_scan(alpha, z, x, values, k_star):
+    """Each value is the k-scan minimum, inf where the scan finds no finite
+    ratio, and each finite one is attained at its k; returns the inf count."""
+    infinite = 0
+    for point in zip(z.ravel().tolist(), x.ravel().tolist(),
+                     values.ravel().tolist(), k_star.ravel().tolist()):
+        z_i, x_i, value, k = point
+        best = k_scan(alpha, z_i, x_i)
+        assert math.isclose(value, best, rel_tol=1e-11), point
+        if math.isinf(best):
+            infinite += 1
+        else:
+            assert math.isclose(lower_bound_ratio(alpha, z_i, x_i, k), best,
+                                rel_tol=1e-11), point
+    return infinite
 
 
 class TestTemplates:
@@ -328,12 +345,41 @@ class TestLowerBoundCurve:
                         ratios.append(lower_bound_ratio(alpha, z, x, k))
                 assert math.isclose(value, min(ratios), rel_tol=1e-9)
 
+    def test_inner_min_matches_k_scan_where_the_numerator_overflows(self):
+        # alpha = 180, z = 50: A k + B overflows from k = 41 on, so at
+        # x = 1.36e306 the minimum 2.24 sits at k = 40 next to ratios that read
+        # inf, and from x = 4.08e306 on every k reads inf
+        alpha = 180.0
+        z = np.arange(1, 51)
+        x = _x_cap(alpha, z)[:, None] * (np.arange(1, 17) / 16.0)
+        zz = np.broadcast_to(z[:, None], x.shape)
+        with np.errstate(all="ignore"):
+            values, k_star = _inner_min_batch(alpha, zz, x)
+        assert assert_matches_k_scan(alpha, zz, x, values, k_star) == 14
+        assert k_star[49, 0] == 40 and math.isclose(values[49, 0], 2.2418243311234747)
+
+    @given(st.floats(2.0, 200.0), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inner_min_matches_k_scan(self, alpha, data):
+        # z + 1 <= e**(709 / alpha) keeps (z + 1) ** alpha, and so the x cap
+        # and the scan's own powers, finite; the ratios may still overflow
+        z_top = min(200, int(math.exp(709.0 / alpha)) - 1)
+        points = data.draw(st.lists(st.tuples(st.integers(1, z_top),
+                                              st.floats(0.0, 1.0, exclude_min=True)),
+                                    min_size=1, max_size=20))
+        z = np.array([p[0] for p in points])
+        x = _x_cap(alpha, z) * np.array([p[1] for p in points])
+        with np.errstate(all="ignore"):
+            values, k_star = _inner_min_batch(alpha, z, x)
+        assert_matches_k_scan(alpha, z, x, values, k_star)
+
     @given(st.floats(2.0, 8.0),
            st.lists(st.tuples(st.integers(1, 10_000), st.floats(0.0, 1.0, exclude_min=True)),
                     min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_bisection_stop_matches_80_steps(self, alpha, points):
-        # stopping at the fixed point must not move a single bit of the result
+        # the search over integer k must not move a single bit of the result
+        # of the 80-step bisection on the stationary point
         z = np.array([p[0] for p in points])
         x = _x_cap(alpha, z) * np.array([p[1] for p in points])
         with np.errstate(invalid="ignore"):  # z = 1 with x near 0 is 0/0, read as inf
@@ -345,7 +391,8 @@ class TestLowerBoundCurve:
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.7, 8.0])
     def test_bisection_stop_matches_80_steps_near_integer_k_star(self, alpha):
         # x solved so that k* is an integer, and its 1-3 ulp neighbours: the
-        # points whose bracket keeps an integer longest, up to the fixed point
+        # points where neighbouring ratios come closest to a tie, and where the
+        # reference bracket keeps an integer longest, up to its fixed point
         zs, xs = [], []
         for z in (1, 2, 10, 57, 1000, 10_000):
             for n in sorted({1, 2, z // 3, z // 2, z - 1, z} - {0}):
@@ -358,7 +405,7 @@ class TestLowerBoundCurve:
                     zs += [z] * 7
         z, x = np.array(zs), np.array(xs)
         lo, hi = bracket_80(alpha, z, x)
-        assert 2 * (np.floor(hi) >= np.ceil(lo)).sum() >= z.size  # most reach the fixed point
+        assert 2 * (np.floor(hi) >= np.ceil(lo)).sum() >= z.size  # most reach its fixed point
         values, k_star = _inner_min_batch(alpha, z, x)
         ref_values, ref_k = inner_min_batch_80(alpha, z, x)
         assert values.tobytes() == ref_values.tobytes()
@@ -366,8 +413,9 @@ class TestLowerBoundCurve:
 
     def test_bisection_points_settle_at_different_steps(self):
         # at alpha = 2, z = 10, x = 7 the stationary condition is
-        # 25 k**2 + 320 k - 4160 = 0, so k* = 8 exactly and its bracket runs to
-        # the fixed point; x = 0.5 leaves no integer in the bracket early on
+        # 25 k**2 + 320 k - 4160 = 0, so k* = 8 exactly and the reference
+        # bracket runs to its fixed point; x = 0.5 leaves no integer in that
+        # bracket early on. The integer search must pick k = 8 all the same
         z = np.array([[10, 10], [10, 10]])
         x = np.array([[0.5, 7.0], [3.3, 7.0]])
         lo, hi = bracket_80(2.0, z, x)
@@ -414,6 +462,28 @@ class TestLowerBoundCurve:
         xs = np.linspace(lo, hi, 20_001)
         dense = _inner_min_batch(alpha, np.full(xs.shape, z), xs)[0].max()
         assert _refine_peak(alpha, zs, np.array([lo]), np.array([hi])) >= dense
+
+    def test_refused_curve_names_its_largest_value_unrefined(self, monkeypatch):
+        # a nan at the first point of each 256-row chunk: the largest value,
+        # at z = 300, shares the second chunk with one of them
+        curve, _ = eval_lower_bound(2.5, 300, 8)
+        inner = adversary._inner_min_batch
+
+        def first_point_nan(alpha, z, x):
+            values, ks = inner(alpha, z, x)
+            values.flat[0] = math.nan
+            return values, ks
+
+        def refine_peak(*args):
+            raise AssertionError("a refused curve is not refined")
+
+        monkeypatch.setattr(adversary, "_inner_min_batch", first_point_nan)
+        monkeypatch.setattr(adversary, "_refine_peak", refine_peak)
+        largest = float(np.delete(curve["value"], [0, 256 * 8]).max())
+        assert largest == curve["value"][256 * 8:].max()
+        with pytest.raises(ModelError, match=f"2 of 2400 grid points are not finite, "
+                                             f"best is {largest!r}$"):
+            eval_lower_bound(2.5, 300, 8)
 
     def test_bad_arguments(self):
         with pytest.raises(ModelError):

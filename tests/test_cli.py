@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,8 @@ from speedscale import adversary
 from speedscale.adversary import eval_lower_bound, lower_bound_ratio
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
 from speedscale.model import INFINITE, Instance, Job, dumps_instance
+
+from conftest import k_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -450,9 +453,8 @@ class TestLowerbound:
             assert_best_is_k_scan_value(float(alpha), float(shown), taken)
 
     def test_finite_curve_at_large_alpha_matches_k_scan(self, capsys, monkeypatch):
-        # alpha = 178 overflows B v inside the bisection, yet every point and
-        # the best come out as a direct scan over k gives them, and numpy
-        # warns of nothing
+        # alpha = 178 overflows B v, yet every point and the best come out as
+        # a direct scan over k gives them, and numpy warns of nothing
         taken = record_inner_min(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -474,19 +476,6 @@ class TestLowerbound:
                                  "--x-grid", x_grid, "--no-header")
         assert code == 0 and err == ""
         assert_rows_match_k_scan(out, float(alpha), z_min)
-
-
-def k_scan(alpha, z, x):
-    """The min over k = 1..z of lower_bound_ratio at a positive denominator,
-    by direct enumeration."""
-    v = (float(z) ** alpha - float(z - 1) ** alpha) + x
-    best = math.inf
-    for k in range(1, z + 1):
-        if k * v - float(k) ** alpha > 0:
-            ratio = lower_bound_ratio(alpha, z, x, k)
-            if ratio < best:  # a nan, from an overflow, is never taken
-                best = ratio
-    return best
 
 
 def assert_rows_match_k_scan(out, alpha, z_min=1):
@@ -700,6 +689,19 @@ class TestGoldenOutput:
         assert code == 0 and err == ""
         assert out == (f"template: alpha2-lb:z={z}\npolicy: {policy}\nslot1_count: {count}\n"
                        f"off: {off}\nalg: {alg}\nratio: {ratio}\npredicted: {ratio}\n")
+
+    @pytest.mark.parametrize("alphas, digest", [
+        ("2.1,2.7,3.4,4", "1d069f6ef0458cd6ee0e8d5c23c922594942795e84d267a8cd4bc7c9a15e7bf0"),
+        (",".join(str(round(2.1 + 0.1 * i, 1)) for i in range(20)),
+         "46ead6ccc1b269e4e99b15ad37a746ce1aee2c8fd5776f263cab81353f1fe95b"),
+    ], ids=["benchmark-alphas", "criterion-3-alphas"])
+    def test_lowerbound_curve_digest(self, capsys, alphas, digest):
+        # every byte of the curves the benchmark and criterion 3 print;
+        # reference_lowerbound checks the writer, not the numbers it writes
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", alphas, "--z-max", "200",
+                                 "--x-grid", "64", "--no-header")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_game_without_prediction(self, capsys):
         # alpha != 2 and no sqrt2 template: there is no closed form to predict
