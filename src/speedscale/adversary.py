@@ -132,12 +132,21 @@ def alpha2_game_ratio(z: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def lower_bound_ratio(alpha: float, z: int, x: float, k: int) -> float:
-    """The lower-bound ratio at one (z, x, k) point of the construction family."""
-    cz = float(z) ** alpha - float(z - 1) ** alpha
+    """The lower-bound ratio at one (z, x, k) point of the construction family.
+
+    A zero denominator reads inf, as in the curve's inner minimum; a power
+    that overflows a float raises ModelError.
+    """
+    try:
+        z_pow, k_pow = float(z) ** alpha, float(k) ** alpha
+        cz = z_pow - float(z - 1) ** alpha
+    except OverflowError:
+        raise ModelError(f"the lower-bound ratio overflows a float at alpha={alpha}, "
+                         f"z={z}, k={k}") from None
     v = cz + x
-    num = k * (v - 1.0) + (z * v - float(z) ** alpha)
-    den = k * v - float(k) ** alpha
-    return num / den
+    num = k * (v - 1.0) + (z * v - z_pow)
+    den = k * v - k_pow
+    return num / den if den else math.inf
 
 
 def _x_cap(alpha: float, z: np.ndarray) -> np.ndarray:

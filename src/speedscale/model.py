@@ -41,7 +41,8 @@ INFINITE = math.inf
 """Deadline sentinel: the job never expires."""
 
 PROFIT_TOL = 1e-9
-"""Absolute tolerance used for all profit comparisons."""
+"""Absolute tolerance below which `reports.profit_ratio` reads a profit as zero;
+nothing else reads it (the flow's placement threshold is `offline.PLACE_TOL`)."""
 
 
 class ModelError(ValueError):

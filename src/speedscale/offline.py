@@ -43,18 +43,20 @@ the idle slot already found. Idle gaps between arrivals cost nothing, however
 long.
 
 Jobs with one window often come in runs in pass order: the adaptive game's
-2z equal-value jobs share two windows between them. `place` keeps a memo of
-the last job's window and what became of it, and a next job with the same
-window reuses it; the reuse is exact. After a skip the next job is skipped
-too: a skip changes no state, and pass order never raises the value. After
-an all-busy search that reached the closed interval R and placed the job on
-a slot of its own window, only that slot's load changed, and its hull of
-windows grew within R. So a next search from the same window would visit the
-same slots, read the same hulls and reach the same R with the same rings;
-only R's first least-loaded slot and the price test are redone. A target
-outside the window moves a chain along the kept rings and ends the run, as
-does an idle slot taken or any other window. So a run of jobs with one
-window costs one search until a chain move.
+2z equal-value jobs make two runs. `_flow_pass` hands `place` each maximal run
+of consecutive jobs that share one cut window, and each job of the run reuses
+what the run's earlier jobs left standing; the reuse is exact. A skip ends the
+run with no work per job: it changes no state, and pass order never raises
+the value. After a job takes the idle slot t, every slot from the window's
+start to t is busy, so the next job looks from t + 1. After an all-busy
+search that reached the closed interval R and placed the job on a slot of its
+own window, only that slot's load changed, and its hull of windows grew
+within R. So a next search from the same window would visit the same slots,
+read the same hulls and reach the same R with the same rings; the run's next
+jobs take R's first least-loaded slot in turn, and only the price test is
+redone (for a one-slot R, a price test and an append). A target outside the
+window moves a chain along the rings and ends the reuse: the next job starts
+afresh. So a run of jobs with one window costs one search until a chain move.
 
 The flow cuts every window at last arrival + n for n jobs: at most n jobs are
 ever processed, so one per slot right after the final arrival suffices and
@@ -73,8 +75,14 @@ small inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .model import EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace
+
+
+PLACE_TOL = 1e-12
+"""The flow places a job only when its value beats its path's marginal cost by
+more than this absolute margin."""
 
 
 class OfflineSizeError(ModelError):
@@ -98,7 +106,7 @@ class _FlowState:
         self.ids = [j.id for j in jobs]
         self.values = [j.value for j in jobs]
         self.starts = [j.arrival for j in jobs]
-        self.ends = [min(j.expiry, cap) for j in jobs]
+        self.ends = [j.expiry if j.expiry < cap else cap for j in jobs]
         self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
         self.g = [cost.g(0), cost.g(1)]  # g(0), g(1), ...: grown only as far as loads reach
@@ -106,11 +114,6 @@ class _FlowState:
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
-        # the run memo: what the last `place` left standing for a next job with
-        # window [run_start, run_end]; None if that job was skipped, else the
-        # reach (lo, hi, rings) of its search. run_start 0 matches no job
-        self.run_start = self.run_end = 0
-        self.run_reach = None
 
     # -- reachability ------------------------------------------------------
 
@@ -160,58 +163,78 @@ class _FlowState:
 
     # -- mutation ----------------------------------------------------------
 
-    def place(self, pos: int) -> bool:
-        """Places job `pos` on its cheapest residual path, or skips it; True if placed.
+    def place(self, pos: int, rest: Iterator[int]) -> int | None:
+        """Places the run that starts with job `pos`; returns the next run's first job.
 
-        The job is placed when its value beats that path's marginal cost by
-        more than 1e-12. An idle slot in its window is that path, with no
-        search. Only an all-busy window is searched, and only a target
-        outside the window moves a chain. A job with the window of the job
-        placed or skipped just before it reuses what the run memo kept, as the
-        module docstring says, so jobs must come in pass order.
+        A run is a maximal group of consecutive jobs in pass order that share
+        one cut window: `pos` and the jobs that `rest`, the rest of the pass
+        order, yields while their window stays the same. Each job is placed on
+        its cheapest residual path when its value beats that path's marginal
+        cost by more than PLACE_TOL; the first job that does not is skipped
+        with the rest of the run. The first job takes the window's first idle
+        slot with no search, or searches the all-busy window. After an idle
+        slot t the next job looks from t + 1. After an all-busy reach whose
+        first least-loaded slot lies in the window, the next jobs take that
+        reach's first least-loaded slot in turn, with no search. A target
+        outside the window moves a chain, and the next job starts afresh. The
+        module docstring says why each reuse is exact. Returns None at the
+        end of the pass.
         """
-        value, start, end = self.values[pos], self.starts[pos], self.ends[pos]
-        if start == self.run_start and end == self.run_end:
-            reach = self.run_reach
-            if reach is None:
-                return False
-            target = 0
-        else:
-            idle = self.first_idle(start)
+        values, starts, ends = self.values, self.starts, self.ends
+        loads, skip = self.loads, self.skip
+        start, end = starts[pos], ends[pos]
+        idle = start  # every slot of the window before it is busy
+        while True:  # places job `pos`, or skips it and the rest of the run
+            value = values[pos]
+            if idle in skip:  # busy: follow the links; most windows start idle, with no call
+                idle = self.first_idle(idle)
             if idle <= end:
-                if not value - self.idle_price > 1e-12:
-                    self.run_start, self.run_end, self.run_reach = start, end, None
-                    return False
+                if not value - self.idle_price > PLACE_TOL:
+                    break
                 # a fresh slot: no load, span, job list or skip link yet
-                self.loads[idle] = 1
-                self.skip[idle] = idle + 1
+                loads[idle] = 1
+                skip[idle] = idle + 1
                 self.spans[idle] = (start, end)
                 self.slot_jobs[idle] = [pos]
-                self.run_start = 0
-                self.payoff += value
-                return True
-            target, reach = self.cheapest_reachable(start, end, idle)
-        if target:
-            price = self.idle_price
-        else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
-            lo, hi, _ = reach
-            loads, g = self.loads, self.g
-            target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
-            load = loads[target]
-            while len(g) <= load + 1:  # tabulated only as far as loads reach
-                g.append(self.cost.g(len(g)))
-            price = g[load + 1] - g[load]
-        if not value - price > 1e-12:
-            self.run_start, self.run_end, self.run_reach = start, end, None
-            return False
-        if start <= target <= end:  # no ring covers the window: no chain moves
-            self._attach(pos, target)
-            self.run_start, self.run_end, self.run_reach = start, end, reach
-        else:
-            self.apply(pos, target, reach[2])
-            self.run_start = 0
-        self.payoff += value
-        return True
+                idle += 1
+            else:
+                target, (lo, hi, rings) = self.cheapest_reachable(start, end, idle)
+                if target:
+                    price = self.idle_price
+                else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
+                    g, spans, slot_jobs = self.g, self.spans, self.slot_jobs
+                    while True:
+                        target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
+                        load = loads[target]
+                        while len(g) <= load + 1:  # tabulated only as far as loads reach
+                            g.append(self.cost.g(len(g)))
+                        price = g[load + 1] - g[load]
+                        if not (value - price > PLACE_TOL and start <= target <= end):
+                            break
+                        # a target in the window moves no chain: the busy slot
+                        # gains the job, and its hull grows to cover the window
+                        first, last = spans[target]
+                        if start < first or last < end:
+                            spans[target] = (min(first, start), max(last, end))
+                        slot_jobs[target].append(pos)
+                        loads[target] = load + 1
+                        self.payoff += value
+                        pos = next(rest, None)
+                        if pos is None or starts[pos] != start or ends[pos] != end:
+                            return pos
+                        value = values[pos]
+                if not value - price > PLACE_TOL:
+                    break
+                self.apply(pos, target, rings)
+                idle = start
+            self.payoff += value
+            pos = next(rest, None)
+            if pos is None or starts[pos] != start or ends[pos] != end:
+                return pos
+        for pos in rest:  # a skip: the run's later jobs are worth no more
+            if starts[pos] != start or ends[pos] != end:
+                return pos
+        return None
 
     def _attach(self, pos: int, slot: int) -> None:
         start, end = self.starts[pos], self.ends[pos]
@@ -255,16 +278,17 @@ class _FlowState:
 def _flow_pass(instance: Instance, cost: CostModel) -> _FlowState:
     """The one pass both entry points share.
 
-    Non-increasing value order, smaller id first on ties, one `place` per
-    job: a job is placed when its value beats the cheapest reachable marginal
-    cost by more than 1e-12 and skipped for good otherwise; the module
-    docstring says why that is exact.
+    Non-increasing value order, smaller id first on ties, one `place` per run
+    of consecutive jobs with one cut window: a job is placed when its value
+    beats the cheapest reachable marginal cost by more than PLACE_TOL and
+    skipped for good otherwise; the module docstring says why that is exact.
     """
     state = _FlowState(instance, cost)
     order = [(-value, job_id) for value, job_id in zip(state.values, state.ids)]
-    place = state.place
-    for pos in sorted(range(len(order)), key=order.__getitem__):
-        place(pos)
+    place, rest = state.place, iter(sorted(range(len(order)), key=order.__getitem__))
+    pos = next(rest, None)
+    while pos is not None:
+        pos = place(pos, rest)
     return state
 
 

@@ -315,6 +315,14 @@ class TestLowerBoundCurve:
         # direct arithmetic: z=10, x=2, k=6 at exponent 2 gives (120+110)/(126-36)
         assert math.isclose(lower_bound_ratio(2.0, 10, 2.0, 6), 230.0 / 90.0, abs_tol=1e-12)
 
+    def test_ratio_at_a_zero_denominator_is_inf(self):
+        # z = 1, x = 5e-324: v = 1 + x rounds to 1, so k v - k**alpha is 0
+        assert lower_bound_ratio(2.0, 1, 5e-324, 1) == math.inf
+
+    def test_ratio_that_overflows_raises_model_error(self):
+        with pytest.raises(ModelError, match=r"overflows a float at alpha=200\.0, z=50, k=1$"):
+            lower_bound_ratio(200.0, 50, 1.0, 1)
+
     def test_z1_degenerate(self):
         # z=1 forces k=1; at exponent 2 the ratio is exactly 2 for any feasible x
         curve, best = eval_lower_bound(2.0, 1, 8)

@@ -191,12 +191,12 @@ def test_reference_on_known_instances(alpha2):
 
 # -- runs of one window --------------------------------------------------------
 
-class NoMemoState(_FlowState):
-    """The flow with its run memo cleared before every placement: every job starts afresh."""
+class OneJobState(_FlowState):
+    """The flow stepping one job at a time: each job is a run of its own and starts afresh."""
 
-    def place(self, pos):
-        self.run_start = 0
-        return super().place(pos)
+    def place(self, pos, rest):
+        assert super().place(pos, iter(())) is None
+        return next(rest, None)
 
 
 def flow_outputs(instance, cost):
@@ -207,12 +207,12 @@ def flow_outputs(instance, cost):
             list(state.slot_jobs.items()), state.payoff.hex())
 
 
-def assert_memo_exact(instance, cost):
-    with_memo = flow_outputs(instance, cost)
+def assert_run_step_exact(instance, cost):
+    by_run = flow_outputs(instance, cost)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(offline, "_FlowState", NoMemoState)
-        assert flow_outputs(instance, cost) == with_memo
-    assert abs(float.fromhex(with_memo[0]) - reference_offline(instance, cost)) <= 1e-9
+        patch.setattr(offline, "_FlowState", OneJobState)
+        assert flow_outputs(instance, cost) == by_run
+    assert abs(float.fromhex(by_run[0]) - reference_offline(instance, cost)) <= 1e-9
 
 
 @given(st.lists(st.tuples(st.integers(1, 4), st.one_of(st.integers(1, 4), st.none()),
@@ -220,8 +220,9 @@ def assert_memo_exact(instance, cost):
                 min_size=1, max_size=4),
        st.lists(st.integers(0, 3), min_size=1, max_size=24),
        st.sampled_from([2.0, 2.5, 3.0]))
-# the third [3, 3] job: the second one's chain move pulled a [3, 5] job out
-# of slot 3, so the run's kept reach [3, 5] no longer holds
+# a chain move inside a run: the third [3, 3] job's would-be reach [3, 5] no
+# longer holds, since the second one's chain move pulled a [3, 5] job out of
+# slot 3, so the third job searches afresh
 @example([(3, 1, 7.5), (3, 3, 12.0)], [0, 0, 1, 0, 1, 1], 2.0)
 @settings(max_examples=150, deadline=None)
 def test_run_memo_is_exact_on_repeated_jobs(kinds, picks, alpha):
@@ -232,7 +233,7 @@ def test_run_memo_is_exact_on_repeated_jobs(kinds, picks, alpha):
     for i, k in enumerate(picks):
         arrival, deadline, value = kinds[k % len(kinds)]
         jobs.append(Job(i, arrival, value, INFINITE if deadline is None else deadline))
-    assert_memo_exact(Instance(tuple(jobs)), PowerLaw(alpha))
+    assert_run_step_exact(Instance(tuple(jobs)), PowerLaw(alpha))
 
 
 @given(st.integers(1, 8), st.data(), st.sampled_from([2.0, 2.5, 3.0]))
@@ -241,4 +242,4 @@ def test_run_memo_is_exact_on_games(z, data, alpha):
     # the adaptive game's instance for any slot-1 choice, not only a prefix
     template = gen_alpha2_lb_instance(z)
     chosen = data.draw(st.sets(st.integers(0, 2 * z - 1)))
-    assert_memo_exact(adversary_finalize(template, chosen), PowerLaw(alpha))
+    assert_run_step_exact(adversary_finalize(template, chosen), PowerLaw(alpha))

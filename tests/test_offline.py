@@ -1,6 +1,7 @@
 import math
 import time
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -187,58 +188,79 @@ class TestSparseBursts:
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
 
 
+def pass_runs(inst):
+    """(cut window, positions) of each maximal run of one window in pass order."""
+    cut = inst.last_arrival + len(inst)
+    jobs = inst.jobs
+    order = sorted(range(len(jobs)), key=lambda p: (-jobs[p].value, jobs[p].id))
+    return [(window, list(run)) for window, run in groupby(
+        order, key=lambda p: (jobs[p].arrival, min(jobs[p].expiry, cut)))]
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    # the runs read by `place`, the flow's one step per run, as (window,
+    # positions); and the windows searched, each of them all busy
+    runs, searches = [], []
+    place, search = _FlowState.place, _FlowState.cheapest_reachable
+
+    def counted_place(state, pos, rest):
+        run = [pos]
+
+        def tapped():
+            for p in rest:
+                run.append(p)
+                yield p
+
+        after = place(state, pos, tapped())
+        if after is not None:  # the next run's first job, read for the boundary test
+            assert run.pop() == after
+        runs.append(((state.starts[pos], state.ends[pos]), run))
+        return after
+
+    def counted_search(state, lo, hi, idle):
+        assert idle == plain_first_idle(state, lo) > hi
+        searches.append((lo, hi))
+        return search(state, lo, hi, idle)
+
+    monkeypatch.setattr(_FlowState, "place", counted_place)
+    monkeypatch.setattr(_FlowState, "cheapest_reachable", counted_search)
+    return runs, searches
+
+
 class TestOnePass:
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        # the windows read by `place`, the flow's one step per job, and by the
-        # reachability search, which only an all-busy window enters
-        windows, searches = [], []
-        place, search = _FlowState.place, _FlowState.cheapest_reachable
-
-        def counted_place(state, pos):
-            windows.append((state.starts[pos], state.ends[pos]))
-            return place(state, pos)
-
-        def counted_search(state, lo, hi, idle):
-            assert idle == plain_first_idle(state, lo) > hi
-            searches.append((lo, hi))
-            return search(state, lo, hi, idle)
-
-        monkeypatch.setattr(_FlowState, "place", counted_place)
-        monkeypatch.setattr(_FlowState, "cheapest_reachable", counted_search)
-        return windows, searches
-
     @pytest.mark.parametrize("inst", [random_instance(np.random.default_rng(39), PowerLaw(2.0),
                                                       n_max=30, mean_gap=0.3),
                                       bursts_instance(11, never_expiring=150)],
                              ids=["random", "bursts"])
     def test_one_search_per_job(self, alpha2, steps, inst):
-        # 30 jobs, and 1,000 in bursts: each window is read exactly once,
-        # however many jobs get placed, by either entry point; it is searched
-        # at most once, and only when it holds no idle slot
-        windows, searches = steps
+        # 30 jobs, and 1,000 in bursts: each cut window is read exactly once,
+        # in one step per run of one window, however many jobs get placed, by
+        # either entry point; it is searched at most once per job, and only
+        # when it holds no idle slot
+        runs, searches = steps
         profit, trace = solve_offline_flow(inst, alpha2)
-        cut = inst.last_arrival + len(inst)
-        expected = sorted((j.arrival, min(j.expiry, cut)) for j in inst.jobs)
-        assert sorted(windows) == expected
+        expected = pass_runs(inst)
+        windows = [window for window, run in expected for _ in run]
+        assert runs == expected
         assert not Counter(searches) - Counter(windows) and len(searches) < len(windows)
         assert 0 < sum(len(d.processed) for d in trace.decisions) < len(inst)
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
         first_searches = searches[:]
-        windows.clear()
+        runs.clear()
         searches.clear()
         assert offline_profit(inst, alpha2) == profit
-        assert sorted(windows) == expected and searches == first_searches
+        assert runs == expected and searches == first_searches
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     @pytest.mark.parametrize("policy", ["min-lcr", "greedy"])
     def test_game_searches_twice(self, steps, alpha, policy):
         # 4,000 jobs in two runs of one window: the chosen jobs each take an
         # idle slot, and the rest, all with window [1, 1], search twice: once
-        # to move a chain, once more for the run's memo
-        windows, searches = steps
+        # to move a chain, once more for the reach the run's next jobs reuse
+        runs, searches = steps
         run_adversarial_game(policy, gen_alpha2_lb_instance(2000), PowerLaw(alpha))
-        assert len(windows) == 4000 and len(searches) <= 2
+        assert sum(len(run) for _, run in runs) == 4000 and len(searches) <= 2
 
     def test_thousands_of_dense_jobs(self, alpha2):
         # Poisson(0.3) arrival gaps pack 3,498 jobs into ~1,000 slots, so most
@@ -249,6 +271,35 @@ class TestOnePass:
         profit, trace = solve_offline_flow(inst, alpha2)
         assert time.perf_counter() - start < 3.0
         assert math.isclose(evaluate_trace(inst, trace, alpha2), profit, rel_tol=1e-9)
+
+
+class TestRunSteps:
+    # work counters, not seconds: the flow takes one step per run of one
+    # window, so the game's steps and searches stay flat as z grows
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_game_work_does_not_grow_with_z(self, steps, alpha):
+        runs, searches = steps
+        for z in (500, 1000, 2000):
+            runs.clear()
+            searches.clear()
+            run_adversarial_game("min-lcr", gen_alpha2_lb_instance(z), PowerLaw(alpha))
+            assert sum(len(run) for _, run in runs) == 2 * z
+            assert len(searches) <= 2 and len(runs) <= 4
+
+    def test_one_step_per_run_on_battery_instances(self, alpha2, steps):
+        # Poisson(0.3) arrival gaps: now and then two jobs next to each other
+        # in pass order share a window, so runs are fewer than jobs
+        runs, _ = steps
+        rng = np.random.default_rng(7)
+        jobs = merged = 0
+        for _ in range(100):
+            inst = random_instance(rng, alpha2, n_max=30, mean_gap=0.3)
+            runs.clear()
+            offline_profit(inst, alpha2)
+            assert runs == pass_runs(inst)
+            jobs += len(inst)
+            merged += len(inst) - len(runs)
+        assert merged > 0.02 * jobs
 
 
 class CountingPowerLaw(PowerLaw):
@@ -359,19 +410,22 @@ def small_bursts_instance(rng):
 class TestFirstIdle:
     @pytest.fixture
     def checked(self, monkeypatch):
-        placed = []
+        placed = []  # jobs placed by each step that placed any
         place = _FlowState.place
 
-        def checked_place(state, pos):
-            if place(state, pos):
-                placed.append(pos)
+        def checked_place(state, pos, rest):
+            before = sum(map(len, state.slot_jobs.values()))
+            after = place(state, pos, rest)
             assert_first_idle_sound(state)
+            if sum(map(len, state.slot_jobs.values())) > before:
+                placed.append(pos)
+            return after
 
         monkeypatch.setattr(_FlowState, "place", checked_place)
         return placed
 
     def test_matches_plain_scan(self, alpha2, checked):
-        # after every placement of 100 random and 100 burst instances
+        # after every run step of 100 random and 100 burst instances
         rng = np.random.default_rng(2026)
         for i in range(200):
             if i % 2:
@@ -387,10 +441,11 @@ class TestFirstIdle:
         # to slot 2, leaving slot 1 with no job until job 1 lands there
         inst = mk_instance((1, 10.0, 2), (1, 9.0, 1))
         state = _FlowState(inst, alpha2)
-        assert state.place(0)
+        assert state.place(0, iter([1])) == 1  # [1, 2] and [1, 1]: two runs
+        assert state.slot_jobs == {1: [0]}
         assert_first_idle_sound(state)
         assert state.cheapest_reachable(1, 1, state.first_idle(1)) == (2, (1, 2, [(2, 2, 1)]))
-        assert state.place(1)
+        assert state.place(1, iter(())) is None
         assert_first_idle_sound(state)
         assert state.slot_jobs == {1: [1], 2: [0]}
         assert state.first_idle(1) == 3
