@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
-                    _instance_from_checked)
+                    _instance_from_checked, _is_int)
 from .offline import offline_profit
 from .policies import PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
@@ -134,9 +134,12 @@ def alpha2_game_ratio(z: int, k: int) -> float:
 def lower_bound_ratio(alpha: float, z: int, x: float, k: int) -> float:
     """The lower-bound ratio at one (z, x, k) point of the construction family.
 
-    A zero denominator reads inf, as in the curve's inner minimum; a power
-    that overflows a float raises ModelError.
+    z and k must be integers with 1 <= k <= z. A zero denominator reads inf,
+    as in the curve's inner minimum; a power that overflows a float raises
+    ModelError.
     """
+    if not (_is_int(z) and _is_int(k) and 1 <= k <= z):
+        raise ModelError(f"k must be in 1..z, got k={k}, z={z}")
     try:
         z_pow, k_pow = float(z) ** alpha, float(k) ** alpha
         cz = z_pow - float(z - 1) ** alpha

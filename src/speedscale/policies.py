@@ -17,12 +17,17 @@ Shipped policies:
 * ``fixed:K``  - greedy capped at K jobs a slot, a probe for the adaptive game
   (``FixedCountPolicy(K)``; not in ``POLICIES``).
 
+The policies differ only in which counts they score (``Policy.counts``);
+``Policy.decide`` is written once. It scans the view once (``_scan``), and
+the g values and prefix sums it finds while computing m feed one pass over
+prefix sums (``_ledger``) that builds the breakdowns of every scored count.
+``lcr_breakdown`` reads the same pass for one count, so a breakdown has the
+same bits whichever policy scores it.
+
 ``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
-the simulator makes several per visited slot. A policy step scans the view
-once (``_scan``): the g values and prefix sums it finds while computing m feed
-every breakdown of the step. The simulator ``run_policy`` and the adaptive
-game share one slot step, ``_play_slot``, which checks the policy's count and
-appends the slot's records.
+the simulator makes several per visited slot. The simulator ``run_policy``
+and the adaptive game share one slot step, ``_play_slot``, which checks the
+policy's count and appends the slot's records.
 """
 from __future__ import annotations
 
@@ -146,70 +151,47 @@ def compute_m(view: PolicyView, cost: CostModel) -> int:
     return _scan(view.values, cost)[0]
 
 
-def _greedy_profit(values: Sequence[float], start: int, g: list[float]) -> float:
-    """max_j (sum of values[start:start + j] - g(j)), j >= 0, with g read from a `_scan` table.
-
-    The profit is concave in j, so the loop stops at the first j whose value
-    does not beat its marginal g(j) - g(j-1), the last g(j) it reads.
-    """
-    best = running = 0.0
-    for j, v in enumerate(values[start:], 1):
-        g_j = g[j]
-        if not v - (g_j - g[j - 1]) > 0.0:
-            break
-        running += v
-        if running - g_j > best:
-            best = running - g_j
-    return best
-
-
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     """LCR ingredients for processing the top ``i`` jobs of the view."""
     m, g, prefix = _scan(view.values, cost)
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
-    return _breakdown(view.values, g, prefix, i)
+    return _ledger(view.values, g, prefix, (i,))[0]
 
 
-def _breakdown(values: Sequence[float], g: list[float], prefix: list[float], i: int) -> LcrBreakdown:
-    """lcr_breakdown for a policy that has already scanned the view and checked 1 <= i <= m."""
-    top = prefix[i]
-    M = top - i * g[1]
-    P = top - g[i]
-    cg = _greedy_profit(values, i, g)
-    return LcrBreakdown(i, M, P, cg, (M + cg) / P)
-
-
-def _prefix_ledger(values: Sequence[float], g: list[float],
-                   prefix: list[float]) -> list[LcrBreakdown]:
-    """The breakdowns for i = 1..m, m = len(prefix) - 1, in one pass over prefix sums.
+def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
+            counts: Sequence[int]) -> list[LcrBreakdown]:
+    """The breakdowns for an increasing run of counts in 1..m, in one pass over prefix sums.
 
     c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
     peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
-    never grows with i, so one pointer walked downwards serves every i, and
-    the prefix sums are extended only as far as i + j can reach. g and prefix
-    come from `_scan`, whose g table covers every count read here.
+    never grows with i: it is found once, at the first count, by walking up,
+    and walked down for each later count. So the prefix sums are extended
+    only as far as the last count plus that first j. g and prefix come from
+    `_scan` (prefix holds the top-m sums), whose g table covers every count
+    read here.
     """
     n = len(values)
-    m = len(prefix) - 1
+    first = counts[0]
     j = 0
-    while j < n - 1:
-        if not values[1 + j] - (g[j + 1] - g[j]) > 0.0:
-            break
+    while j < n - first and values[first + j] - (g[j + 1] - g[j]) > 0.0:
         j += 1
     top = prefix[-1]
-    for v in values[m:m + j]:  # i + j <= m + j for every i below
+    for v in values[len(prefix) - 1:counts[-1] + j]:
         top += v
         prefix.append(top)
     ledger = []
-    for i in range(1, m + 1):
-        j = min(j, n - i)
+    for i in counts:
+        if j > n - i:
+            j = n - i
         while j > 0 and not values[i + j - 1] - (g[j] - g[j - 1]) > 0.0:
             j -= 1
         top = prefix[i]
         M = top - i * g[1]
         P = top - g[i]
-        cg = max(prefix[i + j] - top - g[j], 0.0)
+        cg = prefix[i + j] - top - g[j]
+        if cg < 0.0:  # j = 0 is a leftover count too
+            cg = 0.0
         ledger.append(LcrBreakdown(i, M, P, cg, (M + cg) / P))
     return ledger
 
@@ -239,64 +221,61 @@ def beta_root(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sim_lcr_candidates(m: int, alpha: float) -> tuple[int, ...]:
-    beta = beta_root(alpha)
-    lo = max(1, math.floor(beta * m))
-    hi = min(m, math.ceil(beta * m))
-    return (lo,) if lo == hi else (lo, hi)
-
-
 # Breakdowns come in increasing i and min keeps the first of equal keys, so
 # ties pick the smallest count
 _BY_LCR = operator.itemgetter(4)
 
 
 class Policy:
-    """Deterministic per-slot decision rule over deadline-blind views."""
+    """Deterministic per-slot decision rule over deadline-blind views.
+
+    A shipped policy supplies only `counts`; `decide` takes the first of them
+    with least LCR, and processes nothing when no count is profitable.
+    """
 
     name: str = "policy"
 
-    def decide(self, view: PolicyView, cost: CostModel) -> Decision:
+    def counts(self, m: int, cost: CostModel) -> Sequence[int]:
+        """The increasing candidate counts in 1..m, for m >= 1 profitable jobs."""
         raise NotImplementedError
+
+    def decide(self, view: PolicyView, cost: CostModel) -> Decision:
+        values = view.values
+        m, g, prefix = _scan(values, cost)
+        if m == 0:
+            return Decision(0)
+        ledger = _ledger(values, g, prefix, self.counts(m, cost))
+        return Decision(min(ledger, key=_BY_LCR).i, tuple(ledger))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
 class MinLcrPolicy(Policy):
-    """Argmin-LCR count over i = 1..m, with the full ledger of breakdowns.
-
-    The ledger comes from one pass over prefix sums (_prefix_ledger);
-    lcr_breakdown stays the single-candidate definition it is tested against.
-    Processes nothing when no count is profitable. Ties pick the smallest count.
-    """
+    """Argmin-LCR count over i = 1..m, with the full ledger of breakdowns."""
 
     name = "min-lcr"
 
-    def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        values = view.values
-        m, g, prefix = _scan(values, cost)
-        if m == 0:
-            return Decision(0)
-        ledger = _prefix_ledger(values, g, prefix)
-        return Decision(min(ledger, key=_BY_LCR).i, tuple(ledger))
+    def counts(self, m: int, cost: CostModel) -> range:
+        return range(1, m + 1)
 
 
 class SimLcrPolicy(Policy):
     name = "sim-lcr"
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
+        # refused before the scan, so an unprofitable view is refused too
         if not isinstance(cost, PowerLaw):
             raise UnsupportedCostError("sim-lcr requires a power-law cost model")
         if cost.alpha < 2.0:
             raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {cost.alpha}")
-        values = view.values
-        m, g, prefix = _scan(values, cost)
-        if m == 0:
-            return Decision(0)
-        breakdowns = tuple([_breakdown(values, g, prefix, i)
-                            for i in _sim_lcr_candidates(m, cost.alpha)])
-        return Decision(min(breakdowns, key=_BY_LCR).i, breakdowns)
+        return super().decide(view, cost)
+
+    def counts(self, m: int, cost: CostModel) -> tuple[int, ...]:
+        beta = beta_root(cost.alpha)
+        lo = max(1, math.floor(beta * m))
+        hi = min(m, math.ceil(beta * m))
+        return (lo,) if lo == hi else (lo, hi)
 
 
 class GreedyPolicy(Policy):
@@ -305,13 +284,8 @@ class GreedyPolicy(Policy):
     name = "greedy"
     k: float = math.inf
 
-    def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        values = view.values
-        m, g, prefix = _scan(values, cost)
-        if m == 0:
-            return Decision(0)
-        count = min(self.k, m)
-        return Decision(count, (_breakdown(values, g, prefix, count),))
+    def counts(self, m: int, cost: CostModel) -> tuple[int]:
+        return (min(self.k, m),)
 
 
 class FixedCountPolicy(GreedyPolicy):

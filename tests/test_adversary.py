@@ -319,6 +319,12 @@ class TestLowerBoundCurve:
         # z = 1, x = 5e-324: v = 1 + x rounds to 1, so k v - k**alpha is 0
         assert lower_bound_ratio(2.0, 1, 5e-324, 1) == math.inf
 
+    @pytest.mark.parametrize("z,k", [(0, 1), (3, 5), (3, 0), (3.0, 1), (3, 1.0), (3, True)])
+    def test_point_outside_the_family_rejected(self, z, k):
+        # z = 0 once gave a complex number, k > z a finite ratio and k = 0 inf
+        with pytest.raises(ModelError, match=rf"^k must be in 1\.\.z, got k={k}, z={z}$"):
+            lower_bound_ratio(2.5, z, 1.0, k)
+
     def test_ratio_that_overflows_raises_model_error(self):
         with pytest.raises(ModelError, match=r"overflows a float at alpha=200\.0, z=50, k=1$"):
             lower_bound_ratio(200.0, 50, 1.0, 1)

@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speedscale.adversary import PHI_PLUS_1
+from speedscale.analysis import random_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace, evaluate_trace)
 from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, LcrBreakdown, Policy,
-                                 PolicyView, SlotLedger, UnsupportedCostError, _greedy_profit,
-                                 _scan, beta_root, compute_m, get_policy, lcr_breakdown,
-                                 run_policy)
+                                 PolicyView, SlotLedger, UnsupportedCostError, _scan,
+                                 beta_root, compute_m, get_policy, lcr_breakdown, run_policy)
 
 from conftest import available_jobs, mk_instance
 
@@ -27,12 +28,20 @@ def inner_greedy_profit(leftover_values, cost):
 
     Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
     so the result is never negative. The pool's own scan tabulates g as far
-    as the profit loop reads it, and no further.
+    as the profit loop reads it, and no further. The profit is concave in j,
+    so the loop stops at the first j whose value does not beat its marginal.
     """
     values = list(leftover_values)
     if not all(map(operator.ge, values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
-    return _greedy_profit(values, 0, _scan(values, cost)[1])
+    g = _scan(values, cost)[1]
+    best = running = 0.0
+    for j, v in enumerate(values, 1):
+        if not v - (g[j] - g[j - 1]) > 0.0:
+            break
+        running += v
+        best = max(best, running - g[j])
+    return best
 
 
 def _reference_run_policy(instance, policy, cost):
@@ -107,17 +116,38 @@ def ltr_sum(values):
     return total
 
 
-def ltr_breakdown(values, cost, i):
-    """The LCR breakdown of the top i, every sum added left to right from 0.0."""
-    top = ltr_sum(values[:i])
-    M = top - i * cost.g(1)
-    P = top - cost.g(i)
-    best = 0.0
-    for j in range(1, len(values) - i + 1):
-        if not values[i + j - 1] - (cost.g(j) - cost.g(j - 1)) > 0.0:
-            break
-        best = max(best, ltr_sum(values[i:i + j]) - cost.g(j))
-    return LcrBreakdown(i, M, P, best, (M + best) / P)
+def last_profitable(pool, cost):
+    """The last count j whose j-th job of `pool` beats its marginal cost."""
+    j = 0
+    while j < len(pool) and pool[j] - (cost.g(j + 1) - cost.g(j)) > 0.0:
+        j += 1
+    return j
+
+
+def prefix_breakdown(values, cost, i):
+    """The LCR breakdown of the top i by its definition over prefix sums.
+
+    Prefix sums are added left to right from 0.0, and c_greedy(i) is
+    prefix[i+j] - prefix[i] - g(j) at the last leftover count j whose job
+    beats its marginal cost, floored at 0.
+    """
+    prefix = [0.0]
+    for v in values:
+        prefix.append(prefix[-1] + v)
+    j = last_profitable(values[i:], cost)
+    M = prefix[i] - i * cost.g(1)
+    P = prefix[i] - cost.g(i)
+    cg = max(prefix[i + j] - prefix[i] - cost.g(j), 0.0)
+    return LcrBreakdown(i, M, P, cg, (M + cg) / P)
+
+
+def policy_named(name):
+    return FixedCountPolicy(int(name[6:])) if name.startswith("fixed:") else POLICIES[name]
+
+
+def bits(breakdown):
+    """A breakdown with its floats as hex strings, so == compares every bit."""
+    return (breakdown.i, *(x.hex() for x in breakdown[1:]))
 
 
 @dataclass(frozen=True)
@@ -185,7 +215,8 @@ class TestComputeM:
                                                         max_size=17))
     @settings(max_examples=150, deadline=None)
     def test_breakdowns_match_left_to_right_definition(self, values, name, cost_spec):
-        # greedy, fixed:K and sim-lcr against sums written out left to right
+        # greedy, fixed:K and sim-lcr score their counts, and each breakdown
+        # is the prefix-sum definition (prefix sums added left to right)
         values = sorted(values, reverse=True)
         if isinstance(cost_spec, float):
             cost = PowerLaw(cost_spec)
@@ -194,7 +225,7 @@ class TestComputeM:
                 name = "greedy"  # sim-lcr refuses a table
             marginals = sorted(c / 4 for c in cost_spec)  # sums of quarters are exact
             cost = TabulatedConvex(tuple(ltr_sum(marginals[:k]) for k in range(18)))
-        policy = FixedCountPolicy(int(name[6:])) if name.startswith("fixed:") else POLICIES[name]
+        policy = policy_named(name)
         decision = policy.decide(view_of(*values), cost)
         m = brute_m(values, cost)
         if name == "sim-lcr" and m:
@@ -204,7 +235,7 @@ class TestComputeM:
             expected = [min(policy.k, m)] if m else []
         assert [b.i for b in decision.breakdowns] == expected
         for b in decision.breakdowns:
-            assert b == ltr_breakdown(values, cost, b.i)
+            assert bits(b) == bits(prefix_breakdown(values, cost, b.i))
 
 
 class TestInnerGreedyProfit:
@@ -307,57 +338,147 @@ class TestMinLcrDecide:
                             TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]))
     @settings(max_examples=100, deadline=None)
     def test_one_pass_ledger_matches_reference(self, values, cost):
-        # min-lcr builds the ledger from prefix sums; lcr_breakdown is the
-        # per-candidate definition. M, P and c_greedy are sums of the view's
-        # values, so their rounding is bounded relative to the view's total and
-        # enters the LCR divided by P. The tolerance covers two implementations
-        # of c_greedy: a difference of prefix sums here, the leftover values
-        # summed from 0.0 in lcr_breakdown. Their bits differ; the test below
-        # pins the first one exactly.
+        # min-lcr builds the whole ledger in one pass; lcr_breakdown is the
+        # per-candidate entry point. Both read the one ledger definition, so
+        # every breakdown agrees bit for bit, and the count is the argmin
         values = sorted(values, reverse=True)
         view = view_of(*values)
         decision = MIN_LCR.decide(view, cost)
         count, ledger = decision.count, decision.breakdowns
         reference = [lcr_breakdown(view, cost, i) for i in range(1, compute_m(view, cost) + 1)]
-        assert [b.i for b in ledger] == [b.i for b in reference]
-        tol = 1e-12 * sum(values)
-        for a, b in zip(ledger, reference):
-            assert abs(a.M - b.M) <= tol
-            assert abs(a.P - b.P) <= tol
-            assert abs(a.c_greedy - b.c_greedy) <= tol
-            assert abs(a.lcr - b.lcr) <= tol * (2.0 + b.lcr) / b.P
+        assert [bits(b) for b in ledger] == [bits(b) for b in reference]
         expected = min(reference, key=lambda b: (b.lcr, b.i)).i if reference else 0
         assert count == expected
 
-
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
            st.sampled_from([PowerLaw(2.0), PowerLaw(2.5), PowerLaw(3.0),
-                            TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]))
+                            TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(41)))]),
+           st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:1", "fixed:3"]))
     @settings(max_examples=100, deadline=None)
-    def test_ledger_is_prefix_difference_definition(self, values, cost):
-        # bit for bit: prefix sums added left to right, and c_greedy(i) is
-        # prefix[i+j] - prefix[i] - g(j) at the last leftover count j whose
-        # job beats its marginal cost, floored at 0
+    def test_ledger_is_prefix_difference_definition(self, values, cost, name):
+        # bit for bit: min-lcr's ledger is the prefix-sum definition at
+        # i = 1..m, and every policy's breakdown at count i is entry i
         values = sorted(values, reverse=True)
-        prefix = [0.0]
-        for v in values:
-            prefix.append(prefix[-1] + v)
-
-        def last_profitable(pool):
-            j = 0
-            while j < len(pool) and pool[j] - (cost.g(j + 1) - cost.g(j)) > 0.0:
-                j += 1
-            return j
-
-        expected = []
-        for i in range(1, last_profitable(values) + 1):
-            j = last_profitable(values[i:])
-            M = prefix[i] - i * cost.g(1)
-            P = prefix[i] - cost.g(i)
-            cg = max(prefix[i + j] - prefix[i] - cost.g(j), 0.0)
-            expected.append((i, M.hex(), P.hex(), cg.hex(), ((M + cg) / P).hex()))
+        if name == "sim-lcr" and not isinstance(cost, PowerLaw):
+            name = "greedy"  # sim-lcr refuses a table
+        expected = [bits(prefix_breakdown(values, cost, i))
+                    for i in range(1, last_profitable(values, cost) + 1)]
         ledger = MIN_LCR.decide(view_of(*values), cost).breakdowns
-        assert [(b.i, *(x.hex() for x in b[1:])) for b in ledger] == expected
+        assert [bits(b) for b in ledger] == expected
+        for b in policy_named(name).decide(view_of(*values), cost).breakdowns:
+            assert bits(b) == expected[b.i - 1]
+
+
+# A float's unit roundoff: a sum, difference or product of floats is
+# rounded to within ROUNDOFF of its exact value, relative to that value
+ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def exact_ledger(values, g, m):
+    """(M, P, c_greedy, LCR) for i = 1..m, in exact rational arithmetic.
+
+    The inputs are the float view and a float g table for 0..len(values),
+    read as exact rationals; c_greedy(i) is the maximum over every leftover
+    count j, not only the j the program's scan stops at.
+    """
+    g = [Fraction(x) for x in g]
+    prefix = [Fraction(0)]
+    for v in values:
+        prefix.append(prefix[-1] + Fraction(v))
+    ledger = {}
+    for i in range(1, m + 1):
+        M = prefix[i] - i * g[1]
+        P = prefix[i] - g[i]
+        cg = max(prefix[i + j] - prefix[i] - g[j] for j in range(len(values) - i + 1))
+        ledger[i] = (M, P, cg, (M + cg) / P)
+    return ledger
+
+
+def lcr_rounding_bounds(n, total, P, lcr):
+    """(E, L): how far a float breakdown of an n-job view may lie from the exact one.
+
+    E bounds the error of M, P and c_greedy. With g(0) = 0, every term they
+    add or subtract (a prefix sum, i * g(1), g(i), g(j)) is at most about the
+    view's total S, so each rounding is at most ROUNDOFF * S. A prefix sum of
+    k values added left to right rounds k - 1 times. M and P add one or two
+    roundings to prefix[i]. c_greedy is prefix[i+j] - prefix[i] - g(j): the
+    two prefixes share their first i additions, so their difference carries
+    at most j <= n - 1 roundings, and the two subtractions add two more. The
+    scan for the last profitable j compares each value with a rounded
+    marginal g(j) - g(j-1); every count on which that comparison and the
+    exact one disagree changes the exact profit by at most the rounding of
+    its marginal, at most ROUNDOFF * S over all of them. In all, at most
+    n + 2 roundings: E = (n + 4) * ROUNDOFF * S leaves two for second-order
+    terms.
+
+    L bounds the LCR's error: (M + c_greedy) / P moves by at most
+    d = (2 + LCR) * E / (P - E) when its three inputs move by E, and the
+    addition and the division round twice more, relative to the result.
+    L is infinite when P <= E.
+    """
+    E = (n + 4) * ROUNDOFF * total
+    if P <= E:
+        return E, math.inf
+    d = (2 + lcr) * E / (P - E)
+    return E, d + 3 * ROUNDOFF * (lcr + d)
+
+
+def assert_within_exact_ledger(values, alpha, fixed):
+    """Every policy's breakdowns lie within lcr_rounding_bounds of the exact
+    ledger, and min-lcr's count is the exact argmin wherever the exact gap to
+    every other count is larger than both counts' LCR bounds. Returns whether
+    that argmin check applied."""
+    cost = PowerLaw(alpha)
+    view = view_of(*values)
+    m, g, _ = _scan(values, cost)
+    g += [cost.g(j) for j in range(len(g), len(values) + 1)]
+    exact = exact_ledger(values, g, m)
+    total = sum(map(Fraction, values))
+    bounds = {i: lcr_rounding_bounds(len(values), total, P, lcr)
+              for i, (_, P, _, lcr) in exact.items()}
+    for policy in (MIN_LCR, POLICIES["sim-lcr"], POLICIES["greedy"], FixedCountPolicy(fixed)):
+        for b in policy.decide(view, cost).breakdowns:
+            E, L = bounds[b.i]
+            for got, want in zip((b.M, b.P, b.c_greedy), exact[b.i]):
+                assert abs(Fraction(got) - want) <= E, (policy, b)
+            assert abs(Fraction(b.lcr) - exact[b.i][3]) <= L, (policy, b)
+    if m == 0:
+        return False
+    best = min(exact, key=lambda i: (exact[i][3], i))
+    if all(exact[i][3] - exact[best][3] > bounds[i][1] + bounds[best][1]
+           for i in exact if i != best):
+        assert MIN_LCR.decide(view, cost).count == best
+        return True
+    return False
+
+
+class TestExactLedger:
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
+           st.sampled_from([2.0, 2.5, 3.0]), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_breakdowns_within_rounding_bound(self, values, alpha, fixed):
+        assert_within_exact_ledger(sorted(values, reverse=True), alpha, fixed)
+
+    def test_battery_views_within_rounding_bound(self):
+        # the views the simulator shows min-lcr on battery-like instances
+        views = []
+
+        class Recording(Policy):
+            name = "recording"
+
+            def decide(self, view, cost):
+                views.append((view.values, cost.alpha))
+                return MIN_LCR.decide(view, cost)
+
+        rng = np.random.default_rng(25)
+        for s in range(60):
+            alpha = (2.0, 2.5, 3.0)[s % 3]
+            run_policy(random_instance(rng, PowerLaw(alpha), heavy_tail=s % 2 == 1),
+                       Recording(), PowerLaw(alpha))
+        checked = [assert_within_exact_ledger(values, alpha, 1 + len(values) % 4)
+                   for values, alpha in views]
+        assert len(checked) > 300
+        assert sum(checked) > 0.9 * len(checked)
 
 
 class TestBetaRoot:
@@ -397,6 +518,18 @@ class TestSimLcr:
     def test_rejects_small_alpha(self):
         with pytest.raises(UnsupportedCostError):
             POLICIES["sim-lcr"].decide(view_of(10), PowerLaw(1.5))
+
+    @pytest.mark.parametrize("cost", [TabulatedConvex((0.0, 1.0, 4.0)), PowerLaw(1.5)],
+                             ids=["table", "alpha-1.5"])
+    def test_rejects_bad_cost_on_unprofitable_view(self, cost):
+        # the cost is refused before the view is scanned, so a view where
+        # nothing is profitable is refused as well
+        with pytest.raises(UnsupportedCostError):
+            POLICIES["sim-lcr"].decide(PolicyView(1, ((0, 0.5),)), cost)
+
+    def test_run_policy_rejects_table_on_unprofitable_instance(self):
+        with pytest.raises(UnsupportedCostError):
+            run_policy(mk_instance((1, 0.5, 1)), "sim-lcr", TabulatedConvex((0.0, 1.0, 4.0)))
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
            st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]))
