@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
                     _instance_from_checked, _is_int)
-from .offline import offline_profit
+from .offline import _flow_pass
 from .policies import PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
 
@@ -45,8 +45,8 @@ class InstanceTemplate:
     label: str = ""
 
     def __post_init__(self):
-        # a tuple, so that changing the caller's list later cannot reach
-        # adversary_finalize, which builds its jobs without checking them again
+        # a tuple, so that changing the caller's list later cannot reach the
+        # game's flow or adversary_finalize's jobs, which read them unchecked
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         if not values:
@@ -91,32 +91,39 @@ def gen_sqrt2_lb_instance(alpha: float) -> InstanceTemplate:
     return InstanceTemplate(values=(v,) * 4, label=f"sqrt2-lb:alpha={alpha:g}")
 
 
-def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
-    """Chosen jobs get an infinite deadline; every other job expires at slot 1."""
-    chosen = set(slot1_choice)
-    unknown = chosen.difference(range(len(template.values)))
+def _finalized_columns(template: InstanceTemplate, slot1_choice):
+    """The finalized game as flow columns: ids 0..n-1, values, arrivals 1 and
+    expiries, where chosen jobs never expire and every other job expires at slot 1."""
+    chosen, n = set(slot1_choice), len(template.values)
+    unknown = chosen.difference(range(n))
     if unknown:
         raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
+    return range(n), template.values, [1] * n, [INFINITE if i in chosen else 1 for i in range(n)]
+
+
+def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
+    """Chosen jobs get an infinite deadline; every other job expires at slot 1."""
+    ids, values, arrivals, expiries = _finalized_columns(template, slot1_choice)
     # InstanceTemplate checked the values; ids 0..n-1 at arrival 1 are in
     # (arrival, id) order, and a deadline of 1 or INFINITE is its own expiry
-    return _instance_from_checked(
-        ((jid, 1, value, INFINITE, INFINITE) if jid in chosen else (jid, 1, value, 1, 1)
-         for jid, value in enumerate(template.values)), template.label)
+    return _instance_from_checked(zip(ids, arrivals, values, expiries, expiries), template.label)
 
 
 def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) -> RatioReport:
     """Play one adaptive round: observe the policy's slot-1 choice, fix deadlines,
-    then score the finalized instance offline vs online.
+    then score the finalized game offline vs online.
 
     The online run is that one slot, through the simulator's slot step:
-    afterwards the chosen jobs are done and every other job has expired.
+    afterwards the chosen jobs are done and every other job has expired. The
+    flow scores the finalized game's columns, which `adversary_finalize`'s
+    instance also holds, so the profit has `offline_profit`'s bits, with no jobs built.
     """
     policy = get_policy(policy)
     view = template.slot1_view()
     decisions, ledgers = [], []
     count = _play_slot(policy, view, cost, decisions, ledgers)
-    instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
-    off_profit = offline_profit(instance, cost)
+    columns = _finalized_columns(template, [jid for jid, _ in view.candidates[:count]])
+    off_profit = _flow_pass(*columns, cost).profit()
     return build_report(template.label, off_profit, Trace(decisions, ledgers))
 
 

@@ -63,10 +63,13 @@ ever processed, so one per slot right after the final arrival suffices and
 later slots never help. Never-expiring windows end there, and a far deadline
 costs no more than none.
 
-Two entry points run that one pass on `(instance, cost)`. `offline_profit`
-returns only the optimum's value; callers that need only the value, such as
-competitive ratios and the verifiers, use it. `solve_offline_flow` returns the
-same value, bit for bit, together with a witness schedule of the instance's jobs.
+The pass (`_flow_pass`) reads flat per-job columns in (arrival, id) order:
+ids, values, arrivals and expiries. Two entry points run it on an instance's
+columns. `offline_profit` returns only the optimum's value, for callers that
+need only that, such as competitive ratios and the verifiers.
+`solve_offline_flow` returns the same value, bit for bit, together with a
+witness schedule of the instance's jobs. The adaptive game builds its columns
+with no jobs.
 
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
 all feasible assignments (organized as a subset DP per slot), guarded to
@@ -99,14 +102,12 @@ def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> 
 # ---------------------------------------------------------------------------
 
 class _FlowState:
-    def __init__(self, instance: Instance, cost: CostModel):
-        jobs = instance.jobs  # read into flat per-job lists, indexed by position
-        cap = instance.last_arrival + len(jobs)  # the window cut, see the module docstring
+    def __init__(self, values, arrivals, expiries, cost: CostModel):
+        # flat per-job columns in (arrival, id) order, indexed by position
+        cap = arrivals[-1] + len(values)  # the window cut, see the module docstring
         self.cost = cost
-        self.ids = [j.id for j in jobs]
-        self.values = [j.value for j in jobs]
-        self.starts = [j.arrival for j in jobs]
-        self.ends = [j.expiry if j.expiry < cap else cap for j in jobs]
+        self.values, self.starts = values, arrivals
+        self.ends = [e if e < cap else cap for e in expiries]
         self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
         self.g = [cost.g(0), cost.g(1)]  # g(0), g(1), ...: grown only as far as loads reach
@@ -275,16 +276,23 @@ class _FlowState:
         return float(total)
 
 
-def _flow_pass(instance: Instance, cost: CostModel) -> _FlowState:
-    """The one pass both entry points share.
+def _columns(instance: Instance) -> tuple[list, list, list, list]:
+    """An instance's ids, values, arrivals and expiries, in its (arrival, id) order."""
+    jobs = instance.jobs
+    return ([j.id for j in jobs], [j.value for j in jobs],
+            [j.arrival for j in jobs], [j.expiry for j in jobs])
+
+
+def _flow_pass(ids, values, arrivals, expiries, cost: CostModel) -> _FlowState:
+    """The one pass every caller shares, over non-empty columns in (arrival, id) order.
 
     Non-increasing value order, smaller id first on ties, one `place` per run
     of consecutive jobs with one cut window: a job is placed when its value
     beats the cheapest reachable marginal cost by more than PLACE_TOL and
     skipped for good otherwise; the module docstring says why that is exact.
     """
-    state = _FlowState(instance, cost)
-    order = [(-value, job_id) for value, job_id in zip(state.values, state.ids)]
+    state = _FlowState(values, arrivals, expiries, cost)
+    order = [(-value, job_id) for value, job_id in zip(values, ids)]
     place, rest = state.place, iter(sorted(range(len(order)), key=order.__getitem__))
     pos = next(rest, None)
     while pos is not None:
@@ -294,14 +302,14 @@ def _flow_pass(instance: Instance, cost: CostModel) -> _FlowState:
 
 def offline_profit(instance: Instance, cost: CostModel) -> float:
     """Maximum clairvoyant profit, bit-equal to solve_offline_flow's, without a witness."""
-    return _flow_pass(instance, cost).profit() if instance.jobs else 0.0
+    return _flow_pass(*_columns(instance), cost).profit() if instance.jobs else 0.0
 
 
 def solve_offline_flow(instance: Instance, cost: CostModel) -> tuple[float, Trace]:
     """Maximum clairvoyant profit and a witness schedule built from `instance.jobs`."""
     if not instance.jobs:
         return 0.0, EMPTY_TRACE
-    state, jobs = _flow_pass(instance, cost), instance.jobs
+    state, jobs = _flow_pass(*_columns(instance), cost), instance.jobs
     return state.profit(), _trace_from_assignment(
         {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, cost)
 

@@ -115,6 +115,10 @@ class Decision(NamedTuple):
     breakdowns: tuple[LcrBreakdown, ...] = ()
 
 
+# builds a record's fields with no call of the named tuple's Python-level __new__
+_new = tuple.__new__
+
+
 def _scan(values: Sequence[float], cost: CostModel) -> tuple[int, list[float], list[float]]:
     """m, the g values the scan for it evaluated, and the top-m prefix sums.
 
@@ -192,7 +196,7 @@ def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
         cg = prefix[i + j] - top - g[j]
         if cg < 0.0:  # j = 0 is a leftover count too
             cg = 0.0
-        ledger.append(LcrBreakdown(i, M, P, cg, (M + cg) / P))
+        ledger.append(_new(LcrBreakdown, (i, M, P, cg, (M + cg) / P)))
     return ledger
 
 
@@ -243,9 +247,9 @@ class Policy:
         values = view.values
         m, g, prefix = _scan(values, cost)
         if m == 0:
-            return Decision(0)
+            return _new(Decision, (0, ()))
         ledger = _ledger(values, g, prefix, self.counts(m, cost))
-        return Decision(min(ledger, key=_BY_LCR).i, tuple(ledger))
+        return _new(Decision, (min(ledger, key=_BY_LCR).i, tuple(ledger)))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"

@@ -14,9 +14,10 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, InstanceTemplate,
                                   gen_alpha2_lb_instance,
                                   gen_sqrt2_lb_instance, golden_section_max,
                                   run_adversarial_game, sqrt2_job_value)
-from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw
-from speedscale.offline import solve_offline_flow
-from speedscale.policies import Decision, FixedCountPolicy, Policy, get_policy, run_policy
+from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw, Trace
+from speedscale.offline import offline_profit, solve_offline_flow
+from speedscale.policies import (Decision, FixedCountPolicy, Policy, _play_slot, get_policy,
+                                 run_policy)
 from speedscale.reports import build_report
 
 from conftest import assert_same_instance, count_checked_constructions, job_values, k_scan
@@ -40,6 +41,15 @@ def replayed_game_report(policy, template, cost):
     instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
     off, _ = solve_offline_flow(instance, cost)
     return build_report(template.label, off, run_policy(instance, policy, cost))
+
+
+def finalized_game_report(policy, template, cost):
+    """The game scored from adversary_finalize's instance through offline_profit."""
+    view = template.slot1_view()
+    decisions, ledgers = [], []
+    count = _play_slot(get_policy(policy), view, cost, decisions, ledgers)
+    instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
+    return build_report(template.label, offline_profit(instance, cost), Trace(decisions, ledgers))
 
 
 def golden_refine_peak(alpha, z, x_lo, x_hi):
@@ -299,6 +309,33 @@ class TestGames:
 
         monkeypatch.setattr(offline, "_trace_from_assignment", refuse)
         assert run_adversarial_game(policy, template, alpha2) == report
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(7)])
+    def test_game_builds_no_jobs(self, monkeypatch, alpha2, policy):
+        # the flow reads the game's columns: adversary_finalize builds no instance for it
+        template = gen_alpha2_lb_instance(40)
+        report = run_adversarial_game(policy, template, alpha2)
+
+        def refuse(*args):
+            raise AssertionError("run_adversarial_game built the finalized instance")
+
+        monkeypatch.setattr(adversary, "_instance_from_checked", refuse)
+        assert run_adversarial_game(policy, template, alpha2) == report
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 7.5, 12.0]),
+                              st.floats(0.0, 30.0)), min_size=1, max_size=12),
+           st.one_of(st.sampled_from(["min-lcr", "sim-lcr", "greedy"]),
+                     st.integers(1, 12).map(FixedCountPolicy)),
+           st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_report_equals_finalized_instance(self, values, policy, alpha):
+        # ties, unprofitable values and unsorted ids, so the chosen ids are
+        # any set of the template's ids, not only 0..k-1
+        template, cost = InstanceTemplate(tuple(values), "drawn"), PowerLaw(alpha)
+        got = run_adversarial_game(policy, template, cost)
+        want = finalized_game_report(policy, template, cost)
+        assert repr(got) == repr(want)
+        assert got.off_profit.hex() == want.off_profit.hex()
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(3)])
     @pytest.mark.parametrize("alpha,template", [

@@ -15,8 +15,8 @@ from speedscale import offline
 from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance
 from speedscale.model import (INFINITE, CostModel, Instance, Job, PowerLaw, TabulatedConvex,
                               evaluate_trace)
-from speedscale.offline import (OfflineSizeError, _flow_pass, _FlowState, offline_profit,
-                                solve_offline_bruteforce, solve_offline_flow)
+from speedscale.offline import (OfflineSizeError, _columns, _flow_pass, _FlowState,
+                                offline_profit, solve_offline_bruteforce, solve_offline_flow)
 
 
 class RefGraph:
@@ -200,7 +200,7 @@ class OneJobState(_FlowState):
 
 
 def flow_outputs(instance, cost):
-    state = _flow_pass(instance, cost)
+    state = _flow_pass(*_columns(instance), cost)
     profit, trace = solve_offline_flow(instance, cost)
     return (offline_profit(instance, cost).hex(), profit.hex(),
             [(d.slot, d.processed, d.payoff_sum.hex(), d.energy.hex()) for d in trace.decisions],

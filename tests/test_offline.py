@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance, run_adversarial_game
+from speedscale import adversary, offline
+from speedscale.adversary import (InstanceTemplate, adversary_finalize, gen_alpha2_lb_instance,
+                                  run_adversarial_game)
 from speedscale.analysis import _small_instance, competitive_report, random_instance
 from speedscale.model import (EMPTY_TRACE, INFINITE, Instance, Job, PowerLaw,
                               evaluate_trace, union)
-from speedscale.offline import (OfflineSizeError, _FlowState, offline_profit,
+from speedscale.offline import (OfflineSizeError, _columns, _FlowState, offline_profit,
                                 solve_offline_bruteforce, solve_offline_flow)
-from speedscale.policies import POLICIES, run_policy
+from speedscale.policies import POLICIES, FixedCountPolicy, run_policy
 
 from conftest import mk_instance
 
@@ -22,12 +24,34 @@ from conftest import mk_instance
 class TestWindowCut:
     def test_never_expiring_windows_cut(self, alpha2):
         inst = mk_instance((1, 4.0, INFINITE), (1, 4.0, INFINITE))
-        assert _FlowState(inst, alpha2).ends == [3, 3]  # last arrival 1 + two jobs
+        assert _columns(inst) == ([0, 1], [4.0, 4.0], [1, 1], [INFINITE, INFINITE])
+        state = _FlowState([4.0, 4.0], [1, 1], [INFINITE, INFINITE], alpha2)
+        assert state.ends == [3, 3]  # last arrival 1 + two jobs
 
     def test_long_finite_windows_cut(self, alpha2):
         # the flow cuts a finite window at the same slot; a short one stays whole
         inst = mk_instance((1, 4.0, 7), (2, 4.0, 2))
-        assert _FlowState(inst, alpha2).ends == [4, 3]  # last arrival 2 + two jobs
+        assert _columns(inst) == ([0, 1], [4.0, 4.0], [1, 2], [7, 3])
+        state = _FlowState([4.0, 4.0], [1, 2], [7, 3], alpha2)
+        assert state.ends == [4, 3]  # last arrival 2 + two jobs
+
+    @pytest.mark.parametrize("template, policy, chosen", [
+        (gen_alpha2_lb_instance(5), FixedCountPolicy(3), {0, 1, 2}),
+        # ids 1 and 3 hold the two profitable values: chosen by id, not by rank
+        (InstanceTemplate((1.0, 9.0, 5.0, 8.0)), "greedy", {1, 3})])
+    def test_game_windows_cut(self, monkeypatch, alpha2, template, policy, chosen):
+        # the game's n = 2z jobs arrive at slot 1: chosen ones end at the cut 1 + n, the others at 1
+        states = []
+
+        def recorded(*columns):
+            states.append(offline._flow_pass(*columns))
+            return states[-1]
+
+        monkeypatch.setattr(adversary, "_flow_pass", recorded)
+        run_adversarial_game(policy, template, alpha2)
+        n = len(template.values)
+        assert [state.ends for state in states] == [
+            [1 + n if jid in chosen else 1 for jid in range(n)]]
 
     def test_empty(self, alpha2):
         empty = Instance(())
@@ -439,8 +463,7 @@ class TestFirstIdle:
     def test_chain_empties_and_refills_a_slot(self, alpha2):
         # job 0 takes slot 1; job 1 fits only slot 1, so the chain moves job 0
         # to slot 2, leaving slot 1 with no job until job 1 lands there
-        inst = mk_instance((1, 10.0, 2), (1, 9.0, 1))
-        state = _FlowState(inst, alpha2)
+        state = _FlowState([10.0, 9.0], [1, 1], [2, 1], alpha2)
         assert state.place(0, iter([1])) == 1  # [1, 2] and [1, 1]: two runs
         assert state.slot_jobs == {1: [0]}
         assert_first_idle_sound(state)
