@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
-                    _instance_from_checked, _is_int)
+                    _instance_from_checked, _is_int, cost_table)
 from .offline import _flow_pass
 from .policies import PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
@@ -98,7 +98,10 @@ def _finalized_columns(template: InstanceTemplate, slot1_choice):
     unknown = chosen.difference(range(n))
     if unknown:
         raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
-    return range(n), template.values, [1] * n, [INFINITE if i in chosen else 1 for i in range(n)]
+    expiries = [1] * n
+    for i in chosen:  # each equals an id in 0..n-1, a float 1.0 too
+        expiries[int(i)] = INFINITE
+    return range(n), template.values, [1] * n, expiries
 
 
 def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
@@ -117,13 +120,16 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     afterwards the chosen jobs are done and every other job has expired. The
     flow scores the finalized game's columns, which `adversary_finalize`'s
     instance also holds, so the profit has `offline_profit`'s bits, with no jobs built.
+    The slot step and the flow read one table of g, so the game evaluates
+    each g(k) at most once.
     """
     policy = get_policy(policy)
+    table = cost_table(cost)
     view = template.slot1_view()
     decisions, ledgers = [], []
-    count = _play_slot(policy, view, cost, decisions, ledgers)
+    count = _play_slot(policy, view, table, decisions, ledgers)
     columns = _finalized_columns(template, [jid for jid, _ in view.candidates[:count]])
-    off_profit = _flow_pass(*columns, cost).profit()
+    off_profit = _flow_pass(*columns, table).profit()
     return build_report(template.label, off_profit, Trace(decisions, ledgers))
 
 

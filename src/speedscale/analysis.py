@@ -16,7 +16,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .adversary import DELTA, PHI_PLUS_1, golden_section_max, sqrt2_job_value
-from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, union
+from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, cost_table, union
 from .offline import offline_profit, solve_offline_bruteforce
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
                        lcr_breakdown, run_policy)
@@ -44,10 +44,13 @@ def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioRepo
     For the min-lcr and sim-lcr policies the empirical ratio is checked
     against the per-slot LCR ledger: off/alg can never exceed the worst
     recorded LCR (that is what makes the ledger an upper-bound certificate).
+    The policy run and the flow read one table of g, so a report evaluates
+    each g(k) at most once.
     """
     policy = get_policy(policy)
-    trace = run_policy(instance, policy, cost)
-    off_profit = offline_profit(instance, cost)
+    table = cost_table(cost)
+    trace = run_policy(instance, policy, table)
+    off_profit = offline_profit(instance, table)
     report = build_report(instance.label, off_profit, trace)
     if (policy.name in ("min-lcr", "sim-lcr")
             and report.per_slot_lcr and math.isfinite(report.ratio)

@@ -6,8 +6,10 @@ slots from arrival, possibly infinite). Processing k jobs in one slot costs
 g(k) for a convex g with g(0) = 0; the profit of a slot is the payoff sum of
 the processed jobs minus that energy cost.
 
-All types here are immutable after construction and safe to share across
-threads; every operation is a pure function. ``SlotDecision`` is a named
+All types here but ``CostTable`` are immutable after construction and safe to
+share across threads; every operation is a pure function. ``CostTable`` is
+one run's lazily grown table of g, made by the run and never shared beyond
+it. ``SlotDecision`` is a named
 tuple, since the simulator makes one per processing slot, and ``Job`` a
 slotted dataclass with no per-instance ``__dict__``. ``Job`` builds itself in
 one hand-written ``__init__``: it checks its arguments, stores numpy integers
@@ -183,6 +185,51 @@ class TabulatedConvex(CostModel):
         if k >= len(self.table):
             raise ModelError(f"cost table covers k <= {len(self.table) - 1}, got {k}")
         return self.table[k]
+
+
+class CostTable(CostModel):
+    """One run's table g(0), g(1), ... of `model`: each g(k) is evaluated at
+    most once, and only when first read.
+
+    A run is a `run_policy`, an `offline_profit` or `solve_offline_flow`, a
+    `competitive_report` (its policy run and its flow share one table) or a
+    `run_adversarial_game` (its slot step and its flow share one table). The
+    run makes the table and passes it where a cost model goes: the policy
+    scans, the slots' energy and the flow's prices all read `values`, which
+    only grows in place, so a reader may hold the list. A g(k) that no part
+    reads is never evaluated (it may overflow, or lie past a cost table).
+
+    The table lives in its run, never on the cost model or in a module: a
+    cost model is shared across runs and threads, two threads growing one
+    list could store g(k) at the wrong index, and a table that outlived its
+    run would move the run's own work out of it.
+    """
+
+    def __init__(self, model: CostModel):
+        self.model = model
+        self.values: list[float] = []
+
+    def g(self, k: int) -> float:
+        values = self.values
+        if k < 0:  # the model's own refusal
+            return self.model.g(k)
+        while len(values) <= k:
+            values.append(self.model.g(len(values)))
+        return values[k]
+
+    @property
+    def alpha(self) -> float:
+        """A power law's exponent, for a policy that reads it from the cost it is given.
+
+        A property, not a `__getattr__` that forwards every name: that hook
+        would slow each attribute read on the table, several per policy step.
+        """
+        return self.model.alpha
+
+
+def cost_table(cost: CostModel) -> CostTable:
+    """The run's table: `cost` itself when it is a CostTable, else a new one of it."""
+    return cost if type(cost) is CostTable else CostTable(cost)
 
 
 def _value_order_key(job: Job):

@@ -71,6 +71,13 @@ need only that, such as competitive ratios and the verifiers.
 witness schedule of the instance's jobs. The adaptive game builds its columns
 with no jobs.
 
+The marginal costs c_k = g(k) - g(k-1) are read from one table of g per run,
+not per pass (`model.CostTable`). The pass takes a cost model or a run's
+table; given a model, it makes a table of its own. `competitive_report` and
+the adaptive game hand the flow the table their policy run already grew, so
+a g(k) the policy read is not evaluated again, and the table grows only as
+far as the loads reach. The witness's slot energies are read from it too.
+
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
 all feasible assignments (organized as a subset DP per slot), guarded to
 small inputs.
@@ -80,7 +87,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .model import EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace
+from .model import (EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace,
+                    cost_table)
 
 
 PLACE_TOL = 1e-12
@@ -102,16 +110,23 @@ def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> 
 # ---------------------------------------------------------------------------
 
 class _FlowState:
+    """The flow of one pass: busy slots, their loads, jobs and hulls.
+
+    `g` is the run's table list (`table.values`), shared with every other
+    reader of the run: prices and the profit read it, and it grows only as
+    far as a load reaches.
+    """
+
     def __init__(self, values, arrivals, expiries, cost: CostModel):
         # flat per-job columns in (arrival, id) order, indexed by position
         cap = arrivals[-1] + len(values)  # the window cut, see the module docstring
-        self.cost = cost
+        self.table = table = cost_table(cost)
         self.values, self.starts = values, arrivals
         self.ends = [e if e < cap else cap for e in expiries]
         self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
-        self.g = [cost.g(0), cost.g(1)]  # g(0), g(1), ...: grown only as far as loads reach
-        self.idle_price = self.g[1] - self.g[0]  # the marginal cost of a job in an idle slot
+        self.g = table.values  # the run's g(0), g(1), ...: grown only as far as reads reach
+        self.idle_price = table.g(1) - self.g[0]  # the marginal cost of a job in an idle slot
         self.slot_jobs: dict[int, list[int]] = {}  # busy slot -> positions of its jobs
         self.spans: dict[int, tuple[int, int]] = {}  # busy slot -> hull of its jobs' windows
         self.payoff = 0.0  # values of the placed jobs, summed in placement order
@@ -207,8 +222,8 @@ class _FlowState:
                     while True:
                         target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
                         load = loads[target]
-                        while len(g) <= load + 1:  # tabulated only as far as loads reach
-                            g.append(self.cost.g(len(g)))
+                        if len(g) <= load + 1:  # the table grows only as far as loads reach
+                            self.table.g(load + 1)
                         price = g[load + 1] - g[load]
                         if not (value - price > PLACE_TOL and start <= target <= end):
                             break
@@ -292,8 +307,11 @@ def _flow_pass(ids, values, arrivals, expiries, cost: CostModel) -> _FlowState:
     skipped for good otherwise; the module docstring says why that is exact.
     """
     state = _FlowState(values, arrivals, expiries, cost)
-    order = [(-value, job_id) for value, job_id in zip(values, ids)]
-    place, rest = state.place, iter(sorted(range(len(order)), key=order.__getitem__))
+    # two stable sorts: by id, then by value with reverse=True, which keeps
+    # equal values in id order (values are finite, 0.0 and -0.0 tie)
+    order = sorted(range(len(values)), key=ids.__getitem__)
+    order.sort(key=values.__getitem__, reverse=True)
+    place, rest = state.place, iter(order)
     pos = next(rest, None)
     while pos is not None:
         pos = place(pos, rest)
@@ -311,7 +329,7 @@ def solve_offline_flow(instance: Instance, cost: CostModel) -> tuple[float, Trac
         return 0.0, EMPTY_TRACE
     state, jobs = _flow_pass(*_columns(instance), cost), instance.jobs
     return state.profit(), _trace_from_assignment(
-        {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, cost)
+        {slot: [jobs[p] for p in held] for slot, held in state.slot_jobs.items()}, state.table)
 
 
 # ---------------------------------------------------------------------------

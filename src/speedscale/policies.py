@@ -19,10 +19,14 @@ Shipped policies:
 
 The policies differ only in which counts they score (``Policy.counts``);
 ``Policy.decide`` is written once. It scans the view once (``_scan``), and
-the g values and prefix sums it finds while computing m feed one pass over
-prefix sums (``_ledger``) that builds the breakdowns of every scored count.
-``lcr_breakdown`` reads the same pass for one count, so a breakdown has the
-same bits whichever policy scores it.
+the g table and prefix sums that scan reads while computing m feed one pass
+over prefix sums (``_ledger``) that builds the breakdowns of every scored
+count. ``lcr_breakdown`` reads the same pass for one count, so a breakdown
+has the same bits whichever policy scores it.
+
+g comes from the run's ``model.CostTable``: ``run_policy`` and the game make
+one and decide every slot on it, so a run evaluates each g(k) at most once.
+``decide`` called on a plain cost model makes a table for that one call.
 
 ``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
 the simulator makes several per visited slot. The simulator ``run_policy``
@@ -38,8 +42,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
-from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, SlotDecision,
-                    Trace, _is_int, _ltr_sum, _value_order_key)
+from .model import (INFINITE, CostModel, CostTable, Instance, ModelError, PowerLaw,
+                    SlotDecision, Trace, _is_int, _ltr_sum, _value_order_key, cost_table)
 
 
 class UnsupportedCostError(ModelError):
@@ -119,25 +123,27 @@ class Decision(NamedTuple):
 _new = tuple.__new__
 
 
-def _scan(values: Sequence[float], cost: CostModel) -> tuple[int, list[float], list[float]]:
-    """m, the g values the scan for it evaluated, and the top-m prefix sums.
+def _scan(values: Sequence[float], table: CostTable) -> tuple[int, list[float], list[float]]:
+    """m, the run's g table as far as the scan read it, and the top-m prefix sums.
 
-    Returns (m, g, prefix): g holds g(0), g(1), ... up to the first count
-    whose job does not beat its marginal cost (g(min(m + 1, n)) for n jobs),
-    and prefix[i] is the sum of the top i values added left to right, for
-    i = 0..m. Every LCR breakdown of the step reads both lists, and g covers
-    every leftover count j they read: the view is sorted, so when the j-th
-    leftover job beats c_j, the view's j-th job does too and m >= j. So a
-    g(k) the step never reads is never evaluated (it may overflow, or lie
-    past a cost table).
+    Returns (m, g, prefix): g is the table's list, which holds at least g(0), g(1),
+    ... up to the first count whose job does not beat its marginal cost
+    (g(min(m + 1, n)) for n jobs), and prefix[i] is the sum of the top i
+    values added left to right, for i = 0..m. Every LCR breakdown of the step
+    reads both lists, and g covers every leftover count j they read: the view
+    is sorted, so when the j-th leftover job beats c_j, the view's j-th job
+    does too and m >= j. So a g(k) the step never reads is never evaluated
+    (it may overflow, or lie past a cost table), and a g(k) an earlier step
+    of the run read is not evaluated again.
     """
-    g_prev = cost.g(0)
-    g = [g_prev]
+    g = table.values
+    g_prev = g[0] if g else table.g(0)
     prefix = [0.0]
     top = 0.0
-    for v in values:
-        g_k = cost.g(len(g))
-        g.append(g_k)
+    for k, v in enumerate(values, 1):
+        if k == len(g):  # the table's next entry
+            g.append(table.model.g(k))
+        g_k = g[k]
         if not v - (g_k - g_prev) > 0.0:
             break
         top += v
@@ -152,12 +158,12 @@ def compute_m(view: PolicyView, cost: CostModel) -> int:
     Returns 0 when nothing is profitable. Values are non-increasing while
     marginal costs are non-decreasing, so the profitable counts form a prefix.
     """
-    return _scan(view.values, cost)[0]
+    return _scan(view.values, cost_table(cost))[0]
 
 
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     """LCR ingredients for processing the top ``i`` jobs of the view."""
-    m, g, prefix = _scan(view.values, cost)
+    m, g, prefix = _scan(view.values, cost_table(cost))
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
     return _ledger(view.values, g, prefix, (i,))[0]
@@ -235,6 +241,8 @@ class Policy:
 
     A shipped policy supplies only `counts`; `decide` takes the first of them
     with least LCR, and processes nothing when no count is profitable.
+    `decide` is given the run's CostTable, or a plain cost model; `counts`
+    is given the model.
     """
 
     name: str = "policy"
@@ -244,11 +252,12 @@ class Policy:
         raise NotImplementedError
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
+        table = cost_table(cost)
         values = view.values
-        m, g, prefix = _scan(values, cost)
+        m, g, prefix = _scan(values, table)
         if m == 0:
             return _new(Decision, (0, ()))
-        ledger = _ledger(values, g, prefix, self.counts(m, cost))
+        ledger = _ledger(values, g, prefix, self.counts(m, table.model))
         return _new(Decision, (min(ledger, key=_BY_LCR).i, tuple(ledger)))
 
     def __repr__(self):
@@ -268,12 +277,15 @@ class SimLcrPolicy(Policy):
     name = "sim-lcr"
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        # refused before the scan, so an unprofitable view is refused too
-        if not isinstance(cost, PowerLaw):
+        # the run's model is refused before the scan reads any g, so an
+        # unprofitable view is refused too
+        table = cost_table(cost)
+        model = table.model
+        if not isinstance(model, PowerLaw):
             raise UnsupportedCostError("sim-lcr requires a power-law cost model")
-        if cost.alpha < 2.0:
-            raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {cost.alpha}")
-        return super().decide(view, cost)
+        if model.alpha < 2.0:
+            raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {model.alpha}")
+        return super().decide(view, table)
 
     def counts(self, m: int, cost: CostModel) -> tuple[int, ...]:
         beta = beta_root(cost.alpha)
@@ -317,15 +329,17 @@ def get_policy(policy) -> Policy:
     raise ModelError(f"unknown policy {policy!r}; valid names: {valid}")
 
 
-def _play_slot(policy: Policy, view: PolicyView, cost: CostModel,
+def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
                decisions: list[SlotDecision], ledgers: list[SlotLedger]) -> int:
     """The policy's decision at `view`, checked and recorded; returns its count.
 
-    A count other than an integer in 0..len(view) is refused, a bool or float
-    too, as `Job` refuses them. A positive count appends the SlotDecision of
-    the top `count` candidates, and a decision with breakdowns its SlotLedger.
+    The policy decides on the run's table, and the slot's energy is read
+    from it. A count other than an integer in 0..len(view) is refused, a
+    bool or float too, as `Job` refuses them. A positive count appends the
+    SlotDecision of the top `count` candidates, and a decision with
+    breakdowns its SlotLedger.
     """
-    decision = policy.decide(view, cost)
+    decision = policy.decide(view, table)
     count = decision.count
     if not ((type(count) is int or _is_int(count)) and 0 <= count <= len(view)):
         raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {count!r} jobs, "
@@ -333,7 +347,7 @@ def _play_slot(policy: Policy, view: PolicyView, cost: CostModel,
     if count:
         chosen = view.candidates[:count]
         decisions.append(SlotDecision(view.slot, frozenset([jid for jid, _ in chosen]),
-                                      float(_ltr_sum([v for _, v in chosen])), cost.g(count)))
+                                      float(_ltr_sum([v for _, v in chosen])), table.g(count)))
     if decision.breakdowns:
         ledgers.append(SlotLedger(view.slot, count, decision.breakdowns))
     return count
@@ -361,6 +375,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     beats g(1), and so on an empty view).
     """
     policy = get_policy(policy)
+    table = cost_table(cost)
     jobs = instance.jobs
     n = len(jobs)
     hard_stop = instance.last_arrival + n + 1
@@ -394,7 +409,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         # onto that length's free list, which only a full gc pass empties;
         # built from a list it is taken from that free list in the first place.
         view = PolicyView(slot, tuple([pair for _, _, pair in live]))
-        count = _play_slot(policy, view, cost, decisions, ledgers)
+        count = _play_slot(policy, view, table, decisions, ledgers)
         if count != 0:
             del live[:count]
             slot += 1

@@ -51,6 +51,23 @@ def count_checked_constructions(monkeypatch):
     return calls
 
 
+class CountingPowerLaw(PowerLaw):
+    """PowerLaw(alpha) that records the k of every g(k) it evaluates, in call order."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        object.__setattr__(self, "calls", [])
+
+    def g(self, k):
+        self.calls.append(k)
+        return super().g(k)
+
+
+def assert_each_g_once(calls):
+    """g(0), g(1), ... each evaluated exactly once, with no k skipped."""
+    assert sorted(calls) == list(range(len(calls)))
+
+
 def k_scan(alpha, z, x):
     """The min over k = 1..z of lower_bound_ratio at a positive denominator,
     by direct enumeration."""

@@ -20,7 +20,8 @@ from speedscale.policies import (Decision, FixedCountPolicy, Policy, _play_slot,
                                  run_policy)
 from speedscale.reports import build_report
 
-from conftest import assert_same_instance, count_checked_constructions, job_values, k_scan
+from conftest import (CountingPowerLaw, assert_each_g_once, assert_same_instance,
+                      count_checked_constructions, job_values, k_scan)
 
 
 class CountingPolicy(Policy):
@@ -211,6 +212,12 @@ class TestFinalize:
         assert sorted(infinite) == list(range(6))
         assert sum(j.deadline == 1 for j in inst.jobs) == 14
 
+    def test_ids_equal_to_known_ids(self):
+        # a choice holding 1.0 or True marks job 1, as an int 1 does
+        t = gen_alpha2_lb_instance(2)
+        assert adversary_finalize(t, [1.0, 3]) == adversary_finalize(t, [1, 3])
+        assert adversary_finalize(t, [True]) == adversary_finalize(t, [1])
+
     def test_unknown_ids_rejected(self):
         t = gen_alpha2_lb_instance(2)
         with pytest.raises(ModelError):
@@ -252,6 +259,29 @@ class TestFinalize:
 
 
 class TestGames:
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("z", [50, 500])
+    @pytest.mark.parametrize("name", ["min-lcr", "sim-lcr", "greedy", "fixed:3"])
+    def test_each_g_once_per_game(self, name, z, alpha):
+        # the slot step and the flow read one table of g, and the report is
+        # the one a plain power law gives
+        policy = FixedCountPolicy(3) if name == "fixed:3" else name
+        cost = CountingPowerLaw(alpha)
+        report = run_adversarial_game(policy, gen_alpha2_lb_instance(z), cost)
+        assert_each_g_once(cost.calls)
+        assert repr(report) == repr(
+            run_adversarial_game(policy, gen_alpha2_lb_instance(z), PowerLaw(alpha)))
+
+    @pytest.mark.parametrize("name", ["min-lcr", "sim-lcr", "greedy", "fixed:3"])
+    def test_z2000_game_evaluates_2002_g(self, name):
+        # g(0..2001): the scan reads them all, the slot's energy and the
+        # flow's slot-1 loads read none anew (4,005 evaluations without the table)
+        cost = CountingPowerLaw(2.0)
+        run_adversarial_game(FixedCountPolicy(3) if name == "fixed:3" else name,
+                             gen_alpha2_lb_instance(2000), cost)
+        assert_each_g_once(cost.calls)
+        assert len(cost.calls) == 2002
+
     def test_alpha2_fixed_k_matches_closed_form(self, alpha2):
         report = run_adversarial_game(FixedCountPolicy(6), gen_alpha2_lb_instance(10), alpha2)
         assert math.isclose(report.ratio, 214.0 / 84.0, abs_tol=1e-9)

@@ -13,8 +13,9 @@ from speedscale.analysis import (VerificationError, competitive_report,
                                  verify_mincran, verify_oracle_equivalence,
                                  verify_small_m_cases, verify_subadditivity)
 from speedscale.model import INFINITE, Instance, ModelError, PowerLaw
+from speedscale.policies import FixedCountPolicy
 
-from conftest import mk_instance
+from conftest import CountingPowerLaw, assert_each_g_once, mk_instance
 
 
 class TestCompetitiveReport:
@@ -40,6 +41,20 @@ class TestCompetitiveReport:
         for row in rep.per_slot_lcr:
             assert row.i_chosen >= 1
             assert row.lcr <= rep.max_lcr
+
+    @pytest.mark.parametrize("name", ["min-lcr", "sim-lcr", "greedy", "fixed:3"])
+    def test_each_g_once_per_report(self, rng, name):
+        # the policy run and the flow read one table of g, and the report is
+        # the one a plain power law gives
+        policy = FixedCountPolicy(3) if name == "fixed:3" else name
+        for alpha in (2.0, 2.5, 3.0):
+            for heavy_tail in (False, True):
+                inst = random_instance(rng, PowerLaw(alpha), n_max=30, mean_gap=0.3,
+                                       heavy_tail=heavy_tail)
+                cost = CountingPowerLaw(alpha)
+                report = competitive_report(inst, policy, cost)
+                assert_each_g_once(cost.calls)
+                assert repr(report) == repr(competitive_report(inst, policy, PowerLaw(alpha)))
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
     def test_builds_no_witness(self, monkeypatch, alpha2, rng, policy):

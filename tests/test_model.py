@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale.model import (EMPTY_TRACE, INFINITE, InfeasibleTraceError, Instance,
+from speedscale.model import (EMPTY_TRACE, INFINITE, CostTable, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
-                              SlotDecision, TabulatedConvex, Trace,
+                              SlotDecision, TabulatedConvex, Trace, cost_table,
                               dumps_instance, evaluate_trace, loads_instance, union)
 
 from speedscale.offline import offline_profit
 from speedscale.policies import Decision, LcrBreakdown, SlotLedger, run_policy
 from speedscale.reports import SlotLcr
 
-from conftest import (assert_same_instance, available_jobs, count_checked_constructions,
-                      job_values, mk_instance)
+from conftest import (CountingPowerLaw, assert_same_instance, available_jobs,
+                      count_checked_constructions, job_values, mk_instance)
 
 # (arrival, value, deadline) as Job accepts them, numpy integers included
 drawn_jobs = st.tuples(st.one_of(st.integers(1, 5), st.integers(1, 5).map(np.int64)), job_values,
@@ -272,7 +272,51 @@ class TestUnion:
         assert len(merged) == 100 and calls == []
 
 
+class TestCostTable:
+    def test_grows_lazily_each_g_once(self):
+        cost = CountingPowerLaw(2.5)
+        table = CostTable(cost)
+        assert cost.calls == [] and table.values == []
+        assert table.g(3) == PowerLaw(2.5).g(3) and table.g(1) == PowerLaw(2.5).g(1)
+        assert table.effective_cost(3) == PowerLaw(2.5).effective_cost(3)
+        assert cost.calls == [0, 1, 2, 3]
+        assert table.values == [PowerLaw(2.5).g(k) for k in range(4)]
+
+    def test_model_attributes_and_refusals(self):
+        table = CostTable(PowerLaw(2.5))
+        assert table.alpha == 2.5 and cost_table(table) is table
+        assert type(cost_table(PowerLaw(2.5))) is CostTable
+        with pytest.raises(ModelError, match="g is defined for k >= 0"):
+            table.g(-1)
+        assert table.values == []
+        covered = CostTable(TabulatedConvex((0.0, 1.0, 4.0)))
+        with pytest.raises(ModelError, match="covers k <= 2"):
+            covered.g(3)
+        assert covered.values == [0.0, 1.0, 4.0]
+        assert copy.copy(covered).values == covered.values
+
+    def test_one_table_per_run(self):
+        # nothing is kept on the cost model between runs: a second run of the
+        # same model evaluates what the first did
+        inst = mk_instance((1, 9.0, 1), (1, 7.0, INFINITE), (2, 6.0, 2), (2, 5.0, 1))
+        cost = CountingPowerLaw(2.0)
+        first = run_policy(inst, "min-lcr", cost)
+        calls = list(cost.calls)
+        assert run_policy(inst, "min-lcr", cost) == first
+        assert cost.calls == calls + calls and sorted(calls) == list(range(len(calls)))
+
+
 class TestEvaluateTrace:
+    def test_calls_the_raw_model(self):
+        # the independent check evaluates g itself, once per decision, even
+        # where the run that made the trace already read g(k)
+        inst = mk_instance((1, 9.0, 1), (1, 7.0, INFINITE), (2, 6.0, 2), (2, 5.0, 1))
+        cost = CountingPowerLaw(2.0)
+        trace = run_policy(inst, "greedy", cost)
+        cost.calls.clear()
+        assert evaluate_trace(inst, trace, cost) == trace.total_profit
+        assert cost.calls == [len(d.processed) for d in trace.decisions]
+
     def test_single_job(self, alpha2):
         inst = mk_instance((1, 10.0, 1))
         trace = Trace([SlotDecision.build(1, [inst.jobs[0]], alpha2)])

@@ -18,7 +18,7 @@ from speedscale.offline import (OfflineSizeError, _columns, _FlowState, offline_
                                 solve_offline_bruteforce, solve_offline_flow)
 from speedscale.policies import POLICIES, FixedCountPolicy, run_policy
 
-from conftest import mk_instance
+from conftest import CountingPowerLaw, assert_each_g_once, mk_instance
 
 
 class TestWindowCut:
@@ -326,18 +326,6 @@ class TestRunSteps:
         assert merged > 0.02 * jobs
 
 
-class CountingPowerLaw(PowerLaw):
-    """PowerLaw(alpha) that counts its g evaluations by k."""
-
-    def __init__(self, alpha):
-        super().__init__(alpha)
-        object.__setattr__(self, "calls", Counter())
-
-    def g(self, k):
-        self.calls[k] += 1
-        return super().g(k)
-
-
 class TestOneCostTable:
     @pytest.mark.parametrize("inst", [
         random_instance(np.random.default_rng(39), PowerLaw(2.0), n_max=30, mean_gap=0.3),
@@ -350,11 +338,43 @@ class TestOneCostTable:
         # only as far as loads reach
         cost = CountingPowerLaw(alpha)
         profit = offline_profit(inst, cost)
-        assert max(cost.calls.values()) == 1
-        assert sorted(cost.calls) == list(range(len(cost.calls)))
+        assert_each_g_once(cost.calls)
         assert profit == offline_profit(inst, PowerLaw(alpha))
         _, trace = solve_offline_flow(inst, PowerLaw(alpha))
         assert len(cost.calls) <= 2 + max(len(d.processed) for d in trace.decisions)
+
+
+@st.composite
+def tied_columns(draw):
+    """Flow columns in (arrival, id) order with many equal values, 0.0 and -0.0
+    among them, and ids shuffled against positions."""
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, 4.0, 9.0]) | st.floats(0.0, 12.0),
+                           min_size=n, max_size=n))
+    arrivals = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(0, 3 * n, 3)))
+    expiries = [a + draw(st.integers(0, 3)) if draw(st.booleans()) else INFINITE
+                for a in arrivals]
+    rows = sorted(zip(arrivals, ids, values, expiries))
+    return [list(column) for column in zip(*rows)]
+
+
+class TestPassOrder:
+    @given(tied_columns(), st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_value_then_id_tuple_order(self, columns, alpha):
+        # the pass's two stable sorts give the order of a sort on (-value, id)
+        arrivals, ids, values, expiries = columns
+        cost = PowerLaw(alpha)
+        want = _FlowState(values, arrivals, expiries, cost)
+        keys = [(-value, job_id) for value, job_id in zip(values, ids)]
+        rest = iter(sorted(range(len(keys)), key=keys.__getitem__))
+        pos = next(rest, None)
+        while pos is not None:
+            pos = want.place(pos, rest)
+        got = offline._flow_pass(ids, values, arrivals, expiries, cost)
+        assert got.slot_jobs == want.slot_jobs and got.loads == want.loads
+        assert got.profit().hex() == want.profit().hex()
 
 
 class TestLongDeadlines:

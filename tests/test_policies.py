@@ -4,7 +4,6 @@ import itertools
 import math
 import operator
 import pickle
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import PHI_PLUS_1
-from speedscale.analysis import random_instance
+from speedscale.adversary import PHI_PLUS_1, gen_alpha2_lb_instance, run_adversarial_game
+from speedscale.analysis import competitive_report, random_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
-                              SlotDecision, TabulatedConvex, Trace, evaluate_trace)
+                              SlotDecision, TabulatedConvex, Trace, cost_table, evaluate_trace)
 from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, LcrBreakdown, Policy,
                                  PolicyView, SlotLedger, UnsupportedCostError, _scan,
                                  beta_root, compute_m, get_policy, lcr_breakdown, run_policy)
 
-from conftest import available_jobs, mk_instance
+from conftest import CountingPowerLaw, available_jobs, mk_instance
 
 
 def inner_greedy_profit(leftover_values, cost):
@@ -34,7 +33,7 @@ def inner_greedy_profit(leftover_values, cost):
     values = list(leftover_values)
     if not all(map(operator.ge, values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
-    g = _scan(values, cost)[1]
+    g = _scan(values, cost_table(cost))[1]
     best = running = 0.0
     for j, v in enumerate(values, 1):
         if not v - (g[j] - g[j - 1]) > 0.0:
@@ -148,17 +147,6 @@ def policy_named(name):
 def bits(breakdown):
     """A breakdown with its floats as hex strings, so == compares every bit."""
     return (breakdown.i, *(x.hex() for x in breakdown[1:]))
-
-
-@dataclass(frozen=True)
-class CountingPowerLaw(PowerLaw):
-    """A power law that records the k of every g(k) it evaluates."""
-
-    calls: list = field(default_factory=list, compare=False)
-
-    def g(self, k):
-        self.calls.append(k)
-        return super().g(k)
 
 
 def brute_inner_greedy(values, cost):
@@ -430,7 +418,7 @@ def assert_within_exact_ledger(values, alpha, fixed):
     that argmin check applied."""
     cost = PowerLaw(alpha)
     view = view_of(*values)
-    m, g, _ = _scan(values, cost)
+    m, g, _ = _scan(values, cost_table(cost))
     g += [cost.g(j) for j in range(len(g), len(values) + 1)]
     exact = exact_ledger(values, g, m)
     total = sum(map(Fraction, values))
@@ -530,6 +518,26 @@ class TestSimLcr:
     def test_run_policy_rejects_table_on_unprofitable_instance(self):
         with pytest.raises(UnsupportedCostError):
             run_policy(mk_instance((1, 0.5, 1)), "sim-lcr", TabulatedConvex((0.0, 1.0, 4.0)))
+
+    @pytest.mark.parametrize("cost", [TabulatedConvex((0.0, 1.0, 4.0, 9.0, 16.0)), PowerLaw(1.5)],
+                             ids=["table", "alpha-1.5"])
+    @pytest.mark.parametrize("run", ["game", "report"])
+    def test_runs_refuse_the_model_before_any_g(self, monkeypatch, cost, run):
+        # a run hands sim-lcr its table, and sim-lcr checks the model under
+        # it before the scan evaluates g(0)
+        calls, model_g = [], type(cost).g
+
+        def recording(self, k):
+            calls.append(k)
+            return model_g(self, k)
+
+        monkeypatch.setattr(type(cost), "g", recording)
+        with pytest.raises(UnsupportedCostError, match="^sim-lcr requires"):
+            if run == "game":
+                run_adversarial_game("sim-lcr", gen_alpha2_lb_instance(5), cost)
+            else:
+                competitive_report(mk_instance((1, 9.0, 1), (1, 5.0, INFINITE)), "sim-lcr", cost)
+        assert calls == []
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
            st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]))
