@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
                     _instance_from_checked, _is_int, cost_table)
 from .offline import _flow_pass
-from .policies import PolicyView, _play_slot, get_policy
+from .policies import _ID, _VALUE, PolicyView, _play_slot, get_policy
 from .reports import RatioReport, build_report
 
 if TYPE_CHECKING:
@@ -56,10 +56,16 @@ class InstanceTemplate:
                 raise ModelError(f"value must be non-negative and finite, got {v}")
 
     def slot1_view(self) -> PolicyView:
-        # a reverse sort is stable, so equal values keep increasing ids
+        """The policy's view at slot 1: every job, ranked by value, equal values by id.
+
+        The ranking is also the game's flow pass order, so the game sorts its
+        jobs once (the `offline` module docstring says why the two agree).
+        """
+        # a reverse sort is stable, so equal values keep increasing ids; the
+        # tuple is built from a list, as run_policy's comment explains
         values = self.values
-        ranked = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        return PolicyView(1, tuple([(jid, values[jid]) for jid in ranked]))
+        return PolicyView(1, tuple(sorted(zip(range(len(values)), values), key=_VALUE,
+                                          reverse=True)))
 
 
 def gen_alpha2_lb_instance(z: int) -> InstanceTemplate:
@@ -120,16 +126,18 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     afterwards the chosen jobs are done and every other job has expired. The
     flow scores the finalized game's columns, which `adversary_finalize`'s
     instance also holds, so the profit has `offline_profit`'s bits, with no jobs built.
-    The slot step and the flow read one table of g, so the game evaluates
-    each g(k) at most once.
+    Its pass order is the slot-1 view's ranking, so the game sorts its jobs
+    once. The slot step and the flow read one table of g, so the game
+    evaluates each g(k) at most once.
     """
     policy = get_policy(policy)
     table = cost_table(cost)
     view = template.slot1_view()
     decisions, ledgers = [], []
     count = _play_slot(policy, view, table, decisions, ledgers)
-    columns = _finalized_columns(template, [jid for jid, _ in view.candidates[:count]])
-    off_profit = _flow_pass(*columns, table).profit()
+    order = [*map(_ID, view.candidates)]  # the flow's pass order: position is id here
+    _, values, arrivals, expiries = _finalized_columns(template, order[:count])
+    off_profit = _flow_pass(order, values, arrivals, expiries, table).profit()
     return build_report(template.label, off_profit, Trace(decisions, ledgers))
 
 

@@ -289,7 +289,9 @@ def _run_suite(suite: str, args) -> str:
 def cmd_game(args) -> int:
     if args.alpha < 2.0:
         raise UsageError(f"game needs alpha >= 2, got {args.alpha}")
-    if bool(args.z) == bool(args.sqrt2):
+    if args.z is not None and args.z < 1:
+        raise UsageError(f"--z must be >= 1, got {args.z}")
+    if (args.z is None) != args.sqrt2:
         raise UsageError("exactly one of --z or --sqrt2 required")
     policy = _parse_policy(args.policy)
     cost = PowerLaw(args.alpha)
@@ -298,8 +300,6 @@ def cmd_game(args) -> int:
             raise UsageError("--sqrt2 needs alpha > 2")
         template = gen_sqrt2_lb_instance(args.alpha)
     else:
-        if args.z < 1:
-            raise UsageError(f"--z must be >= 1, got {args.z}")
         template = gen_alpha2_lb_instance(args.z)
     report = run_adversarial_game(policy, template, cost)
     k_chosen = len(report.per_slot_lcr) and report.per_slot_lcr[0].i_chosen
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="play the adaptive deadline game against a policy")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--policy", required=True, help=POLICY_HELP)
-    p.add_argument("--z", type=_int_option, default=0, help="batch size parameter of the alpha=2 template")
+    p.add_argument("--z", type=_int_option, default=None, help="batch size parameter of the alpha=2 template")
     p.add_argument("--sqrt2", action="store_true", help="use the 4-job construction (alpha > 2)")
     common(p)
     p.set_defaults(func=cmd_game)

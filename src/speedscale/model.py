@@ -232,11 +232,6 @@ def cost_table(cost: CostModel) -> CostTable:
     return cost if type(cost) is CostTable else CostTable(cost)
 
 
-def _value_order_key(job: Job):
-    # Non-increasing value; ties broken by earlier arrival, then smaller id.
-    return (-job.value, job.arrival, job.id)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A full arrival sequence: jobs sorted by (arrival, id), ids unique."""

@@ -54,7 +54,9 @@ own window, only that slot's load changed, and its hull of windows grew
 within R. So a next search from the same window would visit the same slots,
 read the same hulls and reach the same R with the same rings; the run's next
 jobs take R's first least-loaded slot in turn, and only the price test is
-redone (for a one-slot R, a price test and an append). A target outside the
+redone. A one-slot R is the window itself, so for it `place` loops on just
+the price test and the append, with the slot's load and the payoff sum kept
+in locals and written back once the run ends. A target outside the
 window moves a chain along the rings and ends the reuse: the next job starts
 afresh. So a run of jobs with one window costs one search until a chain move.
 
@@ -64,12 +66,17 @@ later slots never help. Never-expiring windows end there, and a far deadline
 costs no more than none.
 
 The pass (`_flow_pass`) reads flat per-job columns in (arrival, id) order:
-ids, values, arrivals and expiries. Two entry points run it on an instance's
-columns. `offline_profit` returns only the optimum's value, for callers that
-need only that, such as competitive ratios and the verifiers.
-`solve_offline_flow` returns the same value, bit for bit, together with a
-witness schedule of the instance's jobs. The adaptive game builds its columns
-with no jobs.
+values, arrivals and expiries, and takes its pass order as an input. The
+order has two sources. For an instance, `_columns` ranks the positions with
+two stable sorts, by id and then by value in reverse. Two entry points run
+the pass on those columns. `offline_profit` returns only the optimum's value,
+for callers that need only that, such as competitive ratios and the
+verifiers. `solve_offline_flow` returns the same value, bit for bit, together
+with a witness schedule of the instance's jobs. The adaptive game builds its
+columns with no jobs, and its order is the slot-1 view's ranking of the
+template's values (`InstanceTemplate.slot1_view`). The two agree: in the
+finalized game a job's position is its id, and both put higher values first
+and equal values, 0.0 and -0.0 among them, in increasing id order.
 
 The marginal costs c_k = g(k) - g(k-1) are read from one table of g per run,
 not per pass (`model.CostTable`). The pass takes a cost model or a run's
@@ -191,38 +198,62 @@ class _FlowState:
         slot with no search, or searches the all-busy window. After an idle
         slot t the next job looks from t + 1. After an all-busy reach whose
         first least-loaded slot lies in the window, the next jobs take that
-        reach's first least-loaded slot in turn, with no search. A target
+        reach's first least-loaded slot in turn, with no search; a one-slot
+        reach takes each of them with only a price test. A target
         outside the window moves a chain, and the next job starts afresh. The
         module docstring says why each reuse is exact. Returns None at the
         end of the pass.
         """
         values, starts, ends = self.values, self.starts, self.ends
-        loads, skip = self.loads, self.skip
+        loads, skip, spans, slot_jobs = self.loads, self.skip, self.spans, self.slot_jobs
+        idle_price = self.idle_price
         start, end = starts[pos], ends[pos]
+        window = (start, end)  # the hull of every idle slot the run fills
         idle = start  # every slot of the window before it is busy
         while True:  # places job `pos`, or skips it and the rest of the run
             value = values[pos]
             if idle in skip:  # busy: follow the links; most windows start idle, with no call
                 idle = self.first_idle(idle)
             if idle <= end:
-                if not value - self.idle_price > PLACE_TOL:
+                if not value - idle_price > PLACE_TOL:
                     break
                 # a fresh slot: no load, span, job list or skip link yet
                 loads[idle] = 1
                 skip[idle] = idle + 1
-                self.spans[idle] = (start, end)
-                self.slot_jobs[idle] = [pos]
+                spans[idle] = window
+                slot_jobs[idle] = [pos]
                 idle += 1
             else:
                 target, (lo, hi, rings) = self.cheapest_reachable(start, end, idle)
                 if target:
-                    price = self.idle_price
-                else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
-                    g, spans, slot_jobs = self.g, self.spans, self.slot_jobs
+                    price = idle_price
+                elif lo == hi:
+                    # a one-slot reach is the window itself: every job of the
+                    # run goes to slot lo, whose hull already covers it, so
+                    # only the price test is redone
+                    g, held = self.g, slot_jobs[lo]
+                    load, payoff = loads[lo], self.payoff
                     while True:
-                        target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
-                        load = loads[target]
                         if len(g) <= load + 1:  # the table grows only as far as loads reach
+                            self.table.g(load + 1)
+                        if not value - (g[load + 1] - g[load]) > PLACE_TOL:
+                            break
+                        held.append(pos)
+                        load += 1
+                        payoff += value
+                        pos = next(rest, None)
+                        if pos is None or starts[pos] != start or ends[pos] != end:
+                            loads[lo], self.payoff = load, payoff
+                            return pos
+                        value = values[pos]
+                    loads[lo], self.payoff = load, payoff
+                    break
+                else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
+                    g = self.g
+                    while True:
+                        target = min(range(lo, hi + 1), key=loads.__getitem__)
+                        load = loads[target]
+                        if len(g) <= load + 1:
                             self.table.g(load + 1)
                         price = g[load + 1] - g[load]
                         if not (value - price > PLACE_TOL and start <= target <= end):
@@ -292,25 +323,31 @@ class _FlowState:
 
 
 def _columns(instance: Instance) -> tuple[list, list, list, list]:
-    """An instance's ids, values, arrivals and expiries, in its (arrival, id) order."""
-    jobs = instance.jobs
-    return ([j.id for j in jobs], [j.value for j in jobs],
-            [j.arrival for j in jobs], [j.expiry for j in jobs])
+    """An instance's pass order, and its values, arrivals and expiries in (arrival, id) order.
 
-
-def _flow_pass(ids, values, arrivals, expiries, cost: CostModel) -> _FlowState:
-    """The one pass every caller shares, over non-empty columns in (arrival, id) order.
-
-    Non-increasing value order, smaller id first on ties, one `place` per run
-    of consecutive jobs with one cut window: a job is placed when its value
-    beats the cheapest reachable marginal cost by more than PLACE_TOL and
-    skipped for good otherwise; the module docstring says why that is exact.
+    The pass order ranks positions by non-increasing value, smaller id first
+    on ties.
     """
-    state = _FlowState(values, arrivals, expiries, cost)
+    jobs = instance.jobs
+    ids, values = [j.id for j in jobs], [j.value for j in jobs]
     # two stable sorts: by id, then by value with reverse=True, which keeps
     # equal values in id order (values are finite, 0.0 and -0.0 tie)
     order = sorted(range(len(values)), key=ids.__getitem__)
     order.sort(key=values.__getitem__, reverse=True)
+    return order, values, [j.arrival for j in jobs], [j.expiry for j in jobs]
+
+
+def _flow_pass(order, values, arrivals, expiries, cost: CostModel) -> _FlowState:
+    """The one pass every caller shares, over non-empty columns in (arrival, id) order.
+
+    `order` is the pass order, every position once: non-increasing value,
+    smaller id first on ties (the module docstring says where each caller
+    takes it from). One `place` per run of consecutive jobs with one cut
+    window: a job is placed when its value beats the cheapest reachable
+    marginal cost by more than PLACE_TOL and skipped for good otherwise; the
+    module docstring says why that is exact.
+    """
+    state = _FlowState(values, arrivals, expiries, cost)
     place, rest = state.place, iter(order)
     pos = next(rest, None)
     while pos is not None:

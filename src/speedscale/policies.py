@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .model import (INFINITE, CostModel, CostTable, Instance, ModelError, PowerLaw,
-                    SlotDecision, Trace, _is_int, _ltr_sum, _value_order_key, cost_table)
+                    SlotDecision, Trace, _is_int, _ltr_sum, cost_table)
 
 
 class UnsupportedCostError(ModelError):
@@ -63,7 +63,7 @@ class PolicyView:
     values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, slot: int, candidates: tuple[tuple[int, float], ...]):
-        values = tuple([v for _, v in candidates])
+        values = tuple([*map(_VALUE, candidates)])  # from a list: see run_policy
         if not all(map(operator.ge, values, values[1:])):
             raise ModelError("view candidates must be sorted by non-increasing value")
         _set_slot(self, slot)
@@ -73,6 +73,9 @@ class PolicyView:
     def __len__(self) -> int:
         return len(self.candidates)
 
+
+# a candidate's id and value
+_ID, _VALUE = operator.itemgetter(0), operator.itemgetter(1)
 
 # PolicyView.__init__ fills the slots through their descriptors, as Job's does
 _set_slot, _set_candidates, _set_values = (
@@ -346,10 +349,11 @@ def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
                          f"only {len(view)} available")
     if count:
         chosen = view.candidates[:count]
-        decisions.append(SlotDecision(view.slot, frozenset([jid for jid, _ in chosen]),
-                                      float(_ltr_sum([v for _, v in chosen])), table.g(count)))
+        decisions.append(_new(SlotDecision, (view.slot, frozenset(map(_ID, chosen)),
+                                             float(_ltr_sum(map(_VALUE, chosen))),
+                                             table.g(count))))
     if decision.breakdowns:
-        ledgers.append(SlotLedger(view.slot, count, decision.breakdowns))
+        ledgers.append(_new(SlotLedger, (view.slot, count, decision.breakdowns)))
     return count
 
 
@@ -357,7 +361,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     """Simulate a policy over an instance, visiting only slots where something can happen.
 
     Only this harness sees deadlines; the policy receives a PolicyView of the
-    live jobs, kept in value order (model._value_order_key). Each job's
+    live jobs, kept in value order (ties: earlier arrival, then smaller id),
+    sorted on a (-value, arrival, id) key made once per job. Each job's
     (id, value) candidate pair and expiry are made once, when it arrives, and
     every view shares those pairs. Arrivals are merged in once per visited
     slot. Processed jobs leave from the front, since a policy always takes a
@@ -390,7 +395,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         while arrived < n and jobs[arrived].arrival <= slot:
             job = jobs[arrived]
             expiry = job.expiry
-            live.append((_value_order_key(job), expiry, (job.id, job.value)))
+            # non-increasing value; ties by earlier arrival, then smaller id
+            live.append(((-job.value, job.arrival, job.id), expiry, (job.id, job.value)))
             if expiry != INFINITE:
                 heappush(expiries, expiry)
             arrived += 1
@@ -405,9 +411,13 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
                 slot = jobs[arrived].arrival
                 continue
             break
-        # A tuple built from a generator is resized to its length, yet freed
-        # onto that length's free list, which only a full gc pass empties;
-        # built from a list it is taken from that free list in the first place.
+        # Every per-slot tuple (this view, its values in PolicyView, the game's
+        # slot-1 view) is built from a list. A tuple built from a generator,
+        # map or zip is resized to its length, yet freed onto that length's
+        # free list, which only a full gc pass empties; built from a list it
+        # is taken from that free list in the first place. Built with
+        # tuple(map(...)), the view's values raised the bursty benchmark's
+        # peak RSS by about 10%.
         view = PolicyView(slot, tuple([pair for _, _, pair in live]))
         count = _play_slot(policy, view, table, decisions, ledgers)
         if count != 0:

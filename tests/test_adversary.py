@@ -15,7 +15,7 @@ from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, InstanceTemplate,
                                   gen_sqrt2_lb_instance, golden_section_max,
                                   run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw, Trace
-from speedscale.offline import offline_profit, solve_offline_flow
+from speedscale.offline import _columns, offline_profit, solve_offline_flow
 from speedscale.policies import (Decision, FixedCountPolicy, Policy, _play_slot, get_policy,
                                  run_policy)
 from speedscale.reports import build_report
@@ -366,6 +366,24 @@ class TestGames:
         want = finalized_game_report(policy, template, cost)
         assert repr(got) == repr(want)
         assert got.off_profit.hex() == want.off_profit.hex()
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 4.0, 9.0]) | st.floats(0.0, 12.0),
+                    min_size=1, max_size=40),
+           st.one_of(st.sampled_from(["min-lcr", "sim-lcr", "greedy"]),
+                     st.integers(1, 12).map(FixedCountPolicy)),
+           st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_view_ranking_is_flow_pass_order(self, values, policy, alpha):
+        # the game hands the flow the slot-1 view's ranking as its pass order:
+        # it is the order _columns gives the finalized instance, ties, 0.0 and
+        # -0.0 included, and the game's profit has offline_profit's bits
+        template, cost = InstanceTemplate(tuple(values), "drawn"), PowerLaw(alpha)
+        view = template.slot1_view()
+        ranked = [jid for jid, _ in view.candidates]
+        instance = adversary_finalize(template, ranked[:get_policy(policy).decide(view, cost).count])
+        assert ranked == _columns(instance)[0]
+        assert (run_adversarial_game(policy, template, cost).off_profit.hex()
+                == offline_profit(instance, cost).hex())
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(3)])
     @pytest.mark.parametrize("alpha,template", [

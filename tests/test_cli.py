@@ -604,6 +604,19 @@ class TestGame:
         code, _, _ = run_cli(capsys, "game", "--alpha", "2", "--policy", "greedy")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        # an explicit --z 0 is refused, with or without --sqrt2
+        (("--alpha", "3", "--z", "0", "--sqrt2"), "--z must be >= 1, got 0"),
+        (("--alpha", "2", "--z", "0"), "--z must be >= 1, got 0"),
+        (("--alpha", "2", "--z", "-4"), "--z must be >= 1, got -4"),
+        # "exactly one" only when both options or neither is given
+        (("--alpha", "3", "--z", "5", "--sqrt2"), "exactly one of --z or --sqrt2 required"),
+        (("--alpha", "2",), "exactly one of --z or --sqrt2 required"),
+    ])
+    def test_z_and_sqrt2_combinations(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "game", *argv, "--policy", "greedy")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_writes_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "game.txt"
         code, _, _ = run_cli(capsys, "game", "--alpha", "2", "--z", "10",

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from speedscale import offline
 from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance
-from speedscale.model import (INFINITE, CostModel, Instance, Job, PowerLaw, TabulatedConvex,
-                              evaluate_trace)
-from speedscale.offline import (OfflineSizeError, _columns, _flow_pass, _FlowState,
+from speedscale.model import (INFINITE, CostModel, CostTable, Instance, Job, ModelError,
+                              PowerLaw, TabulatedConvex, evaluate_trace)
+from speedscale.offline import (PLACE_TOL, OfflineSizeError, _columns, _flow_pass, _FlowState,
                                 offline_profit, solve_offline_bruteforce, solve_offline_flow)
 
 
@@ -243,3 +243,144 @@ def test_run_memo_is_exact_on_games(z, data, alpha):
     template = gen_alpha2_lb_instance(z)
     chosen = data.draw(st.sets(st.integers(0, 2 * z - 1)))
     assert_run_step_exact(adversary_finalize(template, chosen), PowerLaw(alpha))
+
+
+# -- one-slot runs against the loop they replaced --------------------------------
+
+class PerJobPlaceState(_FlowState):
+    """The flow whose `place` re-reads the target, its span, its load and the
+    payoff for every job of a one-slot run: the reference for the one-slot loop."""
+
+    def place(self, pos, rest):
+        values, starts, ends = self.values, self.starts, self.ends
+        loads, skip = self.loads, self.skip
+        start, end = starts[pos], ends[pos]
+        idle = start
+        while True:
+            value = values[pos]
+            if idle in skip:
+                idle = self.first_idle(idle)
+            if idle <= end:
+                if not value - self.idle_price > PLACE_TOL:
+                    break
+                loads[idle] = 1
+                skip[idle] = idle + 1
+                self.spans[idle] = (start, end)
+                self.slot_jobs[idle] = [pos]
+                idle += 1
+            else:
+                target, (lo, hi, rings) = self.cheapest_reachable(start, end, idle)
+                if target:
+                    price = self.idle_price
+                else:
+                    g, spans, slot_jobs = self.g, self.spans, self.slot_jobs
+                    while True:
+                        target = lo if lo == hi else min(range(lo, hi + 1), key=loads.__getitem__)
+                        load = loads[target]
+                        if len(g) <= load + 1:
+                            self.table.g(load + 1)
+                        price = g[load + 1] - g[load]
+                        if not (value - price > PLACE_TOL and start <= target <= end):
+                            break
+                        first, last = spans[target]
+                        if start < first or last < end:
+                            spans[target] = (min(first, start), max(last, end))
+                        slot_jobs[target].append(pos)
+                        loads[target] = load + 1
+                        self.payoff += value
+                        pos = next(rest, None)
+                        if pos is None or starts[pos] != start or ends[pos] != end:
+                            return pos
+                        value = values[pos]
+                if not value - price > PLACE_TOL:
+                    break
+                self.apply(pos, target, rings)
+                idle = start
+            self.payoff += value
+            pos = next(rest, None)
+            if pos is None or starts[pos] != start or ends[pos] != end:
+                return pos
+        for pos in rest:
+            if starts[pos] != start or ends[pos] != end:
+                return pos
+        return None
+
+
+def repeated_window_columns(kinds, picks):
+    """Columns in (arrival, id) order and the (-value, id) pass order of jobs
+    0, 1, ... drawn from a few (arrival, deadline, value) kinds."""
+    rows = []
+    for i, k in enumerate(picks):
+        arrival, deadline, value = kinds[k % len(kinds)]
+        rows.append((arrival, i, value, INFINITE if deadline is None else arrival + deadline - 1))
+    rows.sort()
+    arrivals, ids, values, expiries = (list(column) for column in zip(*rows))
+    order = sorted(range(len(rows)), key=lambda p: (-values[p], ids[p]))
+    return order, values, arrivals, expiries
+
+
+def pass_outcome(state_cls, columns, cost, prefill):
+    """The state a pass leaves, and how far it grew its table, or the ModelError it raised."""
+    order, values, arrivals, expiries = columns
+    table = CostTable(cost)
+    table.g(prefill)  # entries an earlier reader of the run already tabulated
+    try:
+        state = state_cls(values, arrivals, expiries, table)
+        rest = iter(order)
+        pos = next(rest, None)
+        while pos is not None:
+            pos = state.place(pos, rest)
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+    return state.loads, state.slot_jobs, state.spans, state.payoff.hex(), len(table.values)
+
+
+def squares_table(top):
+    """TabulatedConvex g(k) = k**2 for k = 0..top."""
+    return TabulatedConvex(tuple(float(k * k) for k in range(top + 1)))
+
+
+@pytest.mark.parametrize("kinds, picks, cost, prefill, slot1_load", [
+    # a price test fails mid-run: at load 4 the marginal 9 does not beat 9.0,
+    # and the run's other 15 jobs are skipped
+    ([(1, 1, 9.0)], [0] * 20, PowerLaw(2.0), 0, 4),
+    # the run ends with its last job, and the next run starts afresh
+    ([(1, 1, 40.0), (2, 1, 14.0)], [0] * 6 + [1] * 5, PowerLaw(2.0), 0, 6),
+    # the table holds g(0..3) when the run starts and must grow mid-run
+    ([(1, 1, 40.0)], [0] * 12, PowerLaw(2.0), 3, 12),
+    ([(1, 1, 40.0)], [0] * 12, PowerLaw(2.5), 3, 6),
+    # the table ends exactly at the last load read, g(6): the run ends with
+    # its last job at load 6, or the price test at load 5 fails (11 > 10)
+    ([(1, 1, 40.0)], [0] * 6, squares_table(6), 0, 6),
+    ([(1, 1, 10.0)], [0] * 9, squares_table(6), 0, 5),
+    # one job more reads g(7) past the table: the same ModelError on both sides
+    ([(1, 1, 40.0)], [0] * 7, squares_table(6), 0, None),
+    # the game's shape: chosen jobs with long windows first, then the [1, 1] run
+    ([(1, None, 6.0), (1, 1, 6.0)], [0] * 3 + [1] * 9, PowerLaw(2.0), 0, 3),
+])
+def test_one_slot_run_matches_per_job_loop(kinds, picks, cost, prefill, slot1_load):
+    columns = repeated_window_columns(kinds, picks)
+    got = pass_outcome(_FlowState, columns, cost, prefill)
+    assert got == pass_outcome(PerJobPlaceState, columns, cost, prefill)
+    if slot1_load is None:
+        assert got == "ModelError: cost table covers k <= 6, got 7"
+    else:
+        assert got[0][1] == slot1_load
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 1, 1, 2, 3, None]),
+                          st.sampled_from([0.0, 2.5, 6.0, 9.0, 14.0, 40.0])),
+                min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=40),
+       st.one_of(st.sampled_from([2.0, 2.5, 3.0]).map(PowerLaw),
+                 st.integers(1, 12).map(squares_table)),
+       st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_one_slot_runs_match_per_job_loop(kinds, picks, cost, prefill):
+    # long runs of one window, most of them one slot wide: the same loads,
+    # jobs, hulls, payoff bits and table length, or the same ModelError
+    if isinstance(cost, TabulatedConvex):
+        prefill = min(prefill, len(cost.table) - 1)
+    columns = repeated_window_columns(kinds, picks)
+    assert (pass_outcome(_FlowState, columns, cost, prefill)
+            == pass_outcome(PerJobPlaceState, columns, cost, prefill))

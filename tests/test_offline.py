@@ -363,18 +363,30 @@ class TestPassOrder:
     @given(tied_columns(), st.sampled_from([2.0, 2.5, 3.0]))
     @settings(max_examples=200, deadline=None)
     def test_equals_value_then_id_tuple_order(self, columns, alpha):
-        # the pass's two stable sorts give the order of a sort on (-value, id)
+        # _columns' two stable sorts give the order of a sort on (-value, id),
+        # and the pass in that order gives the profit of a pass driven by hand
         arrivals, ids, values, expiries = columns
+        inst = Instance(tuple(Job(i, a, v, e if e == INFINITE else e - a + 1)
+                              for a, i, v, e in zip(arrivals, ids, values, expiries)))
+        keys = [(-value, job_id) for value, job_id in zip(values, ids)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        assert _columns(inst) == (order, values, arrivals, expiries)
         cost = PowerLaw(alpha)
         want = _FlowState(values, arrivals, expiries, cost)
-        keys = [(-value, job_id) for value, job_id in zip(values, ids)]
-        rest = iter(sorted(range(len(keys)), key=keys.__getitem__))
+        rest = iter(order)
         pos = next(rest, None)
         while pos is not None:
             pos = want.place(pos, rest)
-        got = offline._flow_pass(ids, values, arrivals, expiries, cost)
+        got = offline._flow_pass(*_columns(inst), cost)
         assert got.slot_jobs == want.slot_jobs and got.loads == want.loads
-        assert got.profit().hex() == want.profit().hex()
+        assert got.profit().hex() == want.profit().hex() == offline_profit(inst, cost).hex()
+
+    def test_order_is_by_value_then_id_not_position(self):
+        # positions follow (arrival, id): ids 4, 9, 2, 5. The pass order
+        # follows (-value, id), so id 2 (position 2) comes before id 9 (position 1)
+        inst = Instance((Job(9, 1, 3.0), Job(4, 1, 1.0), Job(2, 2, 3.0), Job(5, 2, 8.0)))
+        assert _columns(inst) == ([3, 2, 1, 0], [1.0, 3.0, 3.0, 8.0], [1, 1, 2, 2],
+                                  [INFINITE] * 4)
 
 
 class TestLongDeadlines:
