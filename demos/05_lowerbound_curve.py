@@ -17,7 +17,8 @@ print("sample ratio(z=10, x=2, k=6) =", lower_bound_ratio(2.0, 10, 2.0, 6))
 
 # The dataset is what `speedscale lowerbound` writes: after each alpha's grid
 # points (columns z, x, k_star and value) comes a summary row with z, x and
-# k_star empty and the refined best as its value.
+# k_star empty and the best as its value: the largest of the grid and of each
+# row's peak, where two branches in k cross.
 argv = ["lowerbound", "--alpha", "2,2.2,2.5,3,3.5,4", "--z-max", "200", "--x-grid", "64",
         "--no-header", "--out", "lowerbound_curve.csv"]
 if main(argv) != 0:

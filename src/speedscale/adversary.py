@@ -221,100 +221,63 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     return ratio(k, A, B, v), k.astype(np.int64)
 
 
-def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float, float]:
-    """Golden-section search for the maximum of a unimodal f on [a, b].
-
-    Stops once b - a <= rtol * max(1, |b|) or after 200 steps; returns the
-    final bracket and max(f(c), f(d)) at its two interior points.
-    """
-    c = b - DELTA * (b - a)
-    d = a + DELTA * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= rtol * max(1.0, abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - DELTA * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + DELTA * (b - a)
-            fd = f(d)
-    return a, b, max(fc, fd)
-
-
 def _crossings(alpha: float, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The x where branches j != k of row z meet: a 2 x n array, nan where they do not.
 
     With v = c_z + x, branch k is ((k+z)v - k - z**alpha) / (kv - k**alpha), so
     setting branches j and k equal gives a v**2 + b v + c = 0 with the
     coefficients below, solved in the cancellation-free form q / a and c / q.
+    It is solved for w = v / 2**e, with 2**e the binade of z**alpha, so that b
+    and c, of the size of z**alpha and z**(2 alpha), do not overflow. Scaling
+    by a power of two is exact, so wherever the unscaled form stays finite
+    the roots are its roots, bit for bit.
     """
     import numpy as np
 
     zf, jf, kf = z.astype(float), j.astype(float), k.astype(float)
     za, ja, ka = zf ** alpha, jf ** alpha, kf ** alpha
+    e = np.frexp(za)[1]
+    zs, js, ks = np.ldexp(za, -e), np.ldexp(ja, -e), np.ldexp(ka, -e)
     a = zf * (kf - jf)
-    b = (kf + zf) * ja - (jf + zf) * ka + za * (jf - kf)
-    c = (jf + za) * ka - (kf + za) * ja
+    b = (kf + zf) * js - (jf + zf) * ks + zs * (jf - kf)
+    c = np.ldexp(jf + za, -e) * ks - np.ldexp(kf + za, -e) * js
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        v = np.stack([q / a, c / q])
+        v = np.ldexp(np.stack([q / a, c / q]), e)
     return v - (za - (zf - 1.0) ** alpha)
 
 
-def _refine_peak(alpha: float, z: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> float:
-    """Maximum of the inner min over x in [x_lo, x_hi], taken over all rows z.
+def _row_peaks(alpha: float, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
+    """The inner min at each row's peak over x in (0, xcap], for every row
+    where that peak is a crossing of two branches in k.
 
-    For one row each branch k is a Moebius function of v = c_z + x whose
-    derivative has the sign of k(k + z**alpha - (k+z) k**(alpha-1)), whatever v
-    is. The inner min is thus a lower envelope of monotone branches, and its
-    maximum over a bracket lies at an endpoint or where two branches cross.
-    So each bracket is sampled at `_REFINE_SAMPLES` points in one batch, and
-    wherever the active k changes between neighbouring samples the crossing
-    of the two branches is solved and, when it lies between them, evaluated.
-
-    The active k can jump past a third branch m between two samples; then m,
-    not j or k, is the one active at the j-k crossing. Each such root
-    therefore adds the crossings j-m and m-k on the same sub-interval to the
-    next batch, until no new pair of branches appears. Every candidate goes
-    through `_inner_min_batch`, so the result is a value the inner min takes:
-    it can fall short of the peak but never overshoot it.
+    Branch k of row z is a Moebius function of v = c_z + x whose slope has
+    the sign of f(k) = k + z**alpha - (k+z) k**(alpha-1), whatever v is. Here
+    f(1) = z**alpha - z >= 0, f(z) = z - z**alpha <= 0 and f falls in k, so
+    the branches k <= k0, with k0 the last k where f(k) > 0, rise in x and
+    the others fall. By convexity c_z >= z**(alpha-1), so every branch keeps
+    a positive denominator for x > 0 and the split holds along the row. The
+    row's inner min is then min(rising, falling), which peaks where the two
+    cross or at an end, and by unimodality in k the branches meeting there
+    are k0 and k0 + 1. k0 is a binary search over the integers, the crossing
+    is `_crossings`, and each root in (0, xcap] goes through
+    `_inner_min_batch`, so every value returned is one the inner min takes.
     """
     import numpy as np
 
-    x = x_lo[:, None] + (x_hi - x_lo)[:, None] * np.linspace(0.0, 1.0, _REFINE_SAMPLES)
-    values, ks = _inner_min_batch(alpha, np.broadcast_to(z[:, None], x.shape), x)
-    best = float(values.max())
-    row, col = np.nonzero(ks[:, 1:] != ks[:, :-1])
-    pending = set(zip(z[row].tolist(), x[row, col].tolist(), x[row, col + 1].tolist(),
-                      ks[row, col].tolist(), ks[row, col + 1].tolist()))  # (z, lo, hi, j, k)
-    seen = set()
-    while pending:
-        seen |= pending
-        pairs = sorted(pending)
-        zs, lo, hi, j, k = (np.array(column) for column in zip(*pairs))
-        roots = _crossings(alpha, zs, j, k)
-        side, at = np.nonzero((roots >= lo) & (roots <= hi))
-        if not at.size:
-            break
-        values, active = _inner_min_batch(alpha, zs[at], roots[side, at])
-        best = max(best, float(values.max()))
-        pending = set()
-        for r, m in zip(at.tolist(), active.tolist()):
-            z_r, lo_r, hi_r, j_r, k_r = pairs[r]
-            pending |= {(z_r, lo_r, hi_r, j_r, m), (z_r, lo_r, hi_r, m, k_r)}
-        pending = {pair for pair in pending if pair[3] != pair[4]} - seen
-    return best
+    zf = z.astype(float)
+    za = zf ** alpha
+    lo, hi = np.zeros_like(zf), zf  # f(k) > 0 for k in 1..lo, f(k) <= 0 for k in hi+1..z
+    while (lo < hi).any():
+        mid = np.ceil(0.5 * (lo + hi))
+        rising = mid + za - (mid + zf) * mid ** (alpha - 1.0) > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid - 1.0)
+    has = lo >= 1.0  # at z = 1 no branch rises
+    roots = _crossings(alpha, z[has], lo[has], lo[has] + 1.0)
+    at = (roots > 0.0) & (roots <= xcap[has])
+    return _inner_min_batch(alpha, np.broadcast_to(z[has], roots.shape)[at], roots[at])[0]
 
 
-# Grid rows (best first) refined around their best grid point. Refining every
-# row gave the same `best`, bit for bit, on 24 alphas in [2, 8] at z_max 200,
-# x_grid 64, and took 1.4-1.7x as long, so only the top rows are refined. That
-# is evidence, not proof: no bound yet shows an unrefined row cannot win.
-_REFINE_TOP = 12
-_REFINE_SAMPLES = 33  # points per refinement bracket, endpoints included
 _CHUNK = 256  # z rows evaluated per numpy batch
 
 
@@ -324,12 +287,17 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     For each z, x runs over a uniform grid on (0, xcap(z)] including the right
     endpoint, and the inner minimum over the policy's count k is exact. The
     curve comes back as one structured array with columns z, x, k_star and
-    value, one row per grid point in z-major order. The returned best also
-    refines the top `_REFINE_TOP` grid rows with `_refine_peak`, because the
-    inner min peaks where two branches in k cross, which a grid point hits
-    only by chance. A curve with a non-finite x or value overflowed a float
-    on the way and is refused with a ModelError before any refinement,
-    naming its largest value with nan skipped; so is a non-finite best.
+    value, one row per grid point in z-major order. The returned best is the
+    larger of the grid's maximum and, in every row, the inner min where
+    branches k0 and k0 + 1 cross (`_row_peaks`). A row peaks at that crossing
+    or at an end of (0, xcap]. The grid holds xcap. A row whose crossing lies
+    at x <= 0 falls along all of (0, xcap]: its supremum, as x -> 0, is no
+    maximum, and the grid's first point stands for it. On 34 alphas in
+    [2, 178], z <= 200, no row's limit at x -> 0 came within 1e-5 of the
+    best. A grid too large to allocate is refused with a ModelError. So is a
+    curve with a non-finite x or value, which overflowed a float on the way:
+    before any crossing is solved, naming its largest value with nan
+    skipped. So is a non-finite best.
     """
     import numpy as np
 
@@ -340,22 +308,20 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     if x_grid < 2:
         raise ModelError(f"x_grid must be >= 2, got {x_grid}")
 
-    curve = np.empty(z_max * x_grid, dtype=[("z", np.int64), ("x", float),
-                                            ("k_star", np.int64), ("value", float)])
+    try:
+        curve = np.empty(z_max * x_grid, dtype=[("z", np.int64), ("x", float),
+                                                ("k_star", np.int64), ("value", float)])
+    except (MemoryError, ValueError) as exc:  # numpy refuses these before touching memory
+        raise ModelError(f"cannot allocate the lower-bound grid of {z_max} x {x_grid} "
+                         f"points: {exc}") from None
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
-    row_best: list[tuple[float, int, float, float]] = []  # (value, z, x at argmax, xcap)
 
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite point, refused below
         for start in range(1, z_max + 1, _CHUNK):
             zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
-            xcap = _x_cap(alpha, zs)
-            x = xcap[:, None] * frac[None, :]
+            x = _x_cap(alpha, zs)[:, None] * frac[None, :]
             zz = np.broadcast_to(zs[:, None], x.shape)
             values, kstars = _inner_min_batch(alpha, zz, x)
-            arg = np.argmax(values, axis=1)
-            rows = np.arange(len(zs))
-            row_best.extend(zip(values[rows, arg].tolist(), zs.tolist(),
-                                x[rows, arg].tolist(), xcap.tolist()))
             part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
             part["z"], part["x"] = zz.ravel(), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()
@@ -363,13 +329,10 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     values = curve["value"]
     bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(values)))
     best = float(np.fmax.reduce(values))  # nan skipped
-    if not bad:  # row_best holds no nan to sort, and every refined row is finite
-        h = 1.0 / x_grid
-        _, z_top, x_at, xcap = np.array(sorted(row_best, reverse=True)[:_REFINE_TOP]).T
-        lo = np.maximum(xcap * h * 1e-6, x_at - xcap * h)
-        hi = np.minimum(xcap, x_at + xcap * h)
+    if not bad:  # each row's last grid point is x = xcap * 1.0, its xcap
+        last = curve[x_grid - 1::x_grid]
         with np.errstate(all="ignore"):  # an overflow leaves a non-finite best, refused below
-            best = max(best, _refine_peak(alpha, z_top.astype(np.int64), lo, hi))
+            best = max(best, float(_row_peaks(alpha, last["z"], last["x"]).max(initial=-math.inf)))
     if bad or not math.isfinite(best):
         raise ModelError(f"the lower-bound curve overflows a float at alpha={alpha:g}: "
                          f"{bad} of {curve.size} grid points are not finite, best is {best}")

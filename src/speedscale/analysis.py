@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .adversary import DELTA, PHI_PLUS_1, golden_section_max, sqrt2_job_value
+from .adversary import DELTA, PHI_PLUS_1, sqrt2_job_value
 from .model import INFINITE, CostModel, Instance, Job, ModelError, PowerLaw, cost_table, union
 from .offline import offline_profit, solve_offline_bruteforce
 from .policies import (PolicyView, beta_root, compute_m, get_policy,
@@ -70,6 +70,29 @@ def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioRepo
 def mincran_ratio(z: float, k: float) -> float:
     """(z^2 + 2zk) / (2zk - k^2): the large-batch game ratio as a function of k."""
     return (z * z + 2.0 * z * k) / (2.0 * z * k - k * k)
+
+
+def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float, float]:
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    Stops once b - a <= rtol * max(1, |b|) or after 200 steps; returns the
+    final bracket and max(f(c), f(d)) at its two interior points.
+    """
+    c = b - DELTA * (b - a)
+    d = a + DELTA * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a <= rtol * max(1.0, abs(b)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - DELTA * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + DELTA * (b - a)
+            fd = f(d)
+    return a, b, max(fc, fd)
 
 
 def verify_mincran(z: int, delta: float = DELTA) -> tuple[float, float]:

@@ -8,7 +8,7 @@ and inf spelled out); the timestamp header line can be suppressed with
 --no-header for byte-identical reruns.
 
 numpy is imported only where a command needs it: `lowerbound`, `verify`, and
-`simulate --gen random|heavy-tail`.
+`simulate --gen random|heavy-tail`. Without numpy these exit 2 with an error.
 """
 from __future__ import annotations
 
@@ -391,6 +391,11 @@ def main(argv=None) -> int:
         return 1
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which cannot be imported", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedscale import adversary, offline
-from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, InstanceTemplate,
-                                  _inner_min_batch, _refine_peak, _x_cap,
+from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, ConstructionError,
+                                  InstanceTemplate, _inner_min_batch, _x_cap,
                                   adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
-                                  gen_alpha2_lb_instance,
-                                  gen_sqrt2_lb_instance, golden_section_max,
+                                  gen_alpha2_lb_instance, gen_sqrt2_lb_instance,
                                   run_adversarial_game, sqrt2_job_value)
 from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw, Trace
 from speedscale.offline import _columns, offline_profit, solve_offline_flow
@@ -53,17 +53,47 @@ def finalized_game_report(policy, template, cost):
     return build_report(template.label, offline_profit(instance, cost), Trace(decisions, ledgers))
 
 
-def golden_refine_peak(alpha, z, x_lo, x_hi):
-    """The refinement _refine_peak replaced: a golden section per row on the inner min."""
-    best = -math.inf
-    for row, lo, hi in zip(z.tolist(), x_lo.tolist(), x_hi.tolist()):
-        zs = np.array([row])
+def row_peaks_by_bisection(alpha, z_max):
+    """Each row's largest inner min over x in (0, xcap], for rows z = 2..z_max,
+    by a direct scan over k and a bisection in x.
 
-        def inner_min(x):
-            return float(_inner_min_batch(alpha, zs, np.array([x]))[0][0])
+    The rising part is the min over the branches k with f(k) = k + z**a -
+    (k+z) k**(a-1) > 0, the falling part the min over the others. The bisection
+    closes on where rising - falling changes sign, which a golden section on
+    the inner min cannot do where rounding leaves the row flat (at alpha = 178
+    the row z = 2 reads 2.0 from 1e-15 xcap on, and peaks near 1e-31 xcap).
+    The peak is the larger inner min at the two ends of the final bracket, or
+    at xcap. A row whose crossing lies at x <= 0 keeps lo = 0, so its peak is
+    its limit as x -> 0, which no grid point reaches.
+    """
+    z = np.arange(2, z_max + 1, dtype=float)[:, None]
+    k = np.arange(1, z_max + 1, dtype=float)[None, :]
+    with np.errstate(all="ignore"):
+        za = z ** alpha
+        cz = za - (z - 1.0) ** alpha
+        rising = k + za - (k + z) * k ** (alpha - 1.0) > 0.0
 
-        best = max(best, golden_section_max(inner_min, lo, hi, rtol=1e-13)[2])
-    return best
+        def parts(x, rows=slice(None)):
+            zr, v = z[rows], cz[rows] + x[:, None]
+            den = k * v - k ** alpha
+            ratio = np.where((k <= zr) & (den > 0.0),
+                             (k * (v - 1.0) + (zr * v - za[rows])) / den, np.inf)
+            up = rising[rows]
+            return np.where(up, ratio, np.inf).min(1), np.where(up, np.inf, ratio).min(1)
+
+        cap = ((z + 1.0) ** alpha - 2.0 * za + (z - 1.0) ** alpha).ravel()
+        lo, hi = np.zeros_like(cap), cap.copy()
+        todo = np.arange(cap.size)
+        while todo.size:  # rows leave once their bracket holds no float between its ends
+            mid = 0.5 * (lo[todo] + hi[todo])
+            open_ = (lo[todo] < mid) & (mid < hi[todo])
+            todo, mid = todo[open_], mid[open_]
+            up, down = parts(mid, todo)
+            left = up < down  # the crossing lies right of mid
+            lo[todo[left]], hi[todo[~left]] = mid[left], mid[~left]
+        peak = np.fmin(*parts(hi))
+        peak = np.fmax(peak, np.where(lo > 0.0, np.fmin(*parts(lo)), -np.inf))
+        return np.fmax(peak, np.fmin(*parts(cap)))
 
 
 def bracket_80(alpha, z, x):
@@ -542,25 +572,91 @@ class TestLowerBoundCurve:
         _, best = eval_lower_bound(3.0, 2, 64)
         assert abs(best - SQRT2_PLUS_1) <= 4 * math.ulp(SQRT2_PLUS_1)
 
-    @given(st.floats(2.0, 8.0), st.integers(1, 150), st.sampled_from([2, 3, 8, 64]))
-    @settings(max_examples=10, deadline=None)
-    def test_crossing_refinement_matches_golden_section(self, alpha, z_max, x_grid):
-        _, best = eval_lower_bound(alpha, z_max, x_grid)
-        with mock.patch.object(adversary, "_refine_peak", golden_refine_peak):
-            _, reference = eval_lower_bound(alpha, z_max, x_grid)
-        assert best >= reference * (1.0 - 1e-14)
-        assert format(best, ".12g") == format(reference, ".12g")
+    def test_best_equals_row_peak_reference(self):
+        # seeded alphas from 2 to 178; 40 rows keep every grid point finite
+        # up to alpha = 178, and the coarse grids miss most row peaks. Row
+        # z = 1 reads 2 at every x, below every other row's peak
+        rng = np.random.default_rng(7)
+        alphas = [2.0, 2.5, 3.0, 14.0, 16.0, 20.0, 178.0]
+        alphas += np.exp(rng.uniform(math.log(2.0), math.log(178.0), 12)).tolist()
+        cases = [(alpha, 40, int(rng.choice([2, 3, 16]))) for alpha in alphas]
+        cases += [(2.0, 400, 8), (3.0, 300, 2)]
+        for alpha, z_max, x_grid in cases:
+            curve, best = eval_lower_bound(alpha, z_max, x_grid)
+            reference = float(row_peaks_by_bisection(alpha, z_max).max())
+            assert math.isclose(best, reference, rel_tol=1e-12), (alpha, z_max, x_grid)
+            assert best >= curve["value"].max()
 
-    @pytest.mark.parametrize("alpha,z", [(3.0, 50), (3.0, 150), (4.0, 150)])
-    def test_refinement_solves_skipped_branches(self, alpha, z):
-        # on a bracket 100 times the x cap the active k jumps past a branch
-        # between samples; the peak is a crossing with that skipped branch
-        zs = np.array([z])
-        cap = float(_x_cap(alpha, zs)[0])
-        lo, hi = cap * 1e-6, cap * 100.0
-        xs = np.linspace(lo, hi, 20_001)
-        dense = _inner_min_batch(alpha, np.full(xs.shape, z), xs)[0].max()
-        assert _refine_peak(alpha, zs, np.array([lo]), np.array([hi])) >= dense
+    def test_alpha2_z10000_best(self):
+        # the crossing of row 10,000's branches 6,180 and 6,181
+        _, best = eval_lower_bound(2.0, 10_000, 64)
+        assert best == 2.617961636212655
+
+    def test_best_reaches_sqrt2_plus_1(self):
+        # wherever the 4-job construction is feasible, row z = 2 holds it, so
+        # the best is at least sqrt(2) + 1 however coarse the grid. At alpha =
+        # 300 and 510 the crossing's quadratic overflows a float unless scaled;
+        # there only z_max <= 3 keeps the grid finite
+        rng = np.random.default_rng(11)
+        alphas = [2.05, 2.2, 3.0, 14.0, 16.0, 20.0, 30.0, 40.0, 60.0, 80.0, 100.0, 150.0, 178.0]
+        alphas += rng.uniform(2.0, 178.0, 12).tolist() + [300.0, 510.0]
+        feasible = 0
+        for alpha in alphas:
+            try:
+                gen_sqrt2_lb_instance(alpha)
+            except ConstructionError:
+                continue
+            feasible += 1
+            sizes = [(2, 2), (3, 16)] + [(int(rng.integers(2, 41)), 3)] * (alpha <= 178.0)
+            for z_max, x_grid in sizes:
+                _, best = eval_lower_bound(alpha, z_max, x_grid)
+                assert best >= SQRT2_PLUS_1 - 1e-12, (alpha, z_max, x_grid)
+        assert feasible >= 20
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0, 2.5, 7.3])
+    def test_branches_rise_up_to_k0_and_fall_after(self, monkeypatch, alpha):
+        # k0 is the branch _row_peaks hands to _crossings. Integer alphas are
+        # checked exactly: f(k) = k + z**a - (k+z) k**(a-1) and each branch's
+        # change from x = xcap / 4 to xcap, in Fractions. Other alphas check
+        # the sign of f in floats where it is clear of rounding
+        seen = {}
+        crossings = adversary._crossings
+
+        def recording(alpha, z, j, k):
+            assert (k == j + 1).all()
+            seen.update(zip(z.tolist(), j.tolist()))
+            return crossings(alpha, z, j, k)
+
+        monkeypatch.setattr(adversary, "_crossings", recording)
+        z_max = 60
+        eval_lower_bound(alpha, z_max, 4)
+        assert sorted(seen) == list(range(2, z_max + 1))  # z = 1 has no rising branch
+        rows = np.random.default_rng(3).choice(np.arange(2, z_max + 1), 12, replace=False)
+        for z in rows.tolist():
+            k0 = seen[z]
+            assert 1 <= k0 < z
+            if alpha.is_integer():
+                a = int(alpha)
+                cz = z ** a - (z - 1) ** a
+                cap = (z + 1) ** a - 2 * z ** a + (z - 1) ** a
+
+                def branch(x, k):
+                    v = cz + x
+                    return Fraction((k + z) * v - k - z ** a, k * v - k ** a)
+
+                for k in range(1, z + 1):
+                    f = k + z ** a - (k + z) * k ** (a - 1)
+                    rise = branch(cap, k) - branch(Fraction(cap, 4), k)
+                    if k <= k0:
+                        assert f > 0 and rise > 0, (z, k)
+                    else:
+                        assert f <= 0 and rise <= 0, (z, k)
+            else:
+                za = float(z) ** alpha
+                for k in range(1, z + 1):
+                    f = k + za - (k + z) * float(k) ** (alpha - 1.0)
+                    if abs(f) > 1e-9 * za:
+                        assert (f > 0) == (k <= k0), (z, k)
 
     def test_refused_curve_names_its_largest_value_unrefined(self, monkeypatch):
         # a nan at the first point of each 256-row chunk: the largest value,
@@ -573,16 +669,26 @@ class TestLowerBoundCurve:
             values.flat[0] = math.nan
             return values, ks
 
-        def refine_peak(*args):
-            raise AssertionError("a refused curve is not refined")
+        def row_peaks(*args):
+            raise AssertionError("a refused curve solves no crossing")
 
         monkeypatch.setattr(adversary, "_inner_min_batch", first_point_nan)
-        monkeypatch.setattr(adversary, "_refine_peak", refine_peak)
+        monkeypatch.setattr(adversary, "_row_peaks", row_peaks)
         largest = float(np.delete(curve["value"], [0, 256 * 8]).max())
         assert largest == curve["value"][256 * 8:].max()
         with pytest.raises(ModelError, match=f"2 of 2400 grid points are not finite, "
                                              f"best is {largest!r}$"):
             eval_lower_bound(2.5, 300, 8)
+
+    @pytest.mark.parametrize("z_max, reason", [
+        (10 ** 12, r"Unable to allocate 1\.82 PiB"),  # more than any address space
+        (2 ** 62, "Maximum allowed dimension exceeded"),  # 2**68 points overflow an index
+    ])
+    def test_unallocatable_grid_refused(self, z_max, reason):
+        # numpy refuses both sizes before it touches memory
+        with pytest.raises(ModelError, match=rf"^cannot allocate the lower-bound grid of "
+                                             rf"{z_max} x 64 points: {reason}"):
+            eval_lower_bound(2.0, z_max, 64)
 
     def test_bad_arguments(self):
         with pytest.raises(ModelError):

@@ -310,6 +310,28 @@ def test_game_and_simulate_run_without_numpy(capsys, instance_file):
         assert run["out"] == run_cli(capsys, *run["argv"])[1], run["argv"]
 
 
+_BLOCK_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+import speedscale.cli
+sys.exit(speedscale.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("lowerbound", "--alpha", "2", "--z-max", "4", "--x-grid", "4"),
+    ("simulate", "--gen", "random:n=5", "--alpha", "2", "--policy", "min-lcr"),
+    ("verify", "hbound"),
+], ids=["lowerbound", "simulate-random", "verify"])
+def test_commands_that_need_numpy_exit_2_without_it(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {argv[0]} needs numpy, which cannot be imported\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "hbound", "--format", "json"),
     ("verify", "hbound", "--no-header"),
@@ -391,6 +413,15 @@ class TestLowerbound:
                  if l.split(",")[1] == ""]
         assert len(bests) == 2
         assert all(b >= math.sqrt(2) + 1 - 1e-6 for b in bests)
+
+    @pytest.mark.parametrize("z_max", ["1000000000000", "4611686018427387904"])
+    def test_unallocatable_grid_exits_2(self, capsys, z_max):
+        # 1.82 PiB, and 2**68 points: numpy refuses both before touching memory
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", "2", "--z-max", z_max,
+                                 "--x-grid", "64")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot allocate the lower-bound grid of {z_max} x 64 "
+                              "points: ")
 
     def test_empty_alpha_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "lowerbound", "--alpha", ",")
@@ -512,7 +543,7 @@ def record_inner_min(monkeypatch):
 
 def assert_best_is_k_scan_value(alpha, best, taken):
     """The best printed is the inner min at some point evaluated, as the k-scan
-    gives it: the refinement can fall short of the peak, never overshoot it."""
+    gives it: a grid point or a row's crossing, never a value the rows do not take."""
     shown = format(best, ".12g")
     points = [p for value, at in taken.items() if format(value, ".12g") == shown for p in at]
     assert points
@@ -648,6 +679,15 @@ class TestGoldenOutput:
         assert code == 0
         summary = [line for line in out.splitlines()[1:] if line.split(",")[1] == ""]
         assert summary == ["2,,,,2.56266024904", "3,,,,2.41421356237"]
+
+    def test_lowerbound_summary_rows_at_large_alpha(self, capsys):
+        # row z = 2 peaks at x / xcap near 2e-4 and below, left of the first
+        # grid point; its crossing of branches 1 and 2 is the 4-job construction
+        code, out, _ = run_cli(capsys, "lowerbound", "--alpha", "16,20,30,40,60", "--z-max",
+                               "200", "--x-grid", "64", "--no-header")
+        assert code == 0
+        summary = [line for line in out.splitlines()[1:] if line.split(",")[1] == ""]
+        assert summary == [f"{alpha},,,,2.41421356237" for alpha in (16, 20, 30, 40, 60)]
 
     @pytest.mark.parametrize("policy,row", [
         ("min-lcr", "heavy-tail:seed=3,2.5,min-lcr,203.498044628,182.335400102,"
