@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
                     _instance_from_checked, _is_int, cost_table)
 from .offline import _flow_pass
-from .policies import _ID, _VALUE, PolicyView, _play_slot, get_policy
+from .policies import _ID, _VALUE, PolicyView, _play_slot, _sorted_view, get_policy
 from .reports import RatioReport, build_report
 
 if TYPE_CHECKING:
@@ -62,10 +62,10 @@ class InstanceTemplate:
         jobs once (the `offline` module docstring says why the two agree).
         """
         # a reverse sort is stable, so equal values keep increasing ids; the
-        # tuple is built from a list, as run_policy's comment explains
+        # tuples are built from lists, as run_policy's comment explains
         values = self.values
-        return PolicyView(1, tuple(sorted(zip(range(len(values)), values), key=_VALUE,
-                                          reverse=True)))
+        pairs = sorted(zip(range(len(values)), values), key=_VALUE, reverse=True)
+        return _sorted_view(1, tuple(pairs), tuple([v for _, v in pairs]))
 
 
 def gen_alpha2_lb_instance(z: int) -> InstanceTemplate:

@@ -7,8 +7,9 @@ CSV cells are formatted as '%.12g' ('.' decimals, 12 significant digits, nan
 and inf spelled out); the timestamp header line can be suppressed with
 --no-header for byte-identical reruns.
 
-numpy is imported only where a command needs it: `lowerbound`, `verify`, and
-`simulate --gen random|heavy-tail`. Without numpy these exit 2 with an error.
+numpy is imported only where a command needs it: `lowerbound`, every `verify`
+suite but `mincran`, and `simulate --gen random|heavy-tail`. Without numpy
+these exit 2 with an error.
 """
 from __future__ import annotations
 
@@ -253,8 +254,7 @@ def cmd_verify(args) -> int:
 
 
 def _run_suite(suite: str, args) -> str:
-    import numpy as np
-
+    # numpy is imported by the suites that use it: mincran runs without it
     if suite == "mincran":
         delta = DELTA + args.inject_delta
         parts = []
@@ -263,12 +263,16 @@ def _run_suite(suite: str, args) -> str:
             parts.append(f"z={z}: k*={k_star:.6g} value={value:.9g}")
         return "; ".join(parts)
     if suite == "hbound":
+        import numpy as np
+
         worst = 0.0
         for alpha in np.arange(2.0, 6.0 + 1e-9, 0.25):
             report = analysis.verify_h_bound(float(alpha), 100)
             worst = max(worst, report["max_theta"])
         return f"theta <= {worst:.9g} <= 1/2, non-increasing in alpha on [2, 6]"
     if suite == "smallm":
+        import numpy as np
+
         grid = [round(a, 2) for a in np.arange(2.5, 4.0 + 1e-9, 0.05)]
         report = analysis.verify_small_m_cases(grid, seed=args.seed)
         worst = max(r["bound"] for r in report["rows"])

@@ -331,7 +331,7 @@ class Trace:
     def __post_init__(self):
         decisions = tuple(self.decisions)
         slots = [d.slot for d in decisions]
-        if slots != sorted(set(slots)):
+        if not all(map(operator.lt, slots, slots[1:])):
             raise ModelError("trace decisions must be strictly ordered by slot")
         object.__setattr__(self, "decisions", decisions)
         object.__setattr__(self, "ledgers", tuple(self.ledgers))

@@ -21,8 +21,15 @@ The policies differ only in which counts they score (``Policy.counts``);
 ``Policy.decide`` is written once. It scans the view once (``_scan``), and
 the g table and prefix sums that scan reads while computing m feed one pass
 over prefix sums (``_ledger``) that builds the breakdowns of every scored
-count. ``lcr_breakdown`` reads the same pass for one count, so a breakdown
-has the same bits whichever policy scores it.
+count and, in the same pass, picks the first count of least LCR: the
+decision's count. ``lcr_breakdown`` reads the same pass for one count, so a
+breakdown has the same bits whichever policy scores it.
+
+A view's candidates must be in non-increasing value order, since the scan
+stops at the first unprofitable job. ``PolicyView(...)`` checks that order;
+the simulator and the game build their views sorted (``_sorted_view``) and
+check nothing per slot, and the tests hold every view they hand a policy to
+that order.
 
 g comes from the run's ``model.CostTable``: ``run_policy`` and the game make
 one and decide every slot on it, so a run evaluates each g(k) at most once.
@@ -54,8 +61,12 @@ class UnsupportedCostError(ModelError):
 class PolicyView:
     """What a deadline-blind policy is allowed to see at one slot.
 
-    ``candidates`` holds (job id, value) pairs sorted by non-increasing value;
-    no deadline information is reachable from this type.
+    ``candidates`` holds (job id, value) pairs sorted by non-increasing value,
+    and ``values`` their values in that order; no deadline information is
+    reachable from this type. This constructor checks that order and
+    refuses candidates out of it. The simulator and the game build their
+    views sorted in the first place, through `_sorted_view`, which checks
+    nothing.
     """
 
     slot: int
@@ -80,6 +91,17 @@ _ID, _VALUE = operator.itemgetter(0), operator.itemgetter(1)
 # PolicyView.__init__ fills the slots through their descriptors, as Job's does
 _set_slot, _set_candidates, _set_values = (
     PolicyView.__dict__[name].__set__ for name in ("slot", "candidates", "values"))
+
+
+def _sorted_view(slot: int, candidates: tuple[tuple[int, float], ...],
+                 values: tuple[float, ...]) -> PolicyView:
+    """The view of candidates the caller already sorted, with their values in
+    that order: `PolicyView` with no call of its `__init__` and no check."""
+    view = object.__new__(PolicyView)
+    _set_slot(view, slot)
+    _set_candidates(view, candidates)
+    _set_values(view, values)
+    return view
 
 
 class LcrBreakdown(NamedTuple):
@@ -141,11 +163,12 @@ def _scan(values: Sequence[float], table: CostTable) -> tuple[int, list[float], 
     """
     g = table.values
     g_prev = g[0] if g else table.g(0)
+    model_g = table.model.g
     prefix = [0.0]
     top = 0.0
     for k, v in enumerate(values, 1):
         if k == len(g):  # the table's next entry
-            g.append(table.model.g(k))
+            g.append(model_g(k))
         g_k = g[k]
         if not v - (g_k - g_prev) > 0.0:
             break
@@ -169,12 +192,13 @@ def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
     m, g, prefix = _scan(view.values, cost_table(cost))
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
-    return _ledger(view.values, g, prefix, (i,))[0]
+    return _ledger(view.values, g, prefix, (i,))[0][0]
 
 
 def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
-            counts: Sequence[int]) -> list[LcrBreakdown]:
-    """The breakdowns for an increasing run of counts in 1..m, in one pass over prefix sums.
+            counts: Sequence[int]) -> tuple[list[LcrBreakdown], int]:
+    """The breakdowns for an increasing run of counts in 1..m, in one pass over
+    prefix sums, and the first count of least LCR among them.
 
     c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
     peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
@@ -183,6 +207,10 @@ def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
     only as far as the last count plus that first j. g and prefix come from
     `_scan` (prefix holds the top-m sums), whose g table covers every count
     read here.
+
+    The best count changes only where an LCR is strictly less than the best
+    so far, so it is the count `min(..., key=lcr)` picks, ties (the smaller
+    count) and NaN included.
     """
     n = len(values)
     first = counts[0]
@@ -194,6 +222,7 @@ def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
         top += v
         prefix.append(top)
     ledger = []
+    best = best_lcr = None
     for i in counts:
         if j > n - i:
             j = n - i
@@ -205,8 +234,11 @@ def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
         cg = prefix[i + j] - top - g[j]
         if cg < 0.0:  # j = 0 is a leftover count too
             cg = 0.0
-        ledger.append(_new(LcrBreakdown, (i, M, P, cg, (M + cg) / P)))
-    return ledger
+        lcr = (M + cg) / P
+        ledger.append(_new(LcrBreakdown, (i, M, P, cg, lcr)))
+        if best is None or lcr < best_lcr:
+            best, best_lcr = i, lcr
+    return ledger, best
 
 
 @lru_cache(maxsize=None)
@@ -234,11 +266,6 @@ def beta_root(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# Breakdowns come in increasing i and min keeps the first of equal keys, so
-# ties pick the smallest count
-_BY_LCR = operator.itemgetter(4)
-
-
 class Policy:
     """Deterministic per-slot decision rule over deadline-blind views.
 
@@ -260,8 +287,8 @@ class Policy:
         m, g, prefix = _scan(values, table)
         if m == 0:
             return _new(Decision, (0, ()))
-        ledger = _ledger(values, g, prefix, self.counts(m, table.model))
-        return _new(Decision, (min(ledger, key=_BY_LCR).i, tuple(ledger)))
+        ledger, best = _ledger(values, g, prefix, self.counts(m, table.model))
+        return _new(Decision, (best, tuple(ledger)))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
@@ -344,13 +371,14 @@ def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
     """
     decision = policy.decide(view, table)
     count = decision.count
-    if not ((type(count) is int or _is_int(count)) and 0 <= count <= len(view)):
+    n = len(view.candidates)
+    if not ((type(count) is int or _is_int(count)) and 0 <= count <= n):
         raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {count!r} jobs, "
-                         f"only {len(view)} available")
+                         f"only {n} available")
     if count:
-        chosen = view.candidates[:count]
-        decisions.append(_new(SlotDecision, (view.slot, frozenset(map(_ID, chosen)),
-                                             float(_ltr_sum(map(_VALUE, chosen))),
+        decisions.append(_new(SlotDecision, (view.slot,
+                                             frozenset(map(_ID, view.candidates[:count])),
+                                             float(_ltr_sum(view.values[:count])),
                                              table.g(count))))
     if decision.breakdowns:
         ledgers.append(_new(SlotLedger, (view.slot, count, decision.breakdowns)))
@@ -363,12 +391,14 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     Only this harness sees deadlines; the policy receives a PolicyView of the
     live jobs, kept in value order (ties: earlier arrival, then smaller id),
     sorted on a (-value, arrival, id) key made once per job. Each job's
-    (id, value) candidate pair and expiry are made once, when it arrives, and
-    every view shares those pairs. Arrivals are merged in once per visited
-    slot. Processed jobs leave from the front, since a policy always takes a
-    top prefix. Expired jobs leave lazily: a min-heap of window ends tells
-    when one has closed, and the live list is then filtered, at the cost of
-    building one view.
+    (id, value) candidate pair, value and expiry are kept next to that key,
+    made once, when it arrives, and every view shares those pairs. The live
+    list is sorted, so each view is built sorted (`_sorted_view`), its
+    candidates and values read off the list, and the order is not checked
+    again. Arrivals are merged in once per visited slot. Processed jobs
+    leave from the front, since a policy always takes a top prefix. Expired
+    jobs leave lazily: a min-heap of window ends tells when one has closed,
+    and the live list is then filtered, at the cost of building one view.
 
     A slot with no live job is never shown to a policy: the loop jumps to
     the next arrival, or ends once every job has arrived. Slots where
@@ -384,7 +414,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     jobs = instance.jobs
     n = len(jobs)
     hard_stop = instance.last_arrival + n + 1
-    live: list[tuple[tuple, float, tuple[int, float]]] = []  # (order key, expiry, (id, value))
+    # (order key, expiry, value, (id, value))
+    live: list[tuple[tuple, float, float, tuple[int, float]]] = []
     expiries: list[float] = []  # min-heap of the windows' last slots
     decisions: list[SlotDecision] = []
     ledgers: list[SlotLedger] = []
@@ -396,7 +427,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             job = jobs[arrived]
             expiry = job.expiry
             # non-increasing value; ties by earlier arrival, then smaller id
-            live.append(((-job.value, job.arrival, job.id), expiry, (job.id, job.value)))
+            value = job.value
+            live.append(((-value, job.arrival, job.id), expiry, value, (job.id, value)))
             if expiry != INFINITE:
                 heappush(expiries, expiry)
             arrived += 1
@@ -411,14 +443,15 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
                 slot = jobs[arrived].arrival
                 continue
             break
-        # Every per-slot tuple (this view, its values in PolicyView, the game's
+        # Every per-slot tuple (this view's candidates and values, the game's
         # slot-1 view) is built from a list. A tuple built from a generator,
         # map or zip is resized to its length, yet freed onto that length's
         # free list, which only a full gc pass empties; built from a list it
         # is taken from that free list in the first place. Built with
         # tuple(map(...)), the view's values raised the bursty benchmark's
         # peak RSS by about 10%.
-        view = PolicyView(slot, tuple([pair for _, _, pair in live]))
+        view = _sorted_view(slot, tuple([pair for _, _, _, pair in live]),
+                            tuple([value for _, _, value, _ in live]))
         count = _play_slot(policy, view, table, decisions, ledgers)
         if count != 0:
             del live[:count]

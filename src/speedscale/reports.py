@@ -55,16 +55,15 @@ def profit_ratio(off_profit: float, alg_profit: float) -> float:
 
 def build_report(label: str, off_profit: float, trace: Trace) -> RatioReport:
     """Assemble a RatioReport from an offline profit and a policy trace."""
-    rows = tuple(
-        SlotLcr(entry.slot, entry.chosen, entry.chosen_breakdown().lcr)
-        for entry in trace.ledgers
-    )
-    max_lcr = max((r.lcr for r in rows), default=math.nan)
+    # records made with tuple.__new__, no call of the named tuple's Python-level __new__
+    rows = [tuple.__new__(SlotLcr, (entry.slot, entry.chosen, entry.chosen_breakdown().lcr))
+            for entry in trace.ledgers]
+    max_lcr = max([r.lcr for r in rows], default=math.nan)
     return RatioReport(
         label=label,
         off_profit=off_profit,
         alg_profit=trace.total_profit,
         ratio=profit_ratio(off_profit, trace.total_profit),
-        per_slot_lcr=rows,
+        per_slot_lcr=tuple(rows),
         max_lcr=max_lcr,
     )

@@ -318,18 +318,37 @@ sys.exit(speedscale.cli.main(sys.argv[1:]))
 """
 
 
+def run_without_numpy(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ("lowerbound", "--alpha", "2", "--z-max", "4", "--x-grid", "4"),
     ("simulate", "--gen", "random:n=5", "--alpha", "2", "--policy", "min-lcr"),
     ("verify", "hbound"),
 ], ids=["lowerbound", "simulate-random", "verify"])
 def test_commands_that_need_numpy_exit_2_without_it(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_without_numpy(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {argv[0]} needs numpy, which cannot be imported\n"
+
+
+MINCRAN_LINE = ("[PASS] mincran: z=10: k*=6.18034 value=2.61803399; "
+                "z=100: k*=61.8034 value=2.61803399; z=10000: k*=6180.34 value=2.61803399\n")
+
+
+def test_verify_mincran_runs_without_numpy(capsys):
+    # mincran is a golden section on floats: without numpy it prints the line
+    # it prints with numpy, while hbound, whose grid is np.arange, is refused
+    assert run_cli(capsys, "verify", "mincran") == (0, MINCRAN_LINE, "")
+    proc = run_without_numpy("verify", "mincran")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, MINCRAN_LINE, "")
+    proc = run_without_numpy("verify", "hbound")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: verify needs numpy, which cannot be imported\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speedscale.adversary import PHI_PLUS_1, gen_alpha2_lb_instance, run_adversarial_game
+from speedscale.adversary import (PHI_PLUS_1, InstanceTemplate, gen_alpha2_lb_instance,
+                                  run_adversarial_game)
 from speedscale.analysis import competitive_report, random_instance
 from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace, cost_table, evaluate_trace)
@@ -90,17 +91,19 @@ MIN_LCR = POLICIES["min-lcr"]
 
 
 class CountingPolicy(Policy):
-    """A shipped policy that records the slot of every view it is shown, none empty."""
+    """A shipped policy that records every view it is shown and its slot, none empty."""
 
     name = "counting"
 
     def __init__(self, policy):
         self.policy = get_policy(policy)
         self.slots = []
+        self.views = []
 
     def decide(self, view, cost):
         assert len(view) > 0, f"empty view at slot {view.slot}"
         self.slots.append(view.slot)
+        self.views.append(view)
         return self.policy.decide(view, cost)
 
 
@@ -295,6 +298,11 @@ class TestLcrBreakdown:
         assert inner_greedy_profit(values[split:], cost) <= cap + 1e-9
 
 
+# marginal costs 1, 3, 4, 4, 5, 6, ..., 16: five jobs of value 5 tie at two counts
+TIE_TABLE = TabulatedConvex(tuple(itertools.accumulate((0.0, 1.0, 3.0, 4.0, 4.0,
+                                                        *map(float, range(5, 17))))))
+
+
 class TestMinLcrDecide:
     def test_prefers_lower_lcr(self, alpha2):
         decision = MIN_LCR.decide(view_of(10, 6, 3), alpha2)
@@ -355,6 +363,26 @@ class TestMinLcrDecide:
         assert [bits(b) for b in ledger] == expected
         for b in policy_named(name).decide(view_of(*values), cost).breakdowns:
             assert bits(b) == expected[b.i - 1]
+
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=16)
+           | st.tuples(st.integers(1, 16), st.integers(1, 30)).map(lambda nv: [nv[1]] * nv[0]),
+           st.sampled_from([PowerLaw(2.0), PowerLaw(2.5), PowerLaw(3.0), TIE_TABLE]),
+           st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:1", "fixed:3"]))
+    @example([11] * 9, PowerLaw(2.0), "min-lcr")  # counts 3 and 4 both at LCR 2.5
+    @example([5] * 5, TIE_TABLE, "min-lcr")  # counts 2 and 4 both at LCR 2.5
+    @example([5, 4, 4], PowerLaw(2.0), "sim-lcr")  # both of sim-lcr's counts at LCR 2
+    @settings(max_examples=150, deadline=None)
+    def test_count_is_min_of_breakdowns(self, values, cost, name):
+        # the ledger pass picks the count as min(..., key=lcr) picks it:
+        # the first of equal least LCRs, so a tie goes to the smaller count
+        values = sorted(map(float, values), reverse=True)
+        if name == "sim-lcr" and not isinstance(cost, PowerLaw):
+            name = "greedy"  # sim-lcr refuses a table
+        decision = policy_named(name).decide(view_of(*values), cost)
+        if decision.breakdowns:
+            assert decision.count == min(decision.breakdowns, key=lambda b: b.lcr).i
+        else:
+            assert decision.count == 0
 
 
 # A float's unit roundoff: a sum, difference or product of floats is
@@ -729,6 +757,67 @@ class TestPolicyViewConstructor:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(view, name, ())
         assert view.values == (3.0, 2.0) and not hasattr(view, "__dict__")
+
+
+def assert_sorted_views(views, tie_key):
+    """Each view's values are its candidates' values, in non-increasing order,
+    and candidates of equal value are in increasing `tie_key(id)` order."""
+    assert views
+    for view in views:
+        candidates, values = view.candidates, view.values
+        assert repr(values) == repr(tuple(v for _, v in candidates))  # -0.0 too
+        assert all(map(operator.ge, values, values[1:]))
+        for (a, va), (b, vb) in zip(candidates, candidates[1:]):
+            if va == vb:
+                assert tie_key(a) < tie_key(b), (view.slot, candidates)
+
+
+# few distinct values, so that equal values meet in one view
+tied_values = st.sampled_from([0.0, -0.0, 0.5, 3.0, 6.0, 12.0]) | st.floats(0.0, 40.0)
+
+
+@st.composite
+def burst_instances(draw):
+    """Bursts of jobs at one slot or a few adjacent slots, with ids in shuffled
+    order, so ties on value are broken by arrival and by id."""
+    specs, arrival = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        arrival += draw(st.integers(0, 3) | st.integers(0, 60))
+        for _ in range(draw(st.integers(1, 10))):
+            specs.append((arrival + draw(st.integers(0, 2)), draw(tied_values),
+                          draw(st.just(INFINITE) | st.integers(1, 6))))
+    ids = draw(st.permutations(range(len(specs))))
+    return Instance(tuple(Job(i, a, v, d) for i, (a, v, d) in zip(ids, specs)))
+
+
+class TestViewsHandedToPolicies:
+    """The simulator and the game build their views sorted and check nothing
+    per slot, so every view they hand a policy is held to the order here."""
+
+    policies = st.sampled_from(["min-lcr", "sim-lcr", "greedy"]) | \
+        st.integers(1, 4).map(FixedCountPolicy)
+
+    @given(sparse_instances() | burst_instances(), policies, st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_run_policy_views(self, inst, policy, alpha):
+        counting = CountingPolicy(policy)
+        trace = run_policy(inst, counting, PowerLaw(alpha))
+        assert trace == run_policy(inst, policy, PowerLaw(alpha))
+        if inst.jobs:
+            by_id = {job.id: job for job in inst.jobs}
+            assert_sorted_views(counting.views, lambda i: (by_id[i].arrival, i))
+
+    @given(st.lists(tied_values, min_size=1, max_size=30), policies,
+           st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_game_view(self, values, policy, alpha):
+        counting = CountingPolicy(policy)
+        report = run_adversarial_game(counting, InstanceTemplate(tuple(values)),
+                                      PowerLaw(alpha))
+        assert report == run_adversarial_game(policy, InstanceTemplate(tuple(values)),
+                                              PowerLaw(alpha))
+        assert len(counting.views) == 1
+        assert_sorted_views(counting.views, lambda i: i)
 
 
 class TestInformationHiding:
