@@ -9,6 +9,11 @@ expires immediately. A clairvoyant scheduler instead processes the leftover
 pool greedily at slot 1 and the chosen jobs one per later slot. The online
 side is the simulator's slot step (``policies._play_slot``), played once.
 
+Values are checked once, where they enter: ``InstanceTemplate(...)`` checks
+each value of outside input, while the constructions, whose jobs all share
+one value, check that value once. ``adversary_finalize`` checks a caller's
+choice of ids; the game scores its own choice, ids of its own view, unchecked.
+
 The lower-bound numerics import numpy inside each routine, so the game and
 the constructions run without loading it.
 """
@@ -68,11 +73,27 @@ class InstanceTemplate:
         return _sorted_view(1, tuple(pairs), tuple([v for _, v in pairs]))
 
 
+def _repeated_template(value: float, n: int, label: str) -> InstanceTemplate:
+    """The template of n >= 1 jobs of one value: `InstanceTemplate`'s rule and
+    message, checked on the one value, and no per-copy loop."""
+    template = InstanceTemplate((value,), label)
+    object.__setattr__(template, "values", (value,) * n)
+    return template
+
+
 def gen_alpha2_lb_instance(z: int) -> InstanceTemplate:
-    """2z jobs, each of value 2z, arriving at slot 1 (the alpha=2 construction)."""
+    """2z jobs, each of value 2z, arriving at slot 1 (the alpha=2 construction).
+
+    A z too large to allocate is refused with a ModelError; CPython refuses
+    such a tuple before touching memory.
+    """
     if z < 1:
         raise ModelError(f"z must be a positive integer, got {z}")
-    return InstanceTemplate(values=(float(2 * z),) * (2 * z), label=f"alpha2-lb:z={z}")
+    try:
+        return _repeated_template(float(2 * z), 2 * z, f"alpha2-lb:z={z}")
+    except (MemoryError, OverflowError) as exc:
+        raise ModelError(f"cannot allocate the alpha2-lb template of {2 * z} jobs: "
+                         f"{str(exc) or 'out of memory'}") from None
 
 
 def sqrt2_job_value(alpha: float) -> float:
@@ -94,25 +115,32 @@ def gen_sqrt2_lb_instance(alpha: float) -> InstanceTemplate:
     if not v < g.g(3) - g.g(2):
         raise ConstructionError(
             f"value {v} does not stay below g(3)-g(2)={g.g(3) - g.g(2)} at alpha={alpha}")
-    return InstanceTemplate(values=(v,) * 4, label=f"sqrt2-lb:alpha={alpha:g}")
+    return _repeated_template(v, 4, f"sqrt2-lb:alpha={alpha:g}")
 
 
-def _finalized_columns(template: InstanceTemplate, slot1_choice):
+def _finalized_columns(template: InstanceTemplate, chosen_ids):
     """The finalized game as flow columns: ids 0..n-1, values, arrivals 1 and
-    expiries, where chosen jobs never expire and every other job expires at slot 1."""
-    chosen, n = set(slot1_choice), len(template.values)
-    unknown = chosen.difference(range(n))
-    if unknown:
-        raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
+    expiries, where the chosen jobs never expire and every other job expires
+    at slot 1. `chosen_ids` are ints in 0..n-1; nothing checks them."""
+    n = len(template.values)
     expiries = [1] * n
-    for i in chosen:  # each equals an id in 0..n-1, a float 1.0 too
-        expiries[int(i)] = INFINITE
+    for i in chosen_ids:
+        expiries[i] = INFINITE
     return range(n), template.values, [1] * n, expiries
 
 
 def adversary_finalize(template: InstanceTemplate, slot1_choice) -> Instance:
-    """Chosen jobs get an infinite deadline; every other job expires at slot 1."""
-    ids, values, arrivals, expiries = _finalized_columns(template, slot1_choice)
+    """Chosen jobs get an infinite deadline; every other job expires at slot 1.
+
+    The choice comes from outside, so it is checked here: an id that is not
+    one of the template's 0..n-1 is refused, and one equal to an id (1.0 or
+    True for 1) marks that job.
+    """
+    chosen = set(slot1_choice)
+    unknown = chosen.difference(range(len(template.values)))
+    if unknown:
+        raise ModelError(f"choice contains unknown job ids: {sorted(unknown)}")
+    ids, values, arrivals, expiries = _finalized_columns(template, map(int, chosen))
     # InstanceTemplate checked the values; ids 0..n-1 at arrival 1 are in
     # (arrival, id) order, and a deadline of 1 or INFINITE is its own expiry
     return _instance_from_checked(zip(ids, arrivals, values, expiries, expiries), template.label)
@@ -127,8 +155,10 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     flow scores the finalized game's columns, which `adversary_finalize`'s
     instance also holds, so the profit has `offline_profit`'s bits, with no jobs built.
     Its pass order is the slot-1 view's ranking, so the game sorts its jobs
-    once. The slot step and the flow read one table of g, so the game
-    evaluates each g(k) at most once.
+    once, and the chosen ids are that ranking's first `count` entries, ids
+    in 0..n-1 by construction: the game scores its own choice without
+    `adversary_finalize`'s check of an outside one. The slot step and the
+    flow read one table of g, so the game evaluates each g(k) at most once.
     """
     policy = get_policy(policy)
     table = cost_table(cost)

@@ -217,6 +217,29 @@ class TestTemplates:
         with pytest.raises(ModelError, match=f"^{message}$"):
             Job(0, 1, value)
 
+    @pytest.mark.parametrize("z", [1, 2, 40, 2000])
+    def test_alpha2_equals_checked_template(self, z):
+        # built with one value check, it is the template the public constructor makes
+        got = gen_alpha2_lb_instance(z)
+        want = InstanceTemplate((float(2 * z),) * (2 * z), f"alpha2-lb:z={z}")
+        assert got == want and repr(got) == repr(want)
+        assert type(got.values) is tuple
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 7.0])
+    def test_sqrt2_equals_checked_template(self, alpha):
+        got = gen_sqrt2_lb_instance(alpha)
+        want = InstanceTemplate((sqrt2_job_value(alpha),) * 4, f"sqrt2-lb:alpha={alpha:g}")
+        assert got == want and repr(got) == repr(want)
+        assert type(got.values) is tuple
+
+    @pytest.mark.parametrize("value,shown", [
+        (math.nan, "nan"), (-1.0, "-1.0"), (math.inf, "inf"), (True, "True")])
+    def test_repeated_template_refuses_what_template_refuses(self, value, shown):
+        # the one check the constructions make, with InstanceTemplate's message
+        message = f"value must be non-negative and finite, got {shown}"
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            adversary._repeated_template(value, 4, "drawn")
+
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.0, 7.25]), min_size=1, max_size=40))
     def test_slot1_view_ranks_by_value_then_id(self, values):
         view = InstanceTemplate(tuple(values)).slot1_view()

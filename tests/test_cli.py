@@ -667,6 +667,19 @@ class TestGame:
         code, out, err = run_cli(capsys, "game", *argv, "--policy", "greedy")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("z, jobs, reason", [
+        # 2**61 and 2**63: CPython refuses both tuples before touching memory
+        ("2305843009213693952", "4611686018427387904", "out of memory"),
+        ("9223372036854775808", "18446744073709551616",
+         "cannot fit 'int' into an index-sized integer")])
+    @pytest.mark.parametrize("command", ["game", "simulate"])
+    def test_unallocatable_template_exits_2(self, capsys, command, z, jobs, reason):
+        argv = (("game", "--z", z) if command == "game"
+                else ("simulate", "--gen", f"alpha2-lb:z={z}"))
+        code, out, err = run_cli(capsys, *argv, "--alpha", "2", "--policy", "greedy")
+        assert (code, out, err) == (
+            2, "", f"error: cannot allocate the alpha2-lb template of {jobs} jobs: {reason}\n")
+
     def test_writes_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "game.txt"
         code, _, _ = run_cli(capsys, "game", "--alpha", "2", "--z", "10",
