@@ -27,8 +27,7 @@ from .analysis import (VerificationError, competitive_report, gamma_root,
 from .model import (INFINITE, CostModel, InfeasibleTraceError, Instance,
                     InstanceFormatError, Job, ModelError, PowerLaw,
                     SlotDecision, TabulatedConvex, Trace, dumps_instance,
-                    evaluate_trace, job_to_obj, loads_instance, read_instance,
-                    trace_to_obj, union)
+                    evaluate_trace, job_to_obj, loads_instance, read_instance, union)
 from .offline import (OfflineSizeError, offline_profit, solve_offline_bruteforce,
                       solve_offline_flow)
 from .policies import (Decision, FixedCountPolicy, LcrBreakdown, Policy, POLICIES,

@@ -9,11 +9,6 @@ expires immediately. A clairvoyant scheduler instead processes the leftover
 pool greedily at slot 1 and the chosen jobs one per later slot. The online
 side is the simulator's slot step (``policies._play_slot``), played once.
 
-Values are checked once, where they enter: ``InstanceTemplate(...)`` checks
-each value of outside input, while the constructions, whose jobs all share
-one value, check that value once. ``adversary_finalize`` checks a caller's
-choice of ids; the game scores its own choice, ids of its own view, unchecked.
-
 The lower-bound numerics import numpy inside each routine, so the game and
 the constructions run without loading it.
 """
@@ -64,7 +59,9 @@ class InstanceTemplate:
         """The policy's view at slot 1: every job, ranked by value, equal values by id.
 
         The ranking is also the game's flow pass order, so the game sorts its
-        jobs once (the `offline` module docstring says why the two agree).
+        jobs once. It is the order `offline._columns` gives the finalized
+        game, where a job's position is its id: both put higher values first
+        and equal values, 0.0 and -0.0 among them, in increasing id order.
         """
         # a reverse sort is stable, so equal values keep increasing ids; the
         # tuples are built from lists, as run_policy's comment explains
@@ -120,8 +117,8 @@ def gen_sqrt2_lb_instance(alpha: float) -> InstanceTemplate:
 
 def _finalized_columns(template: InstanceTemplate, chosen_ids):
     """The finalized game as flow columns: ids 0..n-1, values, arrivals 1 and
-    expiries, where the chosen jobs never expire and every other job expires
-    at slot 1. `chosen_ids` are ints in 0..n-1; nothing checks them."""
+    expiries, where the chosen jobs, ints in 0..n-1, never expire and every
+    other job expires at slot 1."""
     n = len(template.values)
     expiries = [1] * n
     for i in chosen_ids:
@@ -153,12 +150,9 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     The online run is that one slot, through the simulator's slot step:
     afterwards the chosen jobs are done and every other job has expired. The
     flow scores the finalized game's columns, which `adversary_finalize`'s
-    instance also holds, so the profit has `offline_profit`'s bits, with no jobs built.
-    Its pass order is the slot-1 view's ranking, so the game sorts its jobs
-    once, and the chosen ids are that ranking's first `count` entries, ids
-    in 0..n-1 by construction: the game scores its own choice without
-    `adversary_finalize`'s check of an outside one. The slot step and the
-    flow read one table of g, so the game evaluates each g(k) at most once.
+    instance also holds, so the profit has `offline_profit`'s bits, with no
+    jobs built. Its pass order is the slot-1 view's ranking, whose first
+    `count` ids are the choice: ids of the game's own view, so unchecked.
     """
     policy = get_policy(policy)
     table = cost_table(cost)

@@ -44,8 +44,7 @@ def competitive_report(instance: Instance, policy, cost: CostModel) -> RatioRepo
     For the min-lcr and sim-lcr policies the empirical ratio is checked
     against the per-slot LCR ledger: off/alg can never exceed the worst
     recorded LCR (that is what makes the ledger an upper-bound certificate).
-    The policy run and the flow read one table of g, so a report evaluates
-    each g(k) at most once.
+    The policy run and the flow are one run (`model.CostTable`).
     """
     policy = get_policy(policy)
     table = cost_table(cost)
@@ -72,17 +71,17 @@ def mincran_ratio(z: float, k: float) -> float:
     return (z * z + 2.0 * z * k) / (2.0 * z * k - k * k)
 
 
-def golden_section_max(f, a: float, b: float, rtol: float) -> tuple[float, float, float]:
+def golden_section_max(f, a: float, b: float) -> tuple[float, float, float]:
     """Golden-section search for the maximum of a unimodal f on [a, b].
 
-    Stops once b - a <= rtol * max(1, |b|) or after 200 steps; returns the
+    Stops once b - a <= 1e-12 * max(1, |b|) or after 200 steps; returns the
     final bracket and max(f(c), f(d)) at its two interior points.
     """
     c = b - DELTA * (b - a)
     d = a + DELTA * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):
-        if b - a <= rtol * max(1.0, abs(b)):
+        if b - a <= 1e-12 * max(1.0, abs(b)):
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -102,13 +101,12 @@ def verify_mincran(z: int, delta: float = DELTA) -> tuple[float, float]:
     (k_star, value at the minimum). Passing a different `delta` is the
     negative-control hook: the check then fails by construction.
     """
-    if z < 1:
+    if not z >= 1:
         raise ModelError(f"z must be >= 1, got {z}")
-    a, b, _ = golden_section_max(lambda k: -mincran_ratio(z, k),
-                                 1e-9 * z, 2.0 * z - 1e-9 * z, rtol=1e-12)
+    a, b, _ = golden_section_max(lambda k: -mincran_ratio(z, k), 1e-9 * z, 2.0 * z - 1e-9 * z)
     k_star = 0.5 * (a + b)
     value = mincran_ratio(z, k_star)
-    if abs(k_star - delta * z) > 1e-6 * z:
+    if not abs(k_star - delta * z) <= 1e-6 * z:
         raise VerificationError(
             "mincran-minimizer",
             {"z": z, "k_star": k_star, "expected": delta * z},
@@ -122,7 +120,7 @@ def verify_mincran(z: int, delta: float = DELTA) -> tuple[float, float]:
 
 def theta(alpha: float, m: int) -> float:
     """Worst-case greedy overhead (g(m) - m) / (m [g(m) - g(m-1)] - m) for g = k**alpha."""
-    if m < 1:
+    if not m >= 1:
         raise ModelError(f"m must be >= 1, got {m}")
     if m == 1:
         return 0.0
@@ -132,19 +130,19 @@ def theta(alpha: float, m: int) -> float:
 
 def verify_h_bound(alpha: float, m_max: int) -> dict:
     """Check theta(alpha, m) <= 1/2 and d theta / d alpha <= 0 for m = 1..m_max."""
-    if m_max < 1:
+    if not m_max >= 1:
         raise ModelError(f"m_max must be >= 1, got {m_max}")
-    if alpha < 2.0:
+    if not alpha >= 2.0:
         raise ModelError(f"alpha must be >= 2, got {alpha}")
     rows = []
     h = 1e-6
     for m in range(1, m_max + 1):
         t = theta(alpha, m)
-        if t > 0.5 + 1e-12:
+        if not t <= 0.5 + 1e-12:
             raise VerificationError("theta-cap", {"alpha": alpha, "m": m, "theta": t},
                                     "greedy overhead term exceeds 1/2")
         slope = (theta(alpha + h, m) - theta(max(2.0, alpha - h), m)) / (alpha + h - max(2.0, alpha - h))
-        if slope > 1e-8:
+        if not slope <= 1e-8:
             raise VerificationError("theta-monotone", {"alpha": alpha, "m": m, "slope": slope},
                                     "greedy overhead term increases with the exponent")
         rows.append({"m": m, "theta": t, "slope": slope})
@@ -194,7 +192,7 @@ def verify_small_m_cases(alpha_grid, seed: int = 0, samples: int = 40) -> dict:
     rows = []
     rng = np.random.default_rng(seed)
     for alpha in alpha_grid:
-        if alpha < 2.5:
+        if not alpha >= 2.5:
             raise ModelError(f"small-m cases need alpha >= 2.5, got {alpha}")
         beta = beta_root(alpha)
         cost = PowerLaw(alpha)
@@ -225,7 +223,7 @@ def verify_small_m_cases(alpha_grid, seed: int = 0, samples: int = 40) -> dict:
                                         {"alpha": alpha, "m": m, "beta": beta},
                                         "no case branch applies")
             for branch, bound in bounds:
-                if bound > PHI_PLUS_1 + 1e-9:
+                if not bound <= PHI_PLUS_1 + 1e-9:
                     raise VerificationError(
                         "small-m-cases",
                         {"alpha": alpha, "m": m, "branch": branch, "bound": bound},
@@ -245,7 +243,7 @@ def verify_small_m_cases(alpha_grid, seed: int = 0, samples: int = 40) -> dict:
                 view = PolicyView(1, tuple((i, float(v)) for i, v in enumerate(values)))
                 assert compute_m(view, cost) == m
                 worst = min(lcr_breakdown(view, cost, k).lcr for k in {k_floor, k_ceil})
-                if worst > PHI_PLUS_1 + 1e-9:
+                if not worst <= PHI_PLUS_1 + 1e-9:
                     raise VerificationError(
                         "small-m-stress",
                         {"alpha": alpha, "m": m, "values": values.tolist(), "lcr": worst},
@@ -267,7 +265,10 @@ def psi(m: int, k: float) -> float:
     return _case_bound(2.0, m, k)
 
 
-def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
+_ALPHA2_SAMPLES = 10_001  # k points on each side of gamma
+
+
+def verify_alpha2_lcr_cases(m_grid) -> dict:
     """Per-m certificate that the ceil(delta*m) candidate stays below phi + 1 at alpha=2.
 
     For m >= 5 this follows the two-interval split: below gamma the quadratic
@@ -281,7 +282,7 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
 
     rows = []
     for m in m_grid:
-        if m < 1:
+        if not m >= 1:
             raise ModelError(f"m must be >= 1, got {m}")
         if m == 1:
             rows.append({"m": 1, "case": "single-job", "bound": 2.0})
@@ -291,16 +292,16 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
         if not dm < gamma < dm + 1.0:
             raise VerificationError("alpha2-gamma", {"m": m, "gamma": gamma, "delta_m": dm},
                                     "gamma is outside (delta m, delta m + 1)")
-        ks = np.linspace(dm, gamma, samples)
+        ks = np.linspace(dm, gamma, _ALPHA2_SAMPLES)
         quad = ks * ks + m * ks - m * m - ks
-        if quad.max() > 1e-9:
+        if not quad.max() <= 1e-9:
             raise VerificationError("alpha2-quadratic",
                                     {"m": m, "k": float(ks[np.argmax(quad)]), "value": float(quad.max())},
                                     "quadratic is positive below gamma")
-        ks = np.linspace(gamma + 1e-9, dm + 1.0, samples)
+        ks = np.linspace(gamma + 1e-9, dm + 1.0, _ALPHA2_SAMPLES)
         psivals = np.array([psi(m, k) for k in ks])
         drops = np.diff(psivals)
-        if drops.min() < -1e-9:
+        if not drops.min() >= -1e-9:
             raise VerificationError("alpha2-psi-monotone",
                                     {"m": m, "k": float(ks[np.argmin(drops)])},
                                     "psi decreases past gamma")
@@ -313,12 +314,12 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
         elif m == 3:
             bound = psi(3, 2)
             case = "closed-form"
-            if abs(bound - 7.0 / 3.0) > 1e-9:
+            if not abs(bound - 7.0 / 3.0) <= 1e-9:
                 raise VerificationError("alpha2-m3", {"bound": bound}, "m=3 value drifted from 7/3")
         elif m == 4:
             bound = psi(4, 3)
             case = "closed-form"
-            if abs(bound - 2.5) > 1e-9:
+            if not abs(bound - 2.5) <= 1e-9:
                 raise VerificationError("alpha2-m4", {"bound": bound}, "m=4 value drifted from 5/2")
         else:
             k = math.ceil(dm)
@@ -328,11 +329,11 @@ def verify_alpha2_lcr_cases(m_grid, samples: int = 10_001) -> dict:
             else:
                 bound = psi(m, k)
                 case = "psi"
-            if m >= 6 and psi_end > PHI_PLUS_1 + 1e-9:
+            if m >= 6 and not psi_end <= PHI_PLUS_1 + 1e-9:
                 raise VerificationError("alpha2-psi-endpoint",
                                         {"m": m, "psi_end": psi_end},
                                         "psi at delta m + 1 exceeds phi + 1")
-        if bound > PHI_PLUS_1 + 1e-9:
+        if not bound <= PHI_PLUS_1 + 1e-9:
             raise VerificationError("alpha2-case-bound", {"m": m, "case": case, "bound": bound},
                                     "candidate bound exceeds phi + 1")
         rows.append({"m": m, "case": case, "bound": bound, "gamma": gamma,
@@ -403,7 +404,7 @@ def verify_oracle_equivalence(samples: int = 1000, seed: int = 2024) -> dict:
         brute, _ = solve_offline_bruteforce(inst, cost)
         diff = abs(flow - brute)
         worst = max(worst, diff)
-        if diff > 1e-6:
+        if not diff <= 1e-6:
             raise VerificationError(
                 "oracle-equivalence",
                 {"sample": i, "alpha": alpha, "flow": flow, "brute": brute,
@@ -429,7 +430,7 @@ def verify_subadditivity(samples: int = 1000, seed: int = 7) -> dict:
         off_ab = offline_profit(merged, cost)
         slack = off_ab - (off_a + off_b)
         worst = max(worst, slack)
-        if slack > 1e-6:
+        if not slack <= 1e-6:
             raise VerificationError(
                 "union-subadditivity",
                 {"sample": i, "alpha": alpha, "union": off_ab, "sum": off_a + off_b},

@@ -6,30 +6,9 @@ slots from arrival, possibly infinite). Processing k jobs in one slot costs
 g(k) for a convex g with g(0) = 0; the profit of a slot is the payoff sum of
 the processed jobs minus that energy cost.
 
-All types here but ``CostTable`` are immutable after construction and safe to
-share across threads; every operation is a pure function. ``CostTable`` is
-one run's lazily grown table of g, made by the run and never shared beyond
-it. ``SlotDecision`` is a named
-tuple, since the simulator makes one per processing slot, and ``Job`` a
-slotted dataclass with no per-instance ``__dict__``. ``Job`` builds itself in
-one hand-written ``__init__``: it checks its arguments, stores numpy integers
-as ``int``, computes ``expiry`` (the last slot the job may run in) and fills
-the five slots. ``dataclasses.replace`` goes through it too, so ``expiry`` is
-recomputed.
-
-Input is checked where it enters: ``Job(...)``, ``Instance(...)`` (which sorts
-its jobs by (arrival, id) and refuses duplicate ids), ``loads_instance`` and
-``read_instance``, and ``adversary.InstanceTemplate``. One private path,
-``_instance_from_checked``, builds an instance from job fields the program has
-already checked, with no check, sort or scan of its own. It has two callers,
-each of which derives its fields from checked objects: ``union`` (two valid
-instances, new dense ids in (arrival, side, id) order) and
-``adversary.adversary_finalize`` (a checked template, ids ``0..n-1``, arrival
-1, deadline 1 or ``INFINITE``).
-
-Float sums in the records (``SlotDecision.payoff_sum``, ``Trace.total_profit``)
-are added left to right by ``_ltr_sum``, so they have the same bits on every
-Python version (the builtin ``sum`` adds floats with compensation from 3.12).
+Every type here but ``CostTable``, one run's table of g, is immutable and
+safe to share across threads. Input is checked where it enters
+(``_instance_from_checked`` lists where).
 """
 from __future__ import annotations
 
@@ -81,7 +60,11 @@ def _is_int(x) -> bool:
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
 class Job:
-    """One unit-length task: identity, arrival slot, payoff, deadline in slots."""
+    """One unit-length task: identity, arrival slot, payoff, deadline in slots.
+
+    ``__init__`` checks the arguments and computes ``expiry``;
+    ``dataclasses.replace`` goes through it too.
+    """
 
     id: int
     arrival: int
@@ -170,8 +153,10 @@ class TabulatedConvex(CostModel):
             raise ModelError("cost table needs at least g(0) and g(1)")
         if t[0] != 0.0:
             raise ModelError(f"g(0) must be 0, got {t[0]}")
-        if any(x < 0 for x in t):
-            raise ModelError("cost table must be non-negative")
+        for k, x in enumerate(t):
+            if not 0.0 <= x < math.inf:  # NaN too, which every comparison below lets pass
+                raise ModelError(f"cost table entry g({k}) must be non-negative and finite, "
+                                 f"got {x}")
         diffs = [b - a for a, b in zip(t, t[1:])]
         if diffs[0] <= 0:
             raise ModelError("effective cost g(1)-g(0) must be strictly positive")
@@ -194,10 +179,11 @@ class CostTable(CostModel):
     A run is a `run_policy`, an `offline_profit` or `solve_offline_flow`, a
     `competitive_report` (its policy run and its flow share one table) or a
     `run_adversarial_game` (its slot step and its flow share one table). The
-    run makes the table and passes it where a cost model goes: the policy
-    scans, the slots' energy and the flow's prices all read `values`, which
-    only grows in place, so a reader may hold the list. A g(k) that no part
-    reads is never evaluated (it may overflow, or lie past a cost table).
+    run makes the table and passes it where a cost model goes; a policy's
+    `decide` given a plain model makes one for that call. The policy scans,
+    the slots' energy and the flow's prices all read `values`, which only
+    grows in place, so a reader may hold the list. A g(k) that no part reads
+    is never evaluated (it may overflow, or lie past a cost table).
 
     The table lives in its run, never on the cost model or in a module: a
     cost model is shared across runs and threads, two threads growing one
@@ -272,11 +258,16 @@ def union(a: Instance, b: Instance) -> Instance:
 def _instance_from_checked(rows, label: str) -> Instance:
     """An Instance of jobs built from fields the program has already checked.
 
-    Each row is ``(id, arrival, value, deadline, expiry)``, exactly as
-    ``Job.__init__`` would store them, and the rows come in (arrival, id)
-    order with unique ids. Nothing is checked, sorted or scanned: the caller
-    states why its rows hold. Input from outside goes through ``Job`` and
-    ``Instance`` instead.
+    Input from outside is checked once, where it enters: ``Job(...)``,
+    ``Instance(...)`` (which sorts its jobs by (arrival, id) and refuses
+    duplicate ids), ``loads_instance``/``read_instance`` and
+    ``adversary.InstanceTemplate``; ``adversary.adversary_finalize`` checks a
+    caller's choice of ids, while the game scores its own choice unchecked.
+    What the program derives from checked objects is built here, with no
+    check, sort or scan: each row is ``(id, arrival, value, deadline,
+    expiry)`` as ``Job.__init__`` would store it, the rows come in (arrival,
+    id) order with unique ids, and each caller (``union``,
+    ``adversary_finalize``) states why its rows hold.
     """
     new = object.__new__
     jobs = []
@@ -295,7 +286,9 @@ def _instance_from_checked(rows, label: str) -> Instance:
 
 
 def _ltr_sum(values) -> float:
-    """The float sum of `values`, added left to right from 0.0."""
+    """The float sum of `values`, added left to right from 0.0: the records'
+    sums have the same bits on every Python version, while the builtin `sum`
+    adds floats with compensation from 3.12."""
     total = 0.0
     for v in values:
         total += v
@@ -447,23 +440,3 @@ def read_instance(path, label: str | None = None) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return loads_instance(text, label=label if label is not None else str(path))
-
-
-def trace_to_obj(trace: Trace) -> dict:
-    """JSON-ready view of a trace, including any per-slot audit ledger."""
-    obj = {
-        "total_profit": trace.total_profit,
-        "decisions": [
-            {
-                "slot": d.slot,
-                "processed": sorted(d.processed),
-                "payoff_sum": d.payoff_sum,
-                "energy": d.energy,
-                "profit": d.profit,
-            }
-            for d in trace.decisions
-        ],
-    }
-    if trace.ledgers:
-        obj["lcr_ledger"] = [entry.to_obj() for entry in trace.ledgers]
-    return obj

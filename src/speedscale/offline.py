@@ -9,7 +9,7 @@ takes its cheapest residual path when its value beats that path's cost, and
 is skipped for good otherwise. This is successive shortest paths adding one
 source arc at a time, as the Hungarian method adds rows (Ahuja, Magnanti &
 Orlin, *Network Flows*, 1993), so the flow stays optimal for the jobs seen so
-far. The reachability search below leaves out only paths that evict a placed
+far. The reachability search leaves out only paths that evict a placed
 job; moves are free, so such a path gains v_new - v_old <= 0 and never beats
 a skip. A skipped job stays skipped, because marginal costs only rise as
 jobs are placed.
@@ -24,70 +24,11 @@ job is the smallest marginal over every slot reachable from its window by
 chains of reassignments. Those slots form one interval (job windows make a
 convex bipartite graph): every job in a covered slot may move anywhere in its
 window, which overlaps the interval and so extends it.
-`_FlowState.cheapest_reachable` grows the interval from the job's window,
-reading each busy slot's hull of windows, and records each extension as a
-ring; `_FlowState.apply` walks the rings back to move the chain.
 
-The state is kept per busy slot, never per slot of the horizon: `loads` maps
-each busy slot to its job count, and `skip` maps it to a later slot with every
-slot in between busy. `first_idle(t)` follows those links to the first idle
-slot at or after t and points every slot it passed straight there (path
-compression, as in Tarjan's set union, JACM 1975). The links stay sound
-because a slot never goes idle again: a move hands every slot on the chain one
-job and takes one away. So "is [a, b] all busy" is `first_idle(a) > b`, an
-interval that holds an idle slot takes its first one as the target, and an
-all-busy interval has at most one slot per placed job, scanned for its first
-least-loaded slot. A job whose own window holds an idle slot is placed there
-with no search (`_FlowState.place`); only an all-busy window is searched, from
-the idle slot already found. Idle gaps between arrivals cost nothing, however
-long.
-
-Jobs with one window often come in runs in pass order: the adaptive game's
-2z equal-value jobs make two runs. `_flow_pass` hands `place` each maximal run
-of consecutive jobs that share one cut window, and each job of the run reuses
-what the run's earlier jobs left standing; the reuse is exact. A skip ends the
-run with no work per job: it changes no state, and pass order never raises
-the value. After a job takes the idle slot t, every slot from the window's
-start to t is busy, so the next job looks from t + 1. After an all-busy
-search that reached the closed interval R and placed the job on a slot of its
-own window, only that slot's load changed, and its hull of windows grew
-within R. So a next search from the same window would visit the same slots,
-read the same hulls and reach the same R with the same rings; the run's next
-jobs take R's first least-loaded slot in turn, and only the price test is
-redone. A one-slot R is the window itself, so for it `place` loops on just
-the price test and the append, with the slot's load and the payoff sum kept
-in locals and written back once the run ends. A target outside the
-window moves a chain along the rings and ends the reuse: the next job starts
-afresh. So a run of jobs with one window costs one search until a chain move.
-
-The flow cuts every window at last arrival + n for n jobs: at most n jobs are
-ever processed, so one per slot right after the final arrival suffices and
-later slots never help. Never-expiring windows end there, and a far deadline
-costs no more than none.
-
-The pass (`_flow_pass`) reads flat per-job columns in (arrival, id) order:
-values, arrivals and expiries, and takes its pass order as an input. The
-order has two sources. For an instance, `_columns` ranks the positions with
-two stable sorts, by id and then by value in reverse. Two entry points run
-the pass on those columns. `offline_profit` returns only the optimum's value,
-for callers that need only that, such as competitive ratios and the
-verifiers. `solve_offline_flow` returns the same value, bit for bit, together
-with a witness schedule of the instance's jobs. The adaptive game builds its
-columns with no jobs, and its order is the slot-1 view's ranking of the
-template's values (`InstanceTemplate.slot1_view`). The two agree: in the
-finalized game a job's position is its id, and both put higher values first
-and equal values, 0.0 and -0.0 among them, in increasing id order.
-
-The marginal costs c_k = g(k) - g(k-1) are read from one table of g per run,
-not per pass (`model.CostTable`). The pass takes a cost model or a run's
-table; given a model, it makes a table of its own. `competitive_report` and
-the adaptive game hand the flow the table their policy run already grew, so
-a g(k) the policy read is not evaluated again, and the table grows only as
-far as the loads reach. The witness's slot energies are read from it too.
-
+`offline_profit` and `solve_offline_flow` run the pass (`_flow_pass`) on an
+instance, and the adaptive game on columns of its own.
 `solve_offline_bruteforce` is the independent oracle: exhaustive search over
-all feasible assignments (organized as a subset DP per slot), guarded to
-small inputs.
+all feasible assignments, guarded to small inputs.
 """
 from __future__ import annotations
 
@@ -119,14 +60,20 @@ def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> 
 class _FlowState:
     """The flow of one pass: busy slots, their loads, jobs and hulls.
 
-    `g` is the run's table list (`table.values`), shared with every other
-    reader of the run: prices and the profit read it, and it grows only as
-    far as a load reaches.
+    State is kept per busy slot, never per slot of the horizon, so idle gaps
+    between arrivals cost nothing, however long. `skip` links each busy slot
+    to a later slot with every slot in between busy; `first_idle` follows
+    the links with path compression (Tarjan's set union, JACM 1975). They
+    stay sound because a slot never goes idle again: a move hands every slot
+    on the chain one job and takes one away. Prices and the profit read the
+    run's table of g (`model.CostTable`).
     """
 
     def __init__(self, values, arrivals, expiries, cost: CostModel):
-        # flat per-job columns in (arrival, id) order, indexed by position
-        cap = arrivals[-1] + len(values)  # the window cut, see the module docstring
+        # flat per-job columns in (arrival, id) order, indexed by position.
+        # Windows are cut at last arrival + n: at most n jobs are processed,
+        # so later slots never help, and a far deadline costs no more than none.
+        cap = arrivals[-1] + len(values)
         self.table = table = cost_table(cost)
         self.values, self.starts = values, arrivals
         self.ends = [e if e < cap else cap for e in expiries]
@@ -194,15 +141,23 @@ class _FlowState:
         order, yields while their window stays the same. Each job is placed on
         its cheapest residual path when its value beats that path's marginal
         cost by more than PLACE_TOL; the first job that does not is skipped
-        with the rest of the run. The first job takes the window's first idle
-        slot with no search, or searches the all-busy window. After an idle
-        slot t the next job looks from t + 1. After an all-busy reach whose
-        first least-loaded slot lies in the window, the next jobs take that
-        reach's first least-loaded slot in turn, with no search; a one-slot
-        reach takes each of them with only a price test. A target
-        outside the window moves a chain, and the next job starts afresh. The
-        module docstring says why each reuse is exact. Returns None at the
-        end of the pass.
+        with the rest of the run: a skip changes no state, and pass order
+        never raises the value. Returns None at the end of the pass.
+
+        Each job reuses what the run's earlier jobs left standing, exactly. A
+        window with an idle slot t is filled there with no search; every slot
+        from the window's start to t is then busy, so the next job looks from
+        t + 1. An all-busy window is searched (`cheapest_reachable`). When the
+        search reached the closed interval R and the job lands on a slot of
+        its own window, only that slot's load changed, and its hull grew
+        within R: a next search from the window would reach the same R with
+        the same rings. So the run's next jobs take R's first least-loaded
+        slot in turn and redo only the price test. A one-slot R is the window
+        itself, so there only the price test and the append are looped, with
+        the load and the payoff sum in locals. A target outside the window
+        moves a chain along the rings, and the next job starts afresh. A run
+        of jobs with one window thus costs one search until a chain move: the
+        adaptive game's 2z equal-value jobs make two runs.
         """
         values, starts, ends = self.values, self.starts, self.ends
         loads, skip, spans, slot_jobs = self.loads, self.skip, self.spans, self.slot_jobs
@@ -227,10 +182,7 @@ class _FlowState:
                 target, (lo, hi, rings) = self.cheapest_reachable(start, end, idle)
                 if target:
                     price = idle_price
-                elif lo == hi:
-                    # a one-slot reach is the window itself: every job of the
-                    # run goes to slot lo, whose hull already covers it, so
-                    # only the price test is redone
+                elif lo == hi:  # the window itself: only the price test is redone
                     g, held = self.g, slot_jobs[lo]
                     load, payoff = loads[lo], self.payoff
                     while True:
@@ -341,11 +293,9 @@ def _flow_pass(order, values, arrivals, expiries, cost: CostModel) -> _FlowState
     """The one pass every caller shares, over non-empty columns in (arrival, id) order.
 
     `order` is the pass order, every position once: non-increasing value,
-    smaller id first on ties (the module docstring says where each caller
-    takes it from). One `place` per run of consecutive jobs with one cut
-    window: a job is placed when its value beats the cheapest reachable
-    marginal cost by more than PLACE_TOL and skipped for good otherwise; the
-    module docstring says why that is exact.
+    smaller id first on ties, from `_columns` or, in the game,
+    `adversary.InstanceTemplate.slot1_view`. One `place` per run of
+    consecutive jobs with one cut window.
     """
     state = _FlowState(values, arrivals, expiries, cost)
     place, rest = state.place, iter(order)

@@ -18,27 +18,9 @@ Shipped policies:
   (``FixedCountPolicy(K)``; not in ``POLICIES``).
 
 The policies differ only in which counts they score (``Policy.counts``);
-``Policy.decide`` is written once. It scans the view once (``_scan``), and
-the g table and prefix sums that scan reads while computing m feed one pass
-over prefix sums (``_ledger``) that builds the breakdowns of every scored
-count and, in the same pass, picks the first count of least LCR: the
-decision's count. ``lcr_breakdown`` reads the same pass for one count, so a
-breakdown has the same bits whichever policy scores it.
-
-A view's candidates must be in non-increasing value order, since the scan
-stops at the first unprofitable job. ``PolicyView(...)`` checks that order;
-the simulator and the game build their views sorted (``_sorted_view``) and
-check nothing per slot, and the tests hold every view they hand a policy to
-that order.
-
-g comes from the run's ``model.CostTable``: ``run_policy`` and the game make
-one and decide every slot on it, so a run evaluates each g(k) at most once.
-``decide`` called on a plain cost model makes a table for that one call.
-
-``Decision``, ``LcrBreakdown`` and ``SlotLedger`` are immutable named tuples:
-the simulator makes several per visited slot. The simulator ``run_policy``
-and the adaptive game share one slot step, ``_play_slot``, which checks the
-policy's count and appends the slot's records.
+``Policy.decide`` is written once, over one scan of the view (``_scan``) and
+one pass over prefix sums (``_ledger``). The simulator ``run_policy`` and the
+adaptive game share one slot step, ``_play_slot``.
 """
 from __future__ import annotations
 
@@ -63,10 +45,11 @@ class PolicyView:
 
     ``candidates`` holds (job id, value) pairs sorted by non-increasing value,
     and ``values`` their values in that order; no deadline information is
-    reachable from this type. This constructor checks that order and
-    refuses candidates out of it. The simulator and the game build their
-    views sorted in the first place, through `_sorted_view`, which checks
-    nothing.
+    reachable from this type. The order matters, since `_scan` stops at the
+    first unprofitable job, and this constructor refuses candidates out of
+    it. The simulator and the game build their views sorted in the first
+    place and check nothing (`_sorted_view`); the tests hold every view they
+    hand a policy to that order.
     """
 
     slot: int
@@ -95,8 +78,7 @@ _set_slot, _set_candidates, _set_values = (
 
 def _sorted_view(slot: int, candidates: tuple[tuple[int, float], ...],
                  values: tuple[float, ...]) -> PolicyView:
-    """The view of candidates the caller already sorted, with their values in
-    that order: `PolicyView` with no call of its `__init__` and no check."""
+    """`PolicyView` of candidates the caller already sorted, with no check."""
     view = object.__new__(PolicyView)
     _set_slot(view, slot)
     _set_candidates(view, candidates)
@@ -132,10 +114,6 @@ class SlotLedger(NamedTuple):
                 return b
         raise ModelError(f"slot {self.slot}: no breakdown for chosen count {self.chosen}")
 
-    def to_obj(self) -> dict:
-        return {"slot": self.slot, "chosen": self.chosen,
-                "breakdowns": [b._asdict() for b in self.breakdowns]}
-
 
 class Decision(NamedTuple):
     """A policy's output for one slot: how many top jobs to process."""
@@ -157,9 +135,7 @@ def _scan(values: Sequence[float], table: CostTable) -> tuple[int, list[float], 
     values added left to right, for i = 0..m. Every LCR breakdown of the step
     reads both lists, and g covers every leftover count j they read: the view
     is sorted, so when the j-th leftover job beats c_j, the view's j-th job
-    does too and m >= j. So a g(k) the step never reads is never evaluated
-    (it may overflow, or lie past a cost table), and a g(k) an earlier step
-    of the run read is not evaluated again.
+    does too and m >= j. So the step evaluates no g(k) it does not read.
     """
     g = table.values
     g_prev = g[0] if g else table.g(0)
@@ -188,7 +164,8 @@ def compute_m(view: PolicyView, cost: CostModel) -> int:
 
 
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
-    """LCR ingredients for processing the top ``i`` jobs of the view."""
+    """LCR ingredients for processing the top ``i`` jobs of the view, from the
+    `_ledger` pass every policy's breakdowns come from, so with their bits."""
     m, g, prefix = _scan(view.values, cost_table(cost))
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
@@ -271,8 +248,8 @@ class Policy:
 
     A shipped policy supplies only `counts`; `decide` takes the first of them
     with least LCR, and processes nothing when no count is profitable.
-    `decide` is given the run's CostTable, or a plain cost model; `counts`
-    is given the model.
+    `decide` is given the run's `model.CostTable` or a cost model, `counts`
+    the model.
     """
 
     name: str = "policy"
@@ -361,11 +338,11 @@ def get_policy(policy) -> Policy:
 
 def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
                decisions: list[SlotDecision], ledgers: list[SlotLedger]) -> int:
-    """The policy's decision at `view`, checked and recorded; returns its count.
+    """The policy's decision at `view` on the run's `table`, checked and
+    recorded; returns its count.
 
-    The policy decides on the run's table, and the slot's energy is read
-    from it. A count other than an integer in 0..len(view) is refused, a
-    bool or float too, as `Job` refuses them. A positive count appends the
+    A count other than an integer in 0..len(view) is refused, a bool or
+    float too, as `Job` refuses them. A positive count appends the
     SlotDecision of the top `count` candidates, and a decision with
     breakdowns its SlotLedger.
     """
@@ -392,13 +369,12 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     live jobs, kept in value order (ties: earlier arrival, then smaller id),
     sorted on a (-value, arrival, id) key made once per job. Each job's
     (id, value) candidate pair, value and expiry are kept next to that key,
-    made once, when it arrives, and every view shares those pairs. The live
-    list is sorted, so each view is built sorted (`_sorted_view`), its
-    candidates and values read off the list, and the order is not checked
-    again. Arrivals are merged in once per visited slot. Processed jobs
-    leave from the front, since a policy always takes a top prefix. Expired
-    jobs leave lazily: a min-heap of window ends tells when one has closed,
-    and the live list is then filtered, at the cost of building one view.
+    made once, when it arrives, and every view shares those pairs and is
+    read off the sorted list. Arrivals are merged in once per visited slot.
+    Processed jobs leave from the front, since a policy always takes a top
+    prefix. Expired jobs leave lazily: a min-heap of window ends tells when
+    one has closed, and the live list is then filtered, at the cost of
+    building one view.
 
     A slot with no live job is never shown to a policy: the loop jumps to
     the next arrival, or ends once every job has arrived. Slots where

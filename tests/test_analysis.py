@@ -89,6 +89,13 @@ class TestMincran:
             verify_mincran(100, delta=DELTA + 0.01)
         assert err.value.check == "mincran-minimizer"
 
+    def test_nan_is_refused(self):
+        with pytest.raises(ModelError, match="z must be >= 1"):
+            verify_mincran(math.nan)
+        with pytest.raises(VerificationError) as err:
+            verify_mincran(100, delta=math.nan)
+        assert err.value.check == "mincran-minimizer"
+
 
 class TestTheta:
     def test_alpha2_m3_is_half(self):
@@ -109,6 +116,10 @@ class TestTheta:
         assert report["max_theta"] <= 0.5 + 1e-12
         assert theta(3.5, 2) == 0.5
         assert all(theta(3.5, m) < 0.5 for m in range(3, 50))
+
+    def test_nan_alpha_is_refused(self):
+        with pytest.raises(ModelError, match="alpha must be >= 2, got nan"):
+            verify_h_bound(math.nan, 3)
 
     def test_nonincreasing_in_alpha_m_up_to_100(self):
         for m in range(1, 101):

@@ -336,6 +336,17 @@ def test_commands_that_need_numpy_exit_2_without_it(argv):
     assert proc.stderr == f"error: {argv[0]} needs numpy, which cannot be imported\n"
 
 
+CLI_PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", CLI_PINS, ids=[" ".join(pin["argv"]) for pin in CLI_PINS])
+def test_cli_pin(pin):
+    # each pinned command line, with numpy blocked: CI runs the same table on
+    # the oldest supported Python
+    proc = run_without_numpy(*pin["argv"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
 MINCRAN_LINE = ("[PASS] mincran: z=10: k*=6.18034 value=2.61803399; "
                 "z=100: k*=61.8034 value=2.61803399; z=10000: k*=6180.34 value=2.61803399\n")
 
@@ -614,6 +625,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "mincran", "--inject-delta", "0.01")
         assert code == 1
         assert "mincran-minimizer" in out + err
+
+    def test_injected_nan_fails(self, capsys):
+        # a NaN target compares False both ways: the check must still fail
+        code, out, _ = run_cli(capsys, "verify", "mincran", "--inject-delta", "nan")
+        assert code == 1
+        assert out.startswith("[FAIL] mincran: [mincran-minimizer] ")
 
     def test_quick_suites(self, capsys):
         for suite, extra in (("hbound", ()), ("alpha2lcr", ()),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -59,6 +60,23 @@ class TestEffectiveCost:
             TabulatedConvex((1.0, 2.0))  # g(0) != 0
         with pytest.raises(ModelError):
             TabulatedConvex((0.0, 0.0, 1.0))  # c_1 = 0
+
+    @pytest.mark.parametrize("table, k", [((0.0, math.nan, 4.0), 1), ((0.0, 1.0, math.nan), 2),
+                                          ((0.0, 1.0, math.inf, math.inf), 2)])
+    def test_tabulated_refuses_non_finite(self, table, k):
+        with pytest.raises(ModelError, match=rf"^cost table entry g\({k}\) must be"):
+            TabulatedConvex(table)
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_tabulated_accepts_finite_convex_refuses_non_finite(self, marginals, data):
+        # integer marginals in non-decreasing order sum exactly to a convex table
+        table = (0.0, *itertools.accumulate(float(c) for c in sorted(marginals)))
+        assert TabulatedConvex(table).table == table
+        k = data.draw(st.integers(1, len(table) - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf]))
+        with pytest.raises(ModelError, match=rf"^cost table entry g\({k}\) must be"):
+            TabulatedConvex(table[:k] + (bad,) + table[k + 1:])
 
 
 class TestJob:

@@ -640,14 +640,6 @@ class TestRunPolicy:
         trace = run_policy(inst, "greedy", alpha2)
         assert trace.total_profit == 0.0 and trace.decisions == ()
 
-    def test_trace_json_carries_full_ledger(self, alpha2):
-        from speedscale.model import trace_to_obj
-        inst = mk_instance((1, 10.0, INFINITE), (1, 6.0, 2), (1, 3.0, 1))
-        obj = trace_to_obj(run_policy(inst, "min-lcr", alpha2))
-        entry = obj["lcr_ledger"][0]
-        assert entry["slot"] == 1 and entry["chosen"] >= 1
-        assert {"i", "M", "P", "c_greedy", "lcr"} <= set(entry["breakdowns"][0])
-
 
     @given(sparse_instances(), st.sampled_from([2.0, 2.5, 3.0]),
            st.sampled_from(["min-lcr", "sim-lcr", "greedy", "fixed:1", "fixed:3"]))
