@@ -202,6 +202,23 @@ def _x_cap(alpha: float, z: np.ndarray) -> np.ndarray:
     return (zf + 1.0) ** alpha - 2.0 * zf ** alpha + (zf - 1.0) ** alpha
 
 
+def _last_rising(alpha: float, zf: np.ndarray, za: np.ndarray) -> np.ndarray:
+    """k0 of each row z (float zf, za = zf**alpha): the last k in 1..z with
+    f(k) = k + z**alpha - (k+z) k**(alpha-1) > 0, or 0 where there is none.
+
+    f falls in k (see `_row_peaks`), so this is a binary search over the
+    integers, returned as floats.
+    """
+    import numpy as np
+
+    lo, hi = np.zeros_like(zf), zf  # f(k) > 0 for k in 1..lo, f(k) <= 0 for k in hi+1..z
+    while (lo < hi).any():
+        mid = np.ceil(0.5 * (lo + hi))
+        rising = mid + za - (mid + zf) * mid ** (alpha - 1.0) > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid - 1.0)
+    return lo
+
+
 def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min over integer k in 1..z of the ratio, for broadcast arrays z and x.
 
@@ -209,40 +226,58 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     the positive-denominator range k < kbar, so on the integers 1..kmax,
     kmax = min(z, ceil(kbar) - 1), it falls and then rises. A binary search
     that goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
-    therefore ends at the smallest integer minimiser, after about log2(z)
-    steps. Points leave the search as soon as their range holds one integer.
-    Only ratios are compared, never a stationary condition: a numerator that
-    overflows reads inf, which is never less than a neighbour, so the search
-    stays on the finite side and needs no separate overflow path.
+    therefore ends at the smallest integer minimiser. Each search starts from
+    its row's bracket [k0, k0 + 1] (`_last_rising`) clipped to 1..kmax, which
+    holds every grid point's minimiser (13 alphas checked at z <= 1000). By
+    unimodality, ratio(lo - 1) > ratio(lo) (or lo = 1) and ratio(hi + 1) >=
+    ratio(hi) (or hi = kmax) pin the smallest minimiser inside the bracket,
+    and the search's one step on it settles it; where either fails, the
+    search starts from 1..kmax. Points leave the search as soon as their
+    range holds one integer. Only ratios are compared, never a stationary
+    condition: a numerator that overflows reads inf, which is never less
+    than a neighbour, and a nan fails the bracket's check, so the search
+    needs no separate overflow path. z may come once per row (`z[:, None]`).
     """
     import numpy as np
 
     zf = z.astype(float)
-    cz = zf ** alpha - (zf - 1.0) ** alpha
-    v = cz + x
+    za = zf ** alpha
+    v = za - (zf - 1.0) ** alpha + x
     A = v - 1.0
-    B = zf * v - zf ** alpha
+    B = zf * v - za
     kbar = v ** (1.0 / (alpha - 1.0))  # denominator positive iff k < kbar
+    kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
+    kmax = np.where(kmax > 1.0, kmax, 1.0).astype(np.int64)  # a nan kbar leaves k = 1
 
     def ratio(k, A, B, v):
+        k = k.astype(float)
         den = v * k - k ** alpha
         return np.where(den > 1e-300, (A * k + B) / den, np.inf)
 
-    k = np.ones(v.size)
+    k0 = _last_rising(alpha, zf, za).astype(np.int64)
+    hi = np.minimum(k0 + 1, kmax)
+    lo = np.minimum(np.maximum(k0, 1), hi)
+    below, above = np.maximum(lo - 1, 1), np.minimum(hi + 1, kmax)
+    at_lo, at_hi = ratio(lo, A, B, v), ratio(hi, A, B, v)
+    held = (((lo == 1) | (ratio(below, A, B, v) > at_lo))
+            & ((hi == kmax) | (ratio(above, A, B, v) >= at_hi)))
+    settled = np.where(at_hi < at_lo, hi, lo)  # the search's one step on [lo, hi]
+    t_lo, t_hi = np.where(held, settled, 1).ravel(), np.where(held, settled, kmax).ravel()
+
+    k = np.ones(v.size, dtype=np.int64)
     todo = np.arange(v.size)  # where each open point goes in k
-    t_lo, t_hi = k.copy(), np.clip(np.minimum(zf, np.ceil(kbar) - 1.0), 1.0, zf).ravel()
     a, b, w = A.ravel(), B.ravel(), v.ravel()
     while todo.size:
         open_ = t_lo < t_hi
         if not open_.all():
             k[todo[~open_]] = t_lo[~open_]
             todo, t_lo, t_hi, a, b, w = (arr[open_] for arr in (todo, t_lo, t_hi, a, b, w))
-        mid = np.floor(0.5 * (t_lo + t_hi))
-        right = ratio(mid + 1.0, a, b, w) < ratio(mid, a, b, w)
-        t_lo = np.where(right, mid + 1.0, t_lo)
+        mid = (t_lo + t_hi) >> 1
+        right = ratio(mid + 1, a, b, w) < ratio(mid, a, b, w)
+        t_lo = np.where(right, mid + 1, t_lo)
         t_hi = np.where(right, t_hi, mid)
     k = k.reshape(v.shape)
-    return ratio(k, A, B, v), k.astype(np.int64)
+    return ratio(k, A, B, v), k
 
 
 def _crossings(alpha: float, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -283,19 +318,15 @@ def _row_peaks(alpha: float, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
     a positive denominator for x > 0 and the split holds along the row. The
     row's inner min is then min(rising, falling), which peaks where the two
     cross or at an end, and by unimodality in k the branches meeting there
-    are k0 and k0 + 1. k0 is a binary search over the integers, the crossing
-    is `_crossings`, and each root in (0, xcap] goes through
-    `_inner_min_batch`, so every value returned is one the inner min takes.
+    are k0 and k0 + 1, the bracket `_inner_min_batch` starts from. k0 is
+    `_last_rising`, the crossing is `_crossings`, and each root in (0, xcap]
+    goes through `_inner_min_batch`, so every value returned is one the
+    inner min takes.
     """
     import numpy as np
 
     zf = z.astype(float)
-    za = zf ** alpha
-    lo, hi = np.zeros_like(zf), zf  # f(k) > 0 for k in 1..lo, f(k) <= 0 for k in hi+1..z
-    while (lo < hi).any():
-        mid = np.ceil(0.5 * (lo + hi))
-        rising = mid + za - (mid + zf) * mid ** (alpha - 1.0) > 0.0
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid - 1.0)
+    lo = _last_rising(alpha, zf, zf ** alpha)
     has = lo >= 1.0  # at z = 1 no branch rises
     roots = _crossings(alpha, z[has], lo[has], lo[has] + 1.0)
     at = (roots > 0.0) & (roots <= xcap[has])
@@ -344,10 +375,9 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
         for start in range(1, z_max + 1, _CHUNK):
             zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
             x = _x_cap(alpha, zs)[:, None] * frac[None, :]
-            zz = np.broadcast_to(zs[:, None], x.shape)
-            values, kstars = _inner_min_batch(alpha, zz, x)
+            values, kstars = _inner_min_batch(alpha, zs[:, None], x)
             part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
-            part["z"], part["x"] = zz.ravel(), x.ravel()
+            part["z"], part["x"] = np.repeat(zs, x_grid), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()
 
     values = curve["value"]

@@ -206,20 +206,24 @@ def cmd_lowerbound(args) -> int:
     points, summaries, body = [], [], []
     for alpha in sorted(alphas):
         curve, best = eval_lower_bound(alpha, args.z_max, args.x_grid)
-        columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
         if as_json:
+            columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
             points.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
                           for z, x, k, value in zip(*columns))
             points.append({"alpha": alpha, "z": None, "x": None, "k_star": None, "value": best})
             summaries.append({"alpha": alpha, "best": best})
         else:
             tag = _fmt(alpha)
-            # one '%' over the cells row by row; '%d' and '%.12g' give the
+            # each row's 'alpha,z,' is written into the format once per z, and
+            # one '%' fills x, k_star and value; '%d' and '%.12g' give the
             # strings _fmt gives for ints and floats
+            columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[2:]]
             cells = [None] * (len(columns) * len(curve))
             for offset, column in enumerate(columns):
                 cells[offset::len(columns)] = column
-            body.append("\n".join([f"{tag},%d,%.12g,%d,%.12g"] * len(curve)) % tuple(cells))
+            rows = ("\n".join([f"{tag},{z},%.12g,%d,%.12g"] * args.x_grid)
+                    for z in curve["z"][::args.x_grid].tolist())
+            body.append("\n".join(rows) % tuple(cells))
             body.append(f"{tag},,,,{_fmt(best)}")
     if as_json:
         _write_text(args.out, json.dumps({"summaries": summaries, "points": points}, indent=2) + "\n")

@@ -315,6 +315,8 @@ class FixedCountPolicy(GreedyPolicy):
     """Greedy capped at k jobs a slot (`fixed:K`); used to explore game branches."""
 
     def __init__(self, k: int):
+        if not _is_int(k):  # a float, nan or bool count would reach the slot step
+            raise ModelError(f"fixed count must be an integer, got {k!r}")
         if k < 1:
             raise ModelError(f"fixed count must be >= 1, got {k}")
         self.k = k

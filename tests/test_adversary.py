@@ -136,6 +136,7 @@ def stationary_xs(alpha, z, n):
 
 def inner_min_batch_80(alpha, z, x):
     """_inner_min_batch with its bisection run for all 80 steps, unconditionally."""
+    z, x = np.broadcast_arrays(z, x)  # the curve passes z once per row
     zf = z.astype(float)
     v = zf ** alpha - (zf - 1.0) ** alpha + x
     A = v - 1.0
@@ -158,6 +159,16 @@ def inner_min_batch_80(alpha, z, x):
     best = np.take_along_axis(ratio, pick[None], axis=0)[0]
     best_k = np.take_along_axis(candidates, pick[None], axis=0)[0]
     return best, best_k.astype(np.int64)
+
+
+def k0_by_scan(alpha, z):
+    """Each row's k0, the count of k in 1..z with f(k) = k + z**alpha -
+    (k+z) k**(alpha-1) > 0, by evaluating f at every k."""
+    zf = np.asarray(z, dtype=float)[:, None]
+    k = np.arange(1.0, zf.max() + 1.0)[None, :]
+    with np.errstate(all="ignore"):
+        f = k + zf ** alpha - (k + zf) * k ** (alpha - 1.0)
+    return ((f > 0.0) & (k <= zf)).sum(axis=1)
 
 
 def assert_matches_k_scan(alpha, z, x, values, k_star):
@@ -524,6 +535,39 @@ class TestLowerBoundCurve:
         with np.errstate(all="ignore"):
             values, k_star = _inner_min_batch(alpha, z, x)
         assert_matches_k_scan(alpha, z, x, values, k_star)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.1, 2.5, 2.7, 3.0, 3.4, 4.0, 5.0, 7.3,
+                                       10.0, 16.0, 20.0, 100.0])
+    def test_grid_k_star_lies_in_its_rows_bracket(self, alpha):
+        # each search starts from [k0, k0 + 1] and widens only where that
+        # bracket misses the minimiser; on the grid it never does
+        curve, _ = eval_lower_bound(alpha, 1000, 64)
+        k0 = np.repeat(k0_by_scan(alpha, np.arange(1, 1001)), 64)
+        assert np.isin(curve["k_star"] - k0, [0, 1]).all()
+
+    def test_inner_min_matches_k_scan_off_the_row(self):
+        # x far below and above the grid's (0, xcap]: 588 of the 800 points
+        # have their minimiser outside [k0, k0 + 1], so the bracket's check
+        # must widen their search to 1..kmax
+        alpha, z = 3.0, np.arange(1, 201)
+        x = _x_cap(alpha, z)[:, None] * np.array([1e-6, 5.0, 50.0, 1e3])
+        values, k_star = _inner_min_batch(alpha, z[:, None], x)
+        k0 = k0_by_scan(alpha, z)[:, None]
+        assert np.count_nonzero((k_star < k0) | (k_star > k0 + 1)) == 588
+        zz = np.broadcast_to(z[:, None], x.shape)
+        assert assert_matches_k_scan(alpha, zz, x, values, k_star) == 0
+
+    def test_exact_tie_takes_the_smaller_k(self):
+        # at alpha = 2 the last grid point of each row is x = xcap = 2, where
+        # row 5 has two minimisers, k = 3 and 4 (ratio 5/2 exactly), and row
+        # 39 has k = 24 and 25
+        curve, _ = eval_lower_bound(2.0, 39, 4)
+        last = curve[3::4]
+        assert (last["x"] == 2.0).all()
+        for z, k in [(5, 3), (39, 24)]:
+            assert lower_bound_ratio(2.0, z, 2.0, k) == lower_bound_ratio(2.0, z, 2.0, k + 1)
+            assert last["k_star"][z - 1] == k
+            assert last["value"][z - 1] == lower_bound_ratio(2.0, z, 2.0, k)
 
     @given(st.floats(2.0, 8.0),
            st.lists(st.tuples(st.integers(1, 10_000), st.floats(0.0, 1.0, exclude_min=True)),

@@ -599,6 +599,27 @@ class TestGreedy:
             assert lcr_breakdown(view, cost, m).lcr <= 3.0 + 1e-9
 
 
+class TestFixedCount:
+    @pytest.mark.parametrize("k", [math.nan, 2.5, 2.0, True, "3"])
+    def test_non_integral_count_refused(self, k):
+        # each of these used to construct, and a game against it then failed
+        # in slicing (TypeError) or in the slot step
+        with pytest.raises(ModelError, match=rf"^fixed count must be an integer, got {k!r}$"):
+            FixedCountPolicy(k)
+
+    def test_count_below_one_refused(self):
+        with pytest.raises(ModelError, match="^fixed count must be >= 1, got 0$"):
+            FixedCountPolicy(0)
+        with pytest.raises(ModelError, match="^fixed count must be >= 1, got -2$"):
+            FixedCountPolicy(np.int64(-2))
+
+    def test_numpy_int_count_plays(self, alpha2):
+        policy = FixedCountPolicy(np.int64(2))
+        report = run_adversarial_game(policy, gen_alpha2_lb_instance(3), alpha2)
+        assert policy.name == "fixed:2"
+        assert report == run_adversarial_game(FixedCountPolicy(2), gen_alpha2_lb_instance(3), alpha2)
+
+
 class TestRunPolicy:
     def test_two_expiring_jobs(self, alpha2):
         inst = mk_instance((1, 4.0, 1), (1, 4.0, 1))
