@@ -219,15 +219,17 @@ def _last_rising(alpha: float, zf: np.ndarray, za: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min over integer k in 1..z of the ratio, for broadcast arrays z and x.
+def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray,
+                     k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min over integer k in 1..z of the ratio, for broadcast arrays z, x and
+    k0, each z's `_last_rising`.
 
     The ratio (A k + B) / (v k - k**alpha) with A, B > 0 is unimodal in k on
     the positive-denominator range k < kbar, so on the integers 1..kmax,
     kmax = min(z, ceil(kbar) - 1), it falls and then rises. A binary search
     that goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
     therefore ends at the smallest integer minimiser. Each search starts from
-    its row's bracket [k0, k0 + 1] (`_last_rising`) clipped to 1..kmax, which
+    its row's bracket [k0, k0 + 1] clipped to 1..kmax, which
     holds every grid point's minimiser (13 alphas checked at z <= 1000). By
     unimodality, ratio(lo - 1) > ratio(lo) (or lo = 1) and ratio(hi + 1) >=
     ratio(hi) (or hi = kmax) pin the smallest minimiser inside the bracket,
@@ -236,7 +238,8 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
     range holds one integer. Only ratios are compared, never a stationary
     condition: a numerator that overflows reads inf, which is never less
     than a neighbour, and a nan fails the bracket's check, so the search
-    needs no separate overflow path. z may come once per row (`z[:, None]`).
+    needs no separate overflow path. z and k0 may come once per row
+    (`z[:, None]`).
     """
     import numpy as np
 
@@ -254,7 +257,7 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray) -> tuple[np.nda
         den = v * k - k ** alpha
         return np.where(den > 1e-300, (A * k + B) / den, np.inf)
 
-    k0 = _last_rising(alpha, zf, za).astype(np.int64)
+    k0 = k0.astype(np.int64)
     hi = np.minimum(k0 + 1, kmax)
     lo = np.minimum(np.maximum(k0, 1), hi)
     below, above = np.maximum(lo - 1, 1), np.minimum(hi + 1, kmax)
@@ -330,7 +333,8 @@ def _row_peaks(alpha: float, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
     has = lo >= 1.0  # at z = 1 no branch rises
     roots = _crossings(alpha, z[has], lo[has], lo[has] + 1.0)
     at = (roots > 0.0) & (roots <= xcap[has])
-    return _inner_min_batch(alpha, np.broadcast_to(z[has], roots.shape)[at], roots[at])[0]
+    z, lo = (np.broadcast_to(col[has], roots.shape)[at] for col in (z, lo))
+    return _inner_min_batch(alpha, z, roots[at], lo)[0]
 
 
 _CHUNK = 256  # z rows evaluated per numpy batch
@@ -375,7 +379,9 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
         for start in range(1, z_max + 1, _CHUNK):
             zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
             x = _x_cap(alpha, zs)[:, None] * frac[None, :]
-            values, kstars = _inner_min_batch(alpha, zs[:, None], x)
+            zf = zs.astype(float)
+            k0 = _last_rising(alpha, zf, zf ** alpha)
+            values, kstars = _inner_min_batch(alpha, zs[:, None], x, k0[:, None])
             part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
             part["z"], part["x"] = np.repeat(zs, x_grid), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()

@@ -180,10 +180,12 @@ class CostTable(CostModel):
     `competitive_report` (its policy run and its flow share one table) or a
     `run_adversarial_game` (its slot step and its flow share one table). The
     run makes the table and passes it where a cost model goes; a policy's
-    `decide` given a plain model makes one for that call. The policy scans,
-    the slots' energy and the flow's prices all read `values`, which only
-    grows in place, so a reader may hold the list. A g(k) that no part reads
-    is never evaluated (it may overflow, or lie past a cost table).
+    `decide` given a plain model makes one for that call. The policy step
+    and LCR ledger (`policies.Policy.decide`), the slots' energy
+    (`policies._play_slot`) and the flow's prices all read `values`, and
+    grow it in place or call `g` only past its end, so a reader may hold the
+    list. A g(k) that no part reads is never evaluated (it may overflow, or
+    lie past a cost table).
 
     The table lives in its run, never on the cost model or in a module: a
     cost model is shared across runs and threads, two threads growing one
@@ -328,7 +330,8 @@ class Trace:
             raise ModelError("trace decisions must be strictly ordered by slot")
         object.__setattr__(self, "decisions", decisions)
         object.__setattr__(self, "ledgers", tuple(self.ledgers))
-        object.__setattr__(self, "total_profit", float(_ltr_sum([d.profit for d in decisions])))
+        object.__setattr__(self, "total_profit",
+                           float(_ltr_sum([d.payoff_sum - d.energy for d in decisions])))
 
 
 EMPTY_TRACE = Trace(())

@@ -90,13 +90,12 @@ class _FlowState:
     def first_idle(self, t: int) -> int:
         """First slot >= t that holds no job; compresses the skip links it follows."""
         skip = self.skip
-        path = []
-        while t in skip:
-            path.append(t)
-            t = skip[t]
-        for slot in path:
-            skip[slot] = t
-        return t
+        idle = t
+        while idle in skip:
+            idle = skip[idle]
+        while t != idle:  # the same path again, each link pointed at idle
+            skip[t], t = idle, skip[t]
+        return idle
 
     def cheapest_reachable(self, lo: int, hi: int, idle: int):
         """Where the cheapest slot reachable from the all-busy window [lo, hi] lies.

@@ -18,9 +18,10 @@ Shipped policies:
   (``FixedCountPolicy(K)``; not in ``POLICIES``).
 
 The policies differ only in which counts they score (``Policy.counts``);
-``Policy.decide`` is written once, over one scan of the view (``_scan``) and
-one pass over prefix sums (``_ledger``). The simulator ``run_policy`` and the
-adaptive game share one slot step, ``_play_slot``.
+``Policy.decide`` is written once and is the one LCR ledger: one pass over
+the view and its prefix sums, on the run's table of g. ``compute_m`` and
+``lcr_breakdown`` call it. The simulator ``run_policy`` and the adaptive
+game share one slot step, ``_play_slot``.
 """
 from __future__ import annotations
 
@@ -45,11 +46,11 @@ class PolicyView:
 
     ``candidates`` holds (job id, value) pairs sorted by non-increasing value,
     and ``values`` their values in that order; no deadline information is
-    reachable from this type. The order matters, since `_scan` stops at the
-    first unprofitable job, and this constructor refuses candidates out of
-    it. The simulator and the game build their views sorted in the first
-    place and check nothing (`_sorted_view`); the tests hold every view they
-    hand a policy to that order.
+    reachable from this type. The order matters, since `Policy.decide` stops
+    at the first unprofitable job, and this constructor refuses candidates
+    out of it. The simulator and the game build their views sorted in the
+    first place and check nothing (`_sorted_view`); the tests hold every
+    view they hand a policy to that order.
     """
 
     slot: int
@@ -126,96 +127,23 @@ class Decision(NamedTuple):
 _new = tuple.__new__
 
 
-def _scan(values: Sequence[float], table: CostTable) -> tuple[int, list[float], list[float]]:
-    """m, the run's g table as far as the scan read it, and the top-m prefix sums.
-
-    Returns (m, g, prefix): g is the table's list, which holds at least g(0), g(1),
-    ... up to the first count whose job does not beat its marginal cost
-    (g(min(m + 1, n)) for n jobs), and prefix[i] is the sum of the top i
-    values added left to right, for i = 0..m. Every LCR breakdown of the step
-    reads both lists, and g covers every leftover count j they read: the view
-    is sorted, so when the j-th leftover job beats c_j, the view's j-th job
-    does too and m >= j. So the step evaluates no g(k) it does not read.
-    """
-    g = table.values
-    g_prev = g[0] if g else table.g(0)
-    model_g = table.model.g
-    prefix = [0.0]
-    top = 0.0
-    for k, v in enumerate(values, 1):
-        if k == len(g):  # the table's next entry
-            g.append(model_g(k))
-        g_k = g[k]
-        if not v - (g_k - g_prev) > 0.0:
-            break
-        top += v
-        prefix.append(top)
-        g_prev = g_k
-    return len(prefix) - 1, g, prefix
-
-
 def compute_m(view: PolicyView, cost: CostModel) -> int:
     """Largest j such that the j-th best value strictly beats its marginal cost.
 
     Returns 0 when nothing is profitable. Values are non-increasing while
-    marginal costs are non-decreasing, so the profitable counts form a prefix.
+    marginal costs are non-decreasing, so the profitable counts form a prefix:
+    greedy's count, from `Policy.decide`.
     """
-    return _scan(view.values, cost_table(cost))[0]
+    return POLICIES["greedy"].decide(view, cost).count
 
 
 def lcr_breakdown(view: PolicyView, cost: CostModel, i: int) -> LcrBreakdown:
-    """LCR ingredients for processing the top ``i`` jobs of the view, from the
-    `_ledger` pass every policy's breakdowns come from, so with their bits."""
-    m, g, prefix = _scan(view.values, cost_table(cost))
+    """LCR ingredients for processing the top ``i`` jobs of the view: the
+    breakdown `Policy.decide` gives every policy that scores ``i``, bits and all."""
+    m = compute_m(view, cost)
     if not 1 <= i <= m:
         raise ModelError(f"i must be in 1..m={m}, got {i}")
-    return _ledger(view.values, g, prefix, (i,))[0][0]
-
-
-def _ledger(values: Sequence[float], g: list[float], prefix: list[float],
-            counts: Sequence[int]) -> tuple[list[LcrBreakdown], int]:
-    """The breakdowns for an increasing run of counts in 1..m, in one pass over
-    prefix sums, and the first count of least LCR among them.
-
-    c_greedy(i) = max_j prefix[i+j] - prefix[i] - g(j) is concave in j, so it
-    peaks at the last leftover count j with v[i+j] > c_j (1-based). That j
-    never grows with i: it is found once, at the first count, by walking up,
-    and walked down for each later count. So the prefix sums are extended
-    only as far as the last count plus that first j. g and prefix come from
-    `_scan` (prefix holds the top-m sums), whose g table covers every count
-    read here.
-
-    The best count changes only where an LCR is strictly less than the best
-    so far, so it is the count `min(..., key=lcr)` picks, ties (the smaller
-    count) and NaN included.
-    """
-    n = len(values)
-    first = counts[0]
-    j = 0
-    while j < n - first and values[first + j] - (g[j + 1] - g[j]) > 0.0:
-        j += 1
-    top = prefix[-1]
-    for v in values[len(prefix) - 1:counts[-1] + j]:
-        top += v
-        prefix.append(top)
-    ledger = []
-    best = best_lcr = None
-    for i in counts:
-        if j > n - i:
-            j = n - i
-        while j > 0 and not values[i + j - 1] - (g[j] - g[j - 1]) > 0.0:
-            j -= 1
-        top = prefix[i]
-        M = top - i * g[1]
-        P = top - g[i]
-        cg = prefix[i + j] - top - g[j]
-        if cg < 0.0:  # j = 0 is a leftover count too
-            cg = 0.0
-        lcr = (M + cg) / P
-        ledger.append(_new(LcrBreakdown, (i, M, P, cg, lcr)))
-        if best is None or lcr < best_lcr:
-            best, best_lcr = i, lcr
-    return ledger, best
+    return FixedCountPolicy(i).decide(view, cost).breakdowns[0]
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +176,21 @@ class Policy:
 
     A shipped policy supplies only `counts`; `decide` takes the first of them
     with least LCR, and processes nothing when no count is profitable.
-    `decide` is given the run's `model.CostTable` or a cost model, `counts`
-    the model.
+
+    `decide` is the one step and the one LCR ledger: one pass on the run's
+    `model.CostTable`, whose list it grows in place (a plain cost model gets
+    a table for the call; `counts` is given the model). The pass finds m,
+    the profitable prefix of the sorted view, with its prefix sums, reading g
+    up to the first count whose job does not beat its marginal cost, which
+    is g(min(m + 1, n)) for n jobs. Each count's c_greedy(i) is a difference
+    of prefix sums. It is concave in the leftover count j and peaks at the
+    last j with v[i+j] > c_j; that j never grows with i, so it is walked up
+    once, at the first count, and down for each later count. Every g(j) it
+    reads is in the table already: the view is sorted, so when the j-th
+    leftover job beats c_j, the view's j-th job does too and m >= j. The
+    best count changes only where an LCR is strictly less than the best so
+    far, so it is the count `min(..., key=lcr)` picks, ties (the smaller
+    count) and NaN included.
     """
 
     name: str = "policy"
@@ -259,12 +200,53 @@ class Policy:
         raise NotImplementedError
 
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
-        table = cost_table(cost)
+        table = cost if type(cost) is CostTable else CostTable(cost)
+        model = table.model
         values = view.values
-        m, g, prefix = _scan(values, table)
-        if m == 0:
+        g = table.values
+        if not g:
+            g.append(model.g(0))
+        g_prev = g[0]
+        prefix = [0.0]
+        top = 0.0
+        for k, v in enumerate(values, 1):
+            if k == len(g):  # the table's next entry
+                g.append(model.g(k))
+            g_k = g[k]
+            if not v - (g_k - g_prev) > 0.0:
+                break
+            top += v
+            prefix.append(top)
+            g_prev = g_k
+        m = len(prefix) - 1
+        if not m:
             return _new(Decision, (0, ()))
-        ledger, best = _ledger(values, g, prefix, self.counts(m, table.model))
+        counts = self.counts(m, model)
+        n = len(values)
+        first = counts[0]
+        j = 0
+        while j < n - first and values[first + j] - (g[j + 1] - g[j]) > 0.0:
+            j += 1
+        for v in values[m:counts[-1] + j]:  # prefix sums past m, as far as read
+            top += v
+            prefix.append(top)
+        ledger = []
+        best = best_lcr = None
+        for i in counts:
+            if j > n - i:
+                j = n - i
+            while j > 0 and not values[i + j - 1] - (g[j] - g[j - 1]) > 0.0:
+                j -= 1
+            top = prefix[i]
+            M = top - i * g[1]
+            P = top - g[i]
+            cg = prefix[i + j] - top - g[j]
+            if cg < 0.0:  # j = 0 is a leftover count too
+                cg = 0.0
+            lcr = (M + cg) / P
+            ledger.append(_new(LcrBreakdown, (i, M, P, cg, lcr)))
+            if best is None or lcr < best_lcr:
+                best, best_lcr = i, lcr
         return _new(Decision, (best, tuple(ledger)))
 
     def __repr__(self):
@@ -286,13 +268,12 @@ class SimLcrPolicy(Policy):
     def decide(self, view: PolicyView, cost: CostModel) -> Decision:
         # the run's model is refused before the scan reads any g, so an
         # unprofitable view is refused too
-        table = cost_table(cost)
-        model = table.model
+        model = cost.model if type(cost) is CostTable else cost
         if not isinstance(model, PowerLaw):
             raise UnsupportedCostError("sim-lcr requires a power-law cost model")
         if model.alpha < 2.0:
             raise UnsupportedCostError(f"sim-lcr requires alpha >= 2, got {model.alpha}")
-        return super().decide(view, table)
+        return Policy.decide(self, view, cost)
 
     def counts(self, m: int, cost: CostModel) -> tuple[int, ...]:
         beta = beta_root(cost.alpha)
@@ -345,8 +326,9 @@ def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
 
     A count other than an integer in 0..len(view) is refused, a bool or
     float too, as `Job` refuses them. A positive count appends the
-    SlotDecision of the top `count` candidates, and a decision with
-    breakdowns its SlotLedger.
+    SlotDecision of the top `count` candidates, its energy read from the
+    table's list (a shipped policy's step has read that far; a count past
+    the list's end grows it), and a decision with breakdowns its SlotLedger.
     """
     decision = policy.decide(view, table)
     count = decision.count
@@ -355,10 +337,11 @@ def _play_slot(policy: Policy, view: PolicyView, table: CostTable,
         raise ModelError(f"slot {view.slot}: policy {policy.name!r} chose {count!r} jobs, "
                          f"only {n} available")
     if count:
+        g = table.values
         decisions.append(_new(SlotDecision, (view.slot,
                                              frozenset(map(_ID, view.candidates[:count])),
                                              float(_ltr_sum(view.values[:count])),
-                                             table.g(count))))
+                                             g[count] if count < len(g) else table.g(count))))
     if decision.breakdowns:
         ledgers.append(_new(SlotLedger, (view.slot, count, decision.breakdowns)))
     return count
@@ -368,11 +351,11 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     """Simulate a policy over an instance, visiting only slots where something can happen.
 
     Only this harness sees deadlines; the policy receives a PolicyView of the
-    live jobs, kept in value order (ties: earlier arrival, then smaller id),
-    sorted on a (-value, arrival, id) key made once per job. Each job's
-    (id, value) candidate pair, value and expiry are kept next to that key,
-    made once, when it arrives, and every view shares those pairs and is
-    read off the sorted list. Arrivals are merged in once per visited slot.
+    live jobs, kept in value order (ties: earlier arrival, then smaller id).
+    Each job is one flat tuple, made once, when it arrives, that sorts in
+    that order: (-value, arrival, id) and then its expiry, value and (id,
+    value) candidate pair. Every view shares those pairs and is read off the
+    sorted list. Arrivals are merged in once per visited slot.
     Processed jobs leave from the front, since a policy always takes a top
     prefix. Expired jobs leave lazily: a min-heap of window ends tells when
     one has closed, and the live list is then filtered, at the cost of
@@ -392,8 +375,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     jobs = instance.jobs
     n = len(jobs)
     hard_stop = instance.last_arrival + n + 1
-    # (order key, expiry, value, (id, value))
-    live: list[tuple[tuple, float, float, tuple[int, float]]] = []
+    # ids are unique, so the sort never reads past the id
+    live: list[tuple[float, int, int, float, float, tuple[int, float]]] = []
     expiries: list[float] = []  # min-heap of the windows' last slots
     decisions: list[SlotDecision] = []
     ledgers: list[SlotLedger] = []
@@ -405,8 +388,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             job = jobs[arrived]
             expiry = job.expiry
             # non-increasing value; ties by earlier arrival, then smaller id
-            value = job.value
-            live.append(((-value, job.arrival, job.id), expiry, value, (job.id, value)))
+            value, job_id = job.value, job.id
+            live.append((-value, job.arrival, job_id, expiry, value, (job_id, value)))
             if expiry != INFINITE:
                 heappush(expiries, expiry)
             arrived += 1
@@ -415,7 +398,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         if expiries and expiries[0] < slot:
             while expiries and expiries[0] < slot:
                 heappop(expiries)
-            live = [entry for entry in live if entry[1] >= slot]
+            live = [entry for entry in live if entry[3] >= slot]
         if not live:
             if arrived < n:
                 slot = jobs[arrived].arrival
@@ -428,8 +411,8 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
         # is taken from that free list in the first place. Built with
         # tuple(map(...)), the view's values raised the bursty benchmark's
         # peak RSS by about 10%.
-        view = _sorted_view(slot, tuple([pair for _, _, _, pair in live]),
-                            tuple([value for _, _, value, _ in live]))
+        view = _sorted_view(slot, tuple([entry[5] for entry in live]),
+                            tuple([entry[4] for entry in live]))
         count = _play_slot(policy, view, table, decisions, ledgers)
         if count != 0:
             del live[:count]

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from speedscale import adversary, offline
 from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, ConstructionError,
-                                  InstanceTemplate, _inner_min_batch, _x_cap,
+                                  InstanceTemplate, _inner_min_batch, _last_rising, _x_cap,
                                   adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance, gen_sqrt2_lb_instance,
                                   run_adversarial_game, sqrt2_job_value)
-from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw, Trace
+from speedscale.model import INFINITE, Instance, Job, ModelError, PowerLaw, Trace, cost_table
 from speedscale.offline import _columns, offline_profit, solve_offline_flow
 from speedscale.policies import (Decision, FixedCountPolicy, Policy, _play_slot, get_policy,
                                  run_policy)
@@ -48,7 +48,7 @@ def finalized_game_report(policy, template, cost):
     """The game scored from adversary_finalize's instance through offline_profit."""
     view = template.slot1_view()
     decisions, ledgers = [], []
-    count = _play_slot(get_policy(policy), view, cost, decisions, ledgers)
+    count = _play_slot(get_policy(policy), view, cost_table(cost), decisions, ledgers)
     instance = adversary_finalize(template, [jid for jid, _ in view.candidates[:count]])
     return build_report(template.label, offline_profit(instance, cost), Trace(decisions, ledgers))
 
@@ -134,8 +134,15 @@ def stationary_xs(alpha, z, n):
     return [v - cz for v in (q / a, c / q) if v - cz > 0.0]
 
 
-def inner_min_batch_80(alpha, z, x):
-    """_inner_min_batch with its bisection run for all 80 steps, unconditionally."""
+def inner_min(alpha, z, x):
+    """_inner_min_batch with each z's k0 searched as the curve searches it."""
+    zf = np.asarray(z, dtype=float)
+    return _inner_min_batch(alpha, z, x, _last_rising(alpha, zf, zf ** alpha))
+
+
+def inner_min_batch_80(alpha, z, x, k0=None):
+    """_inner_min_batch with its bisection run for all 80 steps, unconditionally,
+    from no bracket (k0 is not read)."""
     z, x = np.broadcast_arrays(z, x)  # the curve passes z once per row
     zf = z.astype(float)
     v = zf ** alpha - (zf - 1.0) ** alpha + x
@@ -517,7 +524,7 @@ class TestLowerBoundCurve:
         x = _x_cap(alpha, z)[:, None] * (np.arange(1, 17) / 16.0)
         zz = np.broadcast_to(z[:, None], x.shape)
         with np.errstate(all="ignore"):
-            values, k_star = _inner_min_batch(alpha, zz, x)
+            values, k_star = inner_min(alpha, zz, x)
         assert assert_matches_k_scan(alpha, zz, x, values, k_star) == 14
         assert k_star[49, 0] == 40 and math.isclose(values[49, 0], 2.2418243311234747)
 
@@ -533,7 +540,7 @@ class TestLowerBoundCurve:
         z = np.array([p[0] for p in points])
         x = _x_cap(alpha, z) * np.array([p[1] for p in points])
         with np.errstate(all="ignore"):
-            values, k_star = _inner_min_batch(alpha, z, x)
+            values, k_star = inner_min(alpha, z, x)
         assert_matches_k_scan(alpha, z, x, values, k_star)
 
     @pytest.mark.parametrize("alpha", [2.0, 2.1, 2.5, 2.7, 3.0, 3.4, 4.0, 5.0, 7.3,
@@ -551,7 +558,7 @@ class TestLowerBoundCurve:
         # must widen their search to 1..kmax
         alpha, z = 3.0, np.arange(1, 201)
         x = _x_cap(alpha, z)[:, None] * np.array([1e-6, 5.0, 50.0, 1e3])
-        values, k_star = _inner_min_batch(alpha, z[:, None], x)
+        values, k_star = inner_min(alpha, z[:, None], x)
         k0 = k0_by_scan(alpha, z)[:, None]
         assert np.count_nonzero((k_star < k0) | (k_star > k0 + 1)) == 588
         zz = np.broadcast_to(z[:, None], x.shape)
@@ -579,7 +586,7 @@ class TestLowerBoundCurve:
         z = np.array([p[0] for p in points])
         x = _x_cap(alpha, z) * np.array([p[1] for p in points])
         with np.errstate(invalid="ignore"):  # z = 1 with x near 0 is 0/0, read as inf
-            values, k_star = _inner_min_batch(alpha, z, x)
+            values, k_star = inner_min(alpha, z, x)
             ref_values, ref_k = inner_min_batch_80(alpha, z, x)
         assert values.tobytes() == ref_values.tobytes()
         assert (k_star == ref_k).all()
@@ -602,7 +609,7 @@ class TestLowerBoundCurve:
         z, x = np.array(zs), np.array(xs)
         lo, hi = bracket_80(alpha, z, x)
         assert 2 * (np.floor(hi) >= np.ceil(lo)).sum() >= z.size  # most reach its fixed point
-        values, k_star = _inner_min_batch(alpha, z, x)
+        values, k_star = inner_min(alpha, z, x)
         ref_values, ref_k = inner_min_batch_80(alpha, z, x)
         assert values.tobytes() == ref_values.tobytes()
         assert (k_star == ref_k).all()
@@ -616,7 +623,7 @@ class TestLowerBoundCurve:
         x = np.array([[0.5, 7.0], [3.3, 7.0]])
         lo, hi = bracket_80(2.0, z, x)
         assert (np.floor(hi) >= np.ceil(lo)).tolist() == [[False, True], [False, True]]
-        values, k_star = _inner_min_batch(2.0, z, x)
+        values, k_star = inner_min(2.0, z, x)
         ref_values, ref_k = inner_min_batch_80(2.0, z, x)
         assert values.shape == k_star.shape == (2, 2)
         assert values.tobytes() == ref_values.tobytes()
@@ -731,8 +738,8 @@ class TestLowerBoundCurve:
         curve, _ = eval_lower_bound(2.5, 300, 8)
         inner = adversary._inner_min_batch
 
-        def first_point_nan(alpha, z, x):
-            values, ks = inner(alpha, z, x)
+        def first_point_nan(alpha, z, x, k0):
+            values, ks = inner(alpha, z, x, k0)
             values.flat[0] = math.nan
             return values, ks
 

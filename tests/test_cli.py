@@ -321,7 +321,8 @@ sys.exit(speedscale.cli.main(sys.argv[1:]))
 def run_without_numpy(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv],
+    # from the repository root, where the pins' instance paths start
+    return subprocess.run([sys.executable, "-c", _BLOCK_NUMPY, *argv], cwd=SRC.parent,
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -560,8 +561,8 @@ def record_inner_min(monkeypatch):
     taken = {}
     inner = adversary._inner_min_batch
 
-    def recording(alpha, z, x):
-        values, ks = inner(alpha, z, x)
+    def recording(alpha, z, x, k0):
+        values, ks = inner(alpha, z, x, k0)
         zs, xs = np.broadcast_arrays(z, x)
         for point in zip(values.ravel().tolist(), zs.ravel().tolist(), xs.ravel().tolist()):
             taken.setdefault(point[0], []).append(point[1:])

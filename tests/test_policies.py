@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from speedscale.adversary import (PHI_PLUS_1, InstanceTemplate, gen_alpha2_lb_instance,
                                   run_adversarial_game)
 from speedscale.analysis import competitive_report, random_instance
-from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
-                              SlotDecision, TabulatedConvex, Trace, cost_table, evaluate_trace)
+from speedscale.model import (INFINITE, CostTable, Instance, Job, ModelError, PowerLaw,
+                              SlotDecision, TabulatedConvex, Trace, cost_table,
+                              evaluate_trace)
 from speedscale.policies import (POLICIES, Decision, FixedCountPolicy, LcrBreakdown, Policy,
-                                 PolicyView, SlotLedger, UnsupportedCostError, _scan,
+                                 PolicyView, SlotLedger, UnsupportedCostError,
                                  beta_root, compute_m, get_policy, lcr_breakdown, run_policy)
 
 from conftest import CountingPowerLaw, available_jobs, mk_instance
@@ -27,20 +28,20 @@ def inner_greedy_profit(leftover_values, cost):
     """Best single-slot profit from a leftover pool: max_j (top-j sum - g(j)).
 
     Prefix sums are taken within the leftover set itself; j = 0 contributes 0,
-    so the result is never negative. The pool's own scan tabulates g as far
+    so the result is never negative. The pool's own table of g grows as far
     as the profit loop reads it, and no further. The profit is concave in j,
     so the loop stops at the first j whose value does not beat its marginal.
     """
     values = list(leftover_values)
     if not all(map(operator.ge, values, values[1:])):
         raise ModelError("leftover values must be sorted non-increasing")
-    g = _scan(values, cost_table(cost))[1]
+    g = cost_table(cost).g
     best = running = 0.0
     for j, v in enumerate(values, 1):
-        if not v - (g[j] - g[j - 1]) > 0.0:
+        if not v - (g(j) - g(j - 1)) > 0.0:
             break
         running += v
-        best = max(best, running - g[j])
+        best = max(best, running - g(j))
     return best
 
 
@@ -446,9 +447,8 @@ def assert_within_exact_ledger(values, alpha, fixed):
     that argmin check applied."""
     cost = PowerLaw(alpha)
     view = view_of(*values)
-    m, g, _ = _scan(values, cost_table(cost))
-    g += [cost.g(j) for j in range(len(g), len(values) + 1)]
-    exact = exact_ledger(values, g, m)
+    m = compute_m(view, cost)
+    exact = exact_ledger(values, [cost.g(j) for j in range(len(values) + 1)], m)
     total = sum(map(Fraction, values))
     bounds = {i: lcr_rounding_bounds(len(values), total, P, lcr)
               for i, (_, P, _, lcr) in exact.items()}
@@ -725,6 +725,53 @@ class TestRunPolicy:
 
             with pytest.raises(ModelError, match="only 1 available"):
                 run_policy(mk_instance((1, 5.0, INFINITE)), Overreach(), alpha2)
+
+
+class TestRunTable:
+    """The slot step reads the run's table: a decide handed a `CostTable`
+    grows its list, and a run makes no table call per slot."""
+
+    @pytest.mark.parametrize("policy", [*POLICIES, "fixed:2"])
+    def test_decide_grows_the_table_it_is_handed(self, policy):
+        # at alpha = 2.5 the marginals are 1, 4.66, 9.93, 16.4: the scan
+        # reads g(4), where the fourth job stops it, and nothing further
+        table = CostTable(PowerLaw(2.5))
+        g = table.values
+        decision = policy_named(policy).decide(view_of(30, 20, 12, 1, 1), table)
+        assert decision.count >= 1
+        assert table.values is g
+        assert g == [PowerLaw(2.5).g(k) for k in range(5)]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_no_table_call_per_slot(self, policy, monkeypatch):
+        # n jobs with their own slots: every slot processes one, and the
+        # run's table calls do not grow with n
+        import speedscale
+        calls = {"cost_table": 0, "g": 0}
+        real_cost_table, real_g = cost_table, CostTable.g
+
+        def counting_cost_table(cost):
+            calls["cost_table"] += 1
+            return real_cost_table(cost)
+
+        def counting_g(table, k):
+            calls["g"] += 1
+            return real_g(table, k)
+
+        for module in (speedscale.model, speedscale.policies, speedscale.analysis,
+                       speedscale.offline, speedscale.adversary):
+            if hasattr(module, "cost_table"):
+                monkeypatch.setattr(module, "cost_table", counting_cost_table)
+        monkeypatch.setattr(CostTable, "g", counting_g)
+
+        def counted(n):
+            calls.update(cost_table=0, g=0)
+            instance = mk_instance(*[(slot, 5.0, 1) for slot in range(1, n + 1)])
+            report = competitive_report(instance, policy, PowerLaw(2.0))
+            assert len(report.per_slot_lcr) == n
+            return dict(calls)
+
+        assert counted(10) == counted(40)
 
 
 class TestPolicyViewConstructor:
