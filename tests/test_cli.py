@@ -806,6 +806,28 @@ class TestGoldenOutput:
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_lowerbound_curve_digest_at_large_alpha(self, capsys):
+        # B v overflows in the top rows at alpha = 80, yet every point is finite
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", "80,100", "--z-max", "200",
+                                 "--x-grid", "64", "--no-header")
+        assert code == 0 and err == ""
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "1acb0d48d21cace6b8e4eaa38cb6d5392b783dc5452c4fdc0fbbc975c94a4b67")
+
+    @pytest.mark.parametrize("alpha, bad", [("150", 5817), ("178", 9511)])
+    def test_lowerbound_overflow_refusal(self, capsys, alpha, bad):
+        code, out, err = run_cli(capsys, "lowerbound", "--alpha", alpha, "--z-max", "200",
+                                 "--x-grid", "64", "--no-header")
+        assert (code, out) == (2, "")
+        assert err == (f"error: the lower-bound curve overflows a float at alpha={alpha}: "
+                       f"{bad} of 12800 grid points are not finite, best is inf\n")
+
+    def test_lowerbound_alpha2_z10000_bytes(self):
+        curve, best = eval_lower_bound(2.0, 10_000, 64)
+        assert (hashlib.sha256(curve.tobytes()).hexdigest()
+                == "46164d03c87e3d060501cdbb95888813b2a17538631516dea8c06a5d5f0c3996")
+        assert best.hex() == "0x1.4f195decdba60p+1"
+
     def test_game_without_prediction(self, capsys):
         # alpha != 2 and no sqrt2 template: there is no closed form to predict
         code, out, _ = run_cli(capsys, "game", "--alpha", "3", "--z", "10", "--policy", "greedy")
