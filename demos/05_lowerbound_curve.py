@@ -9,7 +9,8 @@
 import csv
 import sys
 
-from speedscale import PHI_PLUS_1, SQRT2_PLUS_1, lower_bound_ratio
+from speedscale import (PHI_PLUS_1, SQRT2_PLUS_1, TabulatedConvex, eval_lower_bound,
+                        lower_bound_ratio)
 from speedscale.cli import main
 
 # One hand-checked point: z=10, x=2, k=6 at exponent 2.
@@ -31,5 +32,12 @@ print(f"\n{'alpha':>6} {'best':>10}   anchors: phi+1={PHI_PLUS_1:.5f}, "
 for row in rows:
     if not row["z"]:
         print(f"{float(row['alpha']):6.1f} {float(row['value']):10.6f}")
+
+# The curve takes any convex cost, read from a table of g(0..z_max+1): here
+# g(k) = k^2 + k^3/50, which is no power law.
+mix = TabulatedConvex(tuple(k * k + k ** 3 / 50 for k in range(202)))
+_, best = eval_lower_bound(mix, 200, 64)
+print(f"\ng(k) = k^2 + k^3/50, z <= 200: best {best:.6f}")
+
 print(f"\nwrote {len(rows)} rows to lowerbound_curve.csv")
 print("the same file from the shell: speedscale " + " ".join(argv))

@@ -197,75 +197,62 @@ def lower_bound_ratio(alpha: float, z: int, x: float, k: int) -> float:
     return num / den if den else math.inf
 
 
-def _x_cap(alpha: float, z: np.ndarray) -> np.ndarray:
-    zf = z.astype(float)
-    return (zf + 1.0) ** alpha - 2.0 * zf ** alpha + (zf - 1.0) ** alpha
-
-
-def _last_rising(alpha: float, zf: np.ndarray, za: np.ndarray) -> np.ndarray:
-    """k0 of each row z (float zf, za = zf**alpha): the last k in 1..z with
-    f(k) = k + z**alpha - (k+z) k**(alpha-1) > 0, or 0 where there is none.
-
-    f falls in k (see `_row_peaks`), so this is a binary search over the
-    integers, returned as floats.
-    """
+def _last_rising(G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """k0 of each row z: the last k in 1..z with k (k g(1) + g(z)) > (k+z)
+    g(k), where branch k rises in x, or 0 where there is none. The test
+    holds up to k0 and fails after (see `_row_peaks`), so this is a binary
+    search over the integers, returned as floats."""
     import numpy as np
 
-    lo, hi = np.zeros_like(zf), zf  # f(k) > 0 for k in 1..lo, f(k) <= 0 for k in hi+1..z
+    zf, g1, gz = z.astype(float), G[1], G[z]
+    lo, hi = np.zeros_like(zf), zf  # rising for k in 1..lo, not for k in hi+1..z
     while (lo < hi).any():
         mid = np.ceil(0.5 * (lo + hi))
-        rising = mid + za - (mid + zf) * mid ** (alpha - 1.0) > 0.0
+        rising = mid * (mid * g1 + gz) > (mid + zf) * G[mid.astype(np.intp)]
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid - 1.0)
     return lo
 
 
-def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray,
+def _inner_min_batch(G: np.ndarray, z: np.ndarray, x: np.ndarray,
                      k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min over integer k in 1..z of the ratio, for broadcast arrays z, x and
-    k0, each z's `_last_rising`.
+    k0, each z's `_last_rising`, with g read from the table G.
 
-    The ratio (A k + B) / (v k - k**alpha) with A, B > 0 is unimodal in k on
-    the positive-denominator range k < kbar, so on the integers 1..kmax,
-    kmax = min(z, ceil(kbar) - 1), it falls and then rises. A binary search
-    that goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
-    therefore ends at the smallest integer minimiser. Each search starts from
-    its row's bracket [k0, k0 + 1] clipped to 1..kmax, which
-    holds every grid point's minimiser (13 alphas checked at z <= 1000). By
-    unimodality, ratio(lo - 1) > ratio(lo) (or lo = 1) and ratio(hi + 1) >=
-    ratio(hi) (or hi = kmax) pin the smallest minimiser inside the bracket,
-    and the search's one step on it settles it; where either fails, the
-    search starts from 1..kmax. Points leave the search as soon as their
-    range holds one integer. Only ratios are compared, never a stationary
-    condition: a numerator that overflows reads inf, which is never less
-    than a neighbour, and a nan fails the bracket's check, so the search
-    needs no separate overflow path. z and k0 may come once per row
-    (`z[:, None]`).
+    With v = c_z + x, the ratio (A k + B) / (v k - g(k)) has A, B > 0 and a
+    concave denominator, positive on 1..z as g(k) <= k c_z for k <= z, so it
+    is unimodal on 1..z: it falls and then rises. A binary search that
+    goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
+    therefore ends at the smallest integer minimiser. Each search starts
+    from its row's bracket [k0, k0 + 1] clipped to 1..z, which holds every
+    grid point's minimiser (13 alphas checked at z <= 1000). By unimodality,
+    ratio(lo - 1) > ratio(lo) (or lo = 1) and ratio(hi + 1) >= ratio(hi) (or
+    hi = z) pin the smallest minimiser inside the bracket, and the search's
+    one step on it settles it; where either fails, the search starts from
+    1..z. Points leave the search as soon as their range holds one integer.
+    Only ratios are compared, never a stationary condition: a numerator that
+    overflows reads inf, which is never less than a neighbour, and a nan
+    fails the bracket's check, so the search needs no separate overflow
+    path. z and k0 may come once per row (`z[:, None]`).
     """
     import numpy as np
 
-    zf = z.astype(float)
-    za = zf ** alpha
-    v = za - (zf - 1.0) ** alpha + x
-    A = v - 1.0
-    B = zf * v - za
-    kbar = v ** (1.0 / (alpha - 1.0))  # denominator positive iff k < kbar
-    kmax = np.minimum(zf, np.ceil(kbar) - 1.0)
-    kmax = np.where(kmax > 1.0, kmax, 1.0).astype(np.int64)  # a nan kbar leaves k = 1
+    v = G[z] - G[z - 1] + x
+    A, B = v - G[1], z * v - G[z]
 
     def ratio(k, A, B, v):
-        k = k.astype(float)
-        den = v * k - k ** alpha
-        return np.where(den > 1e-300, (A * k + B) / den, np.inf)
+        kf = k.astype(float)
+        den = v * kf - G[k]
+        return np.where(den > 1e-300, (A * kf + B) / den, np.inf)
 
     k0 = k0.astype(np.int64)
-    hi = np.minimum(k0 + 1, kmax)
+    hi = np.minimum(k0 + 1, z)
     lo = np.minimum(np.maximum(k0, 1), hi)
-    below, above = np.maximum(lo - 1, 1), np.minimum(hi + 1, kmax)
+    below, above = np.maximum(lo - 1, 1), np.minimum(hi + 1, z)
     at_lo, at_hi = ratio(lo, A, B, v), ratio(hi, A, B, v)
     held = (((lo == 1) | (ratio(below, A, B, v) > at_lo))
-            & ((hi == kmax) | (ratio(above, A, B, v) >= at_hi)))
+            & ((hi == z) | (ratio(above, A, B, v) >= at_hi)))
     settled = np.where(at_hi < at_lo, hi, lo)  # the search's one step on [lo, hi]
-    t_lo, t_hi = np.where(held, settled, 1).ravel(), np.where(held, settled, kmax).ravel()
+    t_lo, t_hi = np.where(held, settled, 1).ravel(), np.where(held, settled, z).ravel()
 
     k = np.ones(v.size, dtype=np.int64)
     todo = np.arange(v.size)  # where each open point goes in k
@@ -283,42 +270,42 @@ def _inner_min_batch(alpha: float, z: np.ndarray, x: np.ndarray,
     return ratio(k, A, B, v), k
 
 
-def _crossings(alpha: float, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _crossings(G: np.ndarray, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The x where branches j != k of row z meet: a 2 x n array, nan where they do not.
 
-    With v = c_z + x, branch k is ((k+z)v - k - z**alpha) / (kv - k**alpha), so
+    With v = c_z + x, branch k is ((k+z)v - k g(1) - g(z)) / (kv - g(k)), so
     setting branches j and k equal gives a v**2 + b v + c = 0 with the
     coefficients below, solved in the cancellation-free form q / a and c / q.
-    It is solved for w = v / 2**e, with 2**e the binade of z**alpha, so that b
-    and c, of the size of z**alpha and z**(2 alpha), do not overflow. Scaling
-    by a power of two is exact, so wherever the unscaled form stays finite
-    the roots are its roots, bit for bit.
+    It is solved for w = v / 2**e, with 2**e the binade of g(z), so that b
+    and c, of the size of g(z) and g(z)**2, do not overflow. Scaling by a
+    power of two is exact, so wherever the unscaled form stays finite the
+    roots are its roots, bit for bit.
     """
     import numpy as np
 
     zf, jf, kf = z.astype(float), j.astype(float), k.astype(float)
-    za, ja, ka = zf ** alpha, jf ** alpha, kf ** alpha
-    e = np.frexp(za)[1]
-    zs, js, ks = np.ldexp(za, -e), np.ldexp(ja, -e), np.ldexp(ka, -e)
+    gz, gj, gk = G[z], G[j], G[k]
+    e = np.frexp(gz)[1]
+    zs, js, ks = np.ldexp(gz, -e), np.ldexp(gj, -e), np.ldexp(gk, -e)
     a = zf * (kf - jf)
     b = (kf + zf) * js - (jf + zf) * ks + zs * (jf - kf)
-    c = np.ldexp(jf + za, -e) * ks - np.ldexp(kf + za, -e) * js
+    c = np.ldexp(jf * G[1] + gz, -e) * ks - np.ldexp(kf * G[1] + gz, -e) * js
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
         v = np.ldexp(np.stack([q / a, c / q]), e)
-    return v - (za - (zf - 1.0) ** alpha)
+    return v - (gz - G[z - 1])
 
 
-def _row_peaks(alpha: float, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
+def _row_peaks(G: np.ndarray, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
     """The inner min at each row's peak over x in (0, xcap], for every row
     where that peak is a crossing of two branches in k.
 
     Branch k of row z is a Moebius function of v = c_z + x whose slope has
-    the sign of f(k) = k + z**alpha - (k+z) k**(alpha-1), whatever v is. Here
-    f(1) = z**alpha - z >= 0, f(z) = z - z**alpha <= 0 and f falls in k, so
-    the branches k <= k0, with k0 the last k where f(k) > 0, rise in x and
-    the others fall. By convexity c_z >= z**(alpha-1), so every branch keeps
-    a positive denominator for x > 0 and the split holds along the row. The
+    the sign of k (k g(1) + g(z)) - (k+z) g(k) = k (g(z) - z r - k (r -
+    g(1))), r = g(k) / k, whatever v is. By convexity and g(0) = 0, r rises
+    in k, so the sign is + for k in 1..k0 and not after, with k0 < z: those
+    branches rise in x and the others fall. Every branch keeps a positive
+    denominator for x > 0, so the split holds along the row. The
     row's inner min is then min(rising, falling), which peaks where the two
     cross or at an end, and by unimodality in k the branches meeting there
     are k0 and k0 + 1, the bracket `_inner_min_batch` starts from. k0 is
@@ -328,40 +315,52 @@ def _row_peaks(alpha: float, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    zf = z.astype(float)
-    lo = _last_rising(alpha, zf, zf ** alpha)
+    lo = _last_rising(G, z)
     has = lo >= 1.0  # at z = 1 no branch rises
-    roots = _crossings(alpha, z[has], lo[has], lo[has] + 1.0)
+    j = lo[has].astype(np.intp)
+    roots = _crossings(G, z[has], j, j + 1)
     at = (roots > 0.0) & (roots <= xcap[has])
     z, lo = (np.broadcast_to(col[has], roots.shape)[at] for col in (z, lo))
-    return _inner_min_batch(alpha, z, roots[at], lo)[0]
+    return _inner_min_batch(G, z, roots[at], lo)[0]
+
+
+def _g_table(cost: CostModel, size: int) -> tuple[np.ndarray, str]:
+    """g(0..size-1), the only g the curve reads, and the cost as its refusals
+    name it. A power law's is numpy's power: `PowerLaw.g` raises on an
+    overflow the curve's finite check refuses, and the pins hold numpy's bits."""
+    import numpy as np
+
+    if isinstance(cost, PowerLaw):
+        if not cost.alpha >= 2.0:
+            raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {cost.alpha}")
+        return np.arange(size, dtype=float) ** cost.alpha, f"alpha={cost.alpha:g}"
+    return np.array([cost.g(k) for k in range(size)], dtype=float), type(cost).__name__
 
 
 _CHUNK = 256  # z rows evaluated per numpy batch
 
 
-def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray, float]:
-    """Sweep the lower-bound construction family over z = 1..z_max.
+def eval_lower_bound(cost: CostModel, z_max: int, x_grid: int) -> tuple[np.ndarray, float]:
+    """Sweep the lower-bound construction family over z = 1..z_max for the
+    convex cost g, read from one table of g(0..z_max+1).
 
-    For each z, x runs over a uniform grid on (0, xcap(z)] including the right
-    endpoint, and the inner minimum over the policy's count k is exact. The
-    curve comes back as one structured array with columns z, x, k_star and
-    value, one row per grid point in z-major order. The returned best is the
-    larger of the grid's maximum and, in every row, the inner min where
-    branches k0 and k0 + 1 cross (`_row_peaks`). A row peaks at that crossing
-    or at an end of (0, xcap]. The grid holds xcap. A row whose crossing lies
-    at x <= 0 falls along all of (0, xcap]: its supremum, as x -> 0, is no
+    Row z's x runs over a uniform grid on (0, xcap], xcap = g(z+1) - 2g(z) +
+    g(z-1), its right end included, and the inner minimum over the policy's
+    count k is exact. The curve comes back as one structured array with
+    columns z, x, k_star and value, one row per grid point in z-major order.
+    The returned best is the larger of the grid's maximum and, in every
+    row, the inner min where branches k0 and k0 + 1 cross (`_row_peaks`): a
+    row peaks there or at an end of (0, xcap]. A row whose crossing lies at
+    x <= 0 falls along all of (0, xcap]: its supremum, as x -> 0, is no
     maximum, and the grid's first point stands for it. On 34 alphas in
     [2, 178], z <= 200, no row's limit at x -> 0 came within 1e-5 of the
-    best. A grid too large to allocate is refused with a ModelError. So is a
-    curve with a non-finite x or value, which overflowed a float on the way:
-    before any crossing is solved, naming its largest value with nan
-    skipped. So is a non-finite best.
+    best. Refused with a ModelError: a grid too large to allocate; a cost
+    with some xcap <= 0; a curve with a non-finite x or value, which
+    overflowed a float on the way, before any crossing is solved, naming
+    its largest value with nan skipped; and a non-finite best.
     """
     import numpy as np
 
-    if not alpha >= 2.0:
-        raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {alpha}")
     if z_max < 1:
         raise ModelError(f"z_max must be >= 1, got {z_max}")
     if x_grid < 2:
@@ -373,27 +372,28 @@ def eval_lower_bound(alpha: float, z_max: int, x_grid: int) -> tuple[np.ndarray,
     except (MemoryError, ValueError) as exc:  # numpy refuses these before touching memory
         raise ModelError(f"cannot allocate the lower-bound grid of {z_max} x {x_grid} "
                          f"points: {exc}") from None
+    z = np.arange(1, z_max + 1, dtype=np.int64)
     frac = np.arange(1, x_grid + 1, dtype=float) / x_grid
-
-    with np.errstate(all="ignore"):  # an overflow leaves a non-finite point, refused below
-        for start in range(1, z_max + 1, _CHUNK):
-            zs = np.arange(start, min(start + _CHUNK, z_max + 1), dtype=np.int64)
-            x = _x_cap(alpha, zs)[:, None] * frac[None, :]
-            zf = zs.astype(float)
-            k0 = _last_rising(alpha, zf, zf ** alpha)
-            values, kstars = _inner_min_batch(alpha, zs[:, None], x, k0[:, None])
-            part = curve[(start - 1) * x_grid:(start - 1 + len(zs)) * x_grid]
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite point or best, refused below
+        G, name = _g_table(cost, z_max + 2)
+        xcap = G[2:] - 2.0 * G[1:-1] + G[:-2]
+        flat = np.flatnonzero(xcap <= 0.0)  # an overflowed nan or inf is not flat
+        if flat.size:
+            raise ModelError(f"the lower-bound curve needs g(z+1) - 2g(z) + g(z-1) > 0, "
+                             f"got {float(xcap[flat[0]])!r} at z={flat[0] + 1}")
+        for start in range(0, z_max, _CHUNK):
+            zs = z[start:start + _CHUNK]
+            x = xcap[start:start + _CHUNK, None] * frac[None, :]
+            values, kstars = _inner_min_batch(G, zs[:, None], x, _last_rising(G, zs)[:, None])
+            part = curve[start * x_grid:(start + len(zs)) * x_grid]
             part["z"], part["x"] = np.repeat(zs, x_grid), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()
-
-    values = curve["value"]
-    bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(values)))
-    best = float(np.fmax.reduce(values))  # nan skipped
-    if not bad:  # each row's last grid point is x = xcap * 1.0, its xcap
-        last = curve[x_grid - 1::x_grid]
-        with np.errstate(all="ignore"):  # an overflow leaves a non-finite best, refused below
-            best = max(best, float(_row_peaks(alpha, last["z"], last["x"]).max(initial=-math.inf)))
+        values = curve["value"]
+        bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(values)))
+        best = float(np.fmax.reduce(values))  # nan skipped
+        if not bad:
+            best = max(best, float(_row_peaks(G, z, xcap).max(initial=-math.inf)))
     if bad or not math.isfinite(best):
-        raise ModelError(f"the lower-bound curve overflows a float at alpha={alpha:g}: "
+        raise ModelError(f"the lower-bound curve overflows a float at {name}: "
                          f"{bad} of {curve.size} grid points are not finite, best is {best}")
     return curve, best

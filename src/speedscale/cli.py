@@ -205,7 +205,7 @@ def cmd_lowerbound(args) -> int:
     as_json = args.format == "json"
     points, summaries, body = [], [], []
     for alpha in sorted(alphas):
-        curve, best = eval_lower_bound(alpha, args.z_max, args.x_grid)
+        curve, best = eval_lower_bound(PowerLaw(alpha), args.z_max, args.x_grid)
         if as_json:
             columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
             points.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}

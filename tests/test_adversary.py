@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from speedscale import adversary, offline
 from speedscale.adversary import (PHI_PLUS_1, SQRT2_PLUS_1, ConstructionError,
-                                  InstanceTemplate, _inner_min_batch, _last_rising, _x_cap,
+                                  InstanceTemplate, _inner_min_batch, _last_rising,
                                   adversary_finalize, alpha2_game_ratio,
                                   lower_bound_ratio, eval_lower_bound,
                                   gen_alpha2_lb_instance, gen_sqrt2_lb_instance,
@@ -134,15 +134,28 @@ def stationary_xs(alpha, z, n):
     return [v - cz for v in (q / a, c / q) if v - cz > 0.0]
 
 
+def power_table(alpha, z_max):
+    """g(0..z_max+1) for g(k) = k**alpha, as eval_lower_bound builds it."""
+    with np.errstate(over="ignore"):
+        return np.arange(z_max + 2, dtype=float) ** alpha
+
+
+def x_cap(alpha, z):
+    """Each row's g(z+1) - 2g(z) + g(z-1), read from the power table."""
+    g = power_table(alpha, int(np.max(z)))
+    return g[z + 1] - 2.0 * g[z] + g[z - 1]
+
+
 def inner_min(alpha, z, x):
-    """_inner_min_batch with each z's k0 searched as the curve searches it."""
-    zf = np.asarray(z, dtype=float)
-    return _inner_min_batch(alpha, z, x, _last_rising(alpha, zf, zf ** alpha))
+    """_inner_min_batch on the power table, with each z's k0 searched as the
+    curve searches it."""
+    g = power_table(alpha, int(np.max(z)))
+    return _inner_min_batch(g, z, x, _last_rising(g, np.asarray(z)))
 
 
-def inner_min_batch_80(alpha, z, x, k0=None):
-    """_inner_min_batch with its bisection run for all 80 steps, unconditionally,
-    from no bracket (k0 is not read)."""
+def inner_min_batch_80(alpha, z, x):
+    """_inner_min_batch at g(k) = k**alpha with its bisection run for all 80
+    steps, unconditionally, from no bracket."""
     z, x = np.broadcast_arrays(z, x)  # the curve passes z once per row
     zf = z.astype(float)
     v = zf ** alpha - (zf - 1.0) ** alpha + x
@@ -487,14 +500,14 @@ class TestLowerBoundCurve:
 
     def test_z1_degenerate(self):
         # z=1 forces k=1; at exponent 2 the ratio is exactly 2 for any feasible x
-        curve, best = eval_lower_bound(2.0, 1, 8)
+        curve, best = eval_lower_bound(PowerLaw(2.0), 1, 8)
         assert len(curve) == 8
         assert (curve["k_star"] == 1).all()
         assert np.allclose(curve["value"], 2.0, rtol=0.0, atol=1e-9)
         assert math.isclose(best, 2.0, abs_tol=1e-9)
 
     def test_curve_points_respect_x_cap(self):
-        curve, _ = eval_lower_bound(2.5, 12, 16)
+        curve, _ = eval_lower_bound(PowerLaw(2.5), 12, 16)
         assert len(curve) == 12 * 16
         assert (curve["z"] == np.repeat(np.arange(1, 13), 16)).all()
         for z, x, k in zip(curve["z"].tolist(), curve["x"].tolist(), curve["k_star"].tolist()):
@@ -505,7 +518,7 @@ class TestLowerBoundCurve:
     def test_inner_min_matches_direct_scan(self):
         # exact integer minimum cross-checked against full enumeration over k
         for alpha in (2.0, 2.7, 3.3):
-            curve, _ = eval_lower_bound(alpha, 9, 7)
+            curve, _ = eval_lower_bound(PowerLaw(alpha), 9, 7)
             for z, x, value in zip(curve["z"].tolist(), curve["x"].tolist(),
                                    curve["value"].tolist()):
                 ratios = []
@@ -521,7 +534,7 @@ class TestLowerBoundCurve:
         # inf, and from x = 4.08e306 on every k reads inf
         alpha = 180.0
         z = np.arange(1, 51)
-        x = _x_cap(alpha, z)[:, None] * (np.arange(1, 17) / 16.0)
+        x = x_cap(alpha, z)[:, None] * (np.arange(1, 17) / 16.0)
         zz = np.broadcast_to(z[:, None], x.shape)
         with np.errstate(all="ignore"):
             values, k_star = inner_min(alpha, zz, x)
@@ -538,7 +551,7 @@ class TestLowerBoundCurve:
                                               st.floats(0.0, 1.0, exclude_min=True)),
                                     min_size=1, max_size=20))
         z = np.array([p[0] for p in points])
-        x = _x_cap(alpha, z) * np.array([p[1] for p in points])
+        x = x_cap(alpha, z) * np.array([p[1] for p in points])
         with np.errstate(all="ignore"):
             values, k_star = inner_min(alpha, z, x)
         assert_matches_k_scan(alpha, z, x, values, k_star)
@@ -548,16 +561,16 @@ class TestLowerBoundCurve:
     def test_grid_k_star_lies_in_its_rows_bracket(self, alpha):
         # each search starts from [k0, k0 + 1] and widens only where that
         # bracket misses the minimiser; on the grid it never does
-        curve, _ = eval_lower_bound(alpha, 1000, 64)
+        curve, _ = eval_lower_bound(PowerLaw(alpha), 1000, 64)
         k0 = np.repeat(k0_by_scan(alpha, np.arange(1, 1001)), 64)
         assert np.isin(curve["k_star"] - k0, [0, 1]).all()
 
     def test_inner_min_matches_k_scan_off_the_row(self):
         # x far below and above the grid's (0, xcap]: 588 of the 800 points
         # have their minimiser outside [k0, k0 + 1], so the bracket's check
-        # must widen their search to 1..kmax
+        # must widen their search to 1..z
         alpha, z = 3.0, np.arange(1, 201)
-        x = _x_cap(alpha, z)[:, None] * np.array([1e-6, 5.0, 50.0, 1e3])
+        x = x_cap(alpha, z)[:, None] * np.array([1e-6, 5.0, 50.0, 1e3])
         values, k_star = inner_min(alpha, z[:, None], x)
         k0 = k0_by_scan(alpha, z)[:, None]
         assert np.count_nonzero((k_star < k0) | (k_star > k0 + 1)) == 588
@@ -568,7 +581,7 @@ class TestLowerBoundCurve:
         # at alpha = 2 the last grid point of each row is x = xcap = 2, where
         # row 5 has two minimisers, k = 3 and 4 (ratio 5/2 exactly), and row
         # 39 has k = 24 and 25
-        curve, _ = eval_lower_bound(2.0, 39, 4)
+        curve, _ = eval_lower_bound(PowerLaw(2.0), 39, 4)
         last = curve[3::4]
         assert (last["x"] == 2.0).all()
         for z, k in [(5, 3), (39, 24)]:
@@ -584,7 +597,7 @@ class TestLowerBoundCurve:
         # the search over integer k must not move a single bit of the result
         # of the 80-step bisection on the stationary point
         z = np.array([p[0] for p in points])
-        x = _x_cap(alpha, z) * np.array([p[1] for p in points])
+        x = x_cap(alpha, z) * np.array([p[1] for p in points])
         with np.errstate(invalid="ignore"):  # z = 1 with x near 0 is 0/0, read as inf
             values, k_star = inner_min(alpha, z, x)
             ref_values, ref_k = inner_min_batch_80(alpha, z, x)
@@ -631,19 +644,20 @@ class TestLowerBoundCurve:
         assert k_star[0, 1] == k_star[1, 1] == 8
 
     def test_bisection_stop_matches_80_steps_at_alpha2_z10000(self):
-        _, best = eval_lower_bound(2.0, 10_000, 64)
-        with mock.patch.object(adversary, "_inner_min_batch", inner_min_batch_80):
-            _, reference = eval_lower_bound(2.0, 10_000, 64)
+        _, best = eval_lower_bound(PowerLaw(2.0), 10_000, 64)
+        with mock.patch.object(adversary, "_inner_min_batch",
+                               lambda g, z, x, k0: inner_min_batch_80(2.0, z, x)):
+            _, reference = eval_lower_bound(PowerLaw(2.0), 10_000, 64)
         assert best == reference
 
     def test_alpha2_limit_approaches_phi_plus_1(self):
-        _, best = eval_lower_bound(2.0, 10_000, 64)
+        _, best = eval_lower_bound(PowerLaw(2.0), 10_000, 64)
         assert abs(best - PHI_PLUS_1) < 1e-3
         assert best <= PHI_PLUS_1 + 1e-9
 
     def test_alpha3_peak_is_sqrt2_plus_1(self):
         # the 4-job construction appears at z=2; refinement must find its kink
-        _, best = eval_lower_bound(3.0, 2, 64)
+        _, best = eval_lower_bound(PowerLaw(3.0), 2, 64)
         assert abs(best - SQRT2_PLUS_1) <= 4 * math.ulp(SQRT2_PLUS_1)
 
     def test_best_equals_row_peak_reference(self):
@@ -656,14 +670,14 @@ class TestLowerBoundCurve:
         cases = [(alpha, 40, int(rng.choice([2, 3, 16]))) for alpha in alphas]
         cases += [(2.0, 400, 8), (3.0, 300, 2)]
         for alpha, z_max, x_grid in cases:
-            curve, best = eval_lower_bound(alpha, z_max, x_grid)
+            curve, best = eval_lower_bound(PowerLaw(alpha), z_max, x_grid)
             reference = float(row_peaks_by_bisection(alpha, z_max).max())
             assert math.isclose(best, reference, rel_tol=1e-12), (alpha, z_max, x_grid)
             assert best >= curve["value"].max()
 
     def test_alpha2_z10000_best(self):
         # the crossing of row 10,000's branches 6,180 and 6,181
-        _, best = eval_lower_bound(2.0, 10_000, 64)
+        _, best = eval_lower_bound(PowerLaw(2.0), 10_000, 64)
         assert best == 2.617961636212655
 
     def test_best_reaches_sqrt2_plus_1(self):
@@ -683,7 +697,7 @@ class TestLowerBoundCurve:
             feasible += 1
             sizes = [(2, 2), (3, 16)] + [(int(rng.integers(2, 41)), 3)] * (alpha <= 178.0)
             for z_max, x_grid in sizes:
-                _, best = eval_lower_bound(alpha, z_max, x_grid)
+                _, best = eval_lower_bound(PowerLaw(alpha), z_max, x_grid)
                 assert best >= SQRT2_PLUS_1 - 1e-12, (alpha, z_max, x_grid)
         assert feasible >= 20
 
@@ -696,14 +710,14 @@ class TestLowerBoundCurve:
         seen = {}
         crossings = adversary._crossings
 
-        def recording(alpha, z, j, k):
+        def recording(g, z, j, k):
             assert (k == j + 1).all()
             seen.update(zip(z.tolist(), j.tolist()))
-            return crossings(alpha, z, j, k)
+            return crossings(g, z, j, k)
 
         monkeypatch.setattr(adversary, "_crossings", recording)
         z_max = 60
-        eval_lower_bound(alpha, z_max, 4)
+        eval_lower_bound(PowerLaw(alpha), z_max, 4)
         assert sorted(seen) == list(range(2, z_max + 1))  # z = 1 has no rising branch
         rows = np.random.default_rng(3).choice(np.arange(2, z_max + 1), 12, replace=False)
         for z in rows.tolist():
@@ -735,11 +749,11 @@ class TestLowerBoundCurve:
     def test_refused_curve_names_its_largest_value_unrefined(self, monkeypatch):
         # a nan at the first point of each 256-row chunk: the largest value,
         # at z = 300, shares the second chunk with one of them
-        curve, _ = eval_lower_bound(2.5, 300, 8)
+        curve, _ = eval_lower_bound(PowerLaw(2.5), 300, 8)
         inner = adversary._inner_min_batch
 
-        def first_point_nan(alpha, z, x, k0):
-            values, ks = inner(alpha, z, x, k0)
+        def first_point_nan(g, z, x, k0):
+            values, ks = inner(g, z, x, k0)
             values.flat[0] = math.nan
             return values, ks
 
@@ -752,7 +766,7 @@ class TestLowerBoundCurve:
         assert largest == curve["value"][256 * 8:].max()
         with pytest.raises(ModelError, match=f"2 of 2400 grid points are not finite, "
                                              f"best is {largest!r}$"):
-            eval_lower_bound(2.5, 300, 8)
+            eval_lower_bound(PowerLaw(2.5), 300, 8)
 
     @pytest.mark.parametrize("z_max, reason", [
         (10 ** 12, r"Unable to allocate 1\.82 PiB"),  # more than any address space
@@ -762,12 +776,12 @@ class TestLowerBoundCurve:
         # numpy refuses both sizes before it touches memory
         with pytest.raises(ModelError, match=rf"^cannot allocate the lower-bound grid of "
                                              rf"{z_max} x 64 points: {reason}"):
-            eval_lower_bound(2.0, z_max, 64)
+            eval_lower_bound(PowerLaw(2.0), z_max, 64)
 
     def test_bad_arguments(self):
         with pytest.raises(ModelError):
-            eval_lower_bound(1.5, 10, 8)
+            eval_lower_bound(PowerLaw(1.5), 10, 8)
         with pytest.raises(ModelError):
-            eval_lower_bound(2.0, 0, 8)
+            eval_lower_bound(PowerLaw(2.0), 0, 8)
         with pytest.raises(ModelError):
-            eval_lower_bound(2.0, 10, 1)
+            eval_lower_bound(PowerLaw(2.0), 10, 1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from speedscale import adversary
 from speedscale.adversary import eval_lower_bound, lower_bound_ratio
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
-from speedscale.model import INFINITE, Instance, Job, dumps_instance
+from speedscale.model import INFINITE, Instance, Job, PowerLaw, dumps_instance
 
 from conftest import k_scan
 
@@ -561,8 +561,8 @@ def record_inner_min(monkeypatch):
     taken = {}
     inner = adversary._inner_min_batch
 
-    def recording(alpha, z, x, k0):
-        values, ks = inner(alpha, z, x, k0)
+    def recording(g, z, x, k0):
+        values, ks = inner(g, z, x, k0)
         zs, xs = np.broadcast_arrays(z, x)
         for point in zip(values.ravel().tolist(), zs.ravel().tolist(), xs.ravel().tolist()):
             taken.setdefault(point[0], []).append(point[1:])
@@ -595,7 +595,7 @@ def reference_lowerbound(alphas, z_max, x_grid, as_json):
     reference_fmt, as the CLI wrote it before its CSV went column-wise."""
     rows, summaries = [], []
     for alpha in sorted(alphas):
-        curve, best = eval_lower_bound(alpha, z_max, x_grid)
+        curve, best = eval_lower_bound(PowerLaw(alpha), z_max, x_grid)
         columns = [curve[name].tolist() for name in LOWERBOUND_COLUMNS[1:]]
         rows.extend({"alpha": alpha, "z": z, "x": x, "k_star": k, "value": value}
                     for z, x, k, value in zip(*columns))
@@ -793,18 +793,33 @@ class TestGoldenOutput:
         assert out == (f"template: alpha2-lb:z={z}\npolicy: {policy}\nslot1_count: {count}\n"
                        f"off: {off}\nalg: {alg}\nratio: {ratio}\npredicted: {ratio}\n")
 
-    @pytest.mark.parametrize("alphas, digest", [
-        ("2.1,2.7,3.4,4", "1d069f6ef0458cd6ee0e8d5c23c922594942795e84d267a8cd4bc7c9a15e7bf0"),
-        (",".join(str(round(2.1 + 0.1 * i, 1)) for i in range(20)),
-         "46ead6ccc1b269e4e99b15ad37a746ce1aee2c8fd5776f263cab81353f1fe95b"),
+    # table digest -> curve digest, one pair per numpy power dispatch: the
+    # AVX-512 power and the baseline one differ in the last bit of a few
+    # k**alpha, and the curve reads g only from that table
+    @pytest.mark.parametrize("alphas, digests", [
+        ("2.1,2.7,3.4,4", {
+            "bdc9c4a21ad7dd14608921bc5f5797f31ef7c4705ade956e16012a7d8882e9c1":
+                "1d069f6ef0458cd6ee0e8d5c23c922594942795e84d267a8cd4bc7c9a15e7bf0",
+            "2befa2a8f902daad86c4563aaca2e9c6dedb1804be16c0957aa1809c1804f53b":
+                "59991a0d02992a048dafcaea3c4bf75113c112d39de7730905adf91531290833"}),
+        (",".join(str(round(2.1 + 0.1 * i, 1)) for i in range(20)), {
+            "4e8a95fde86e359fc3f16ccf120658b1c15cabddfcfd3470bda744510c56841f":
+                "46ead6ccc1b269e4e99b15ad37a746ce1aee2c8fd5776f263cab81353f1fe95b",
+            "f35bfdce55304a3e73a233fcd0bdb26172a551b8aa292ced79b9640067314589":
+                "78471e0ed66e12f0424a7574bfa117b07a895fc186f7b6feee4a8e58783f9d8b"}),
     ], ids=["benchmark-alphas", "criterion-3-alphas"])
-    def test_lowerbound_curve_digest(self, capsys, alphas, digest):
+    def test_lowerbound_curve_digest(self, capsys, alphas, digests):
         # every byte of the curves the benchmark and criterion 3 print;
         # reference_lowerbound checks the writer, not the numbers it writes
+        tables = hashlib.sha256()
+        for alpha in alphas.split(","):  # g(0..201), the table eval_lower_bound reads at z-max 200
+            tables.update((np.arange(202.0) ** float(alpha)).tobytes())
+        table = tables.hexdigest()
+        assert table in digests, f"k**alpha table {table} matches no pinned dispatch"
         code, out, err = run_cli(capsys, "lowerbound", "--alpha", alphas, "--z-max", "200",
                                  "--x-grid", "64", "--no-header")
         assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[table]
 
     def test_lowerbound_curve_digest_at_large_alpha(self, capsys):
         # B v overflows in the top rows at alpha = 80, yet every point is finite
@@ -823,7 +838,7 @@ class TestGoldenOutput:
                        f"{bad} of 12800 grid points are not finite, best is inf\n")
 
     def test_lowerbound_alpha2_z10000_bytes(self):
-        curve, best = eval_lower_bound(2.0, 10_000, 64)
+        curve, best = eval_lower_bound(PowerLaw(2.0), 10_000, 64)
         assert (hashlib.sha256(curve.tobytes()).hexdigest()
                 == "46164d03c87e3d060501cdbb95888813b2a17538631516dea8c06a5d5f0c3996")
         assert best.hex() == "0x1.4f195decdba60p+1"

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speedscale.adversary import InstanceTemplate, eval_lower_bound, run_adversarial_game
 from speedscale.analysis import _small_instance
-from speedscale.model import (INFINITE, Instance, Job, ModelError,
+from speedscale.model import (INFINITE, Instance, Job, ModelError, PowerLaw,
                               TabulatedConvex, evaluate_trace)
 from speedscale.offline import solve_offline_bruteforce, solve_offline_flow
 from speedscale.policies import (POLICIES, PolicyView, compute_m, lcr_breakdown,
@@ -96,3 +99,104 @@ class TestOffline:
         inst = mk_instance(*[(1, 9.0, 1)] * 4)
         with pytest.raises(ModelError, match="cost table"):
             solve_offline_flow(inst, short)
+
+
+@st.composite
+def convex_tables(draw, size):
+    """g(0..size-1) of a strictly convex cost: strictly rising marginals,
+    integers or floats."""
+    if draw(st.booleans()):
+        first, steps = st.integers(1, 9), st.integers(1, 9)
+    else:
+        first, steps = st.floats(0.1, 9.0), st.floats(0.05, 9.0)
+    rises = draw(st.lists(steps, min_size=size - 2, max_size=size - 2))
+    return rising_marginals_table([draw(first), *rises])
+
+
+def rising_marginals_table(rises):
+    """g(0..len(rises)) whose marginals g(k) - g(k-1) are the running sums of rises."""
+    return [0.0, *np.cumsum(np.cumsum(rises, dtype=float)).tolist()]
+
+
+def ratio_scan(g, z, x):
+    """The construction's ratio (k (v - g(1)) + z v - g(z)) / (k v - g(k)),
+    v = c_z + x, at every k in 1..z of rows z (n,) and points x (n, m), read
+    from the table g; inf at k > z or a denominator <= 0. Shape (n, m, z.max())."""
+    g = np.asarray(g)
+    k = np.arange(1, z.max() + 1)
+    z3, gz = z[:, None, None], g[z][:, None, None]
+    v = (gz - g[z - 1][:, None, None]) + x[..., None]
+    num, den = k * (v - g[1]) + (z3 * v - gz), k * v - g[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((den > 0.0) & (k <= z3), num / den, np.inf)
+
+
+class TestLowerBoundCurve:
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 7.3])
+    def test_power_table_gives_the_power_law_curve(self, alpha):
+        # the curve reads g only from its table, so numpy's k**alpha as a
+        # table is the power law, bit for bit
+        for z_max in (2, 200):
+            table = TabulatedConvex((np.arange(z_max + 2.0) ** alpha).tolist())
+            curve, best = eval_lower_bound(table, z_max, 64)
+            want, want_best = eval_lower_bound(PowerLaw(alpha), z_max, 64)
+            assert curve.tobytes() == want.tobytes() and best.hex() == want_best.hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_curve_is_the_k_scan_of_any_convex_table(self, data):
+        z_max, x_grid = data.draw(st.integers(1, 30)), data.draw(st.sampled_from([2, 3, 8]))
+        g = data.draw(convex_tables(z_max + 2))  # exactly the table the curve reads
+        curve, best = eval_lower_bound(TabulatedConvex(g), z_max, x_grid)
+        z = np.arange(1, z_max + 1)
+        x = curve["x"].reshape(z_max, x_grid)
+        ga = np.array(g)
+        assert (x[:, -1] == ga[z + 1] - 2.0 * ga[z] + ga[z - 1]).all()  # the grid ends at xcap
+        ratios = ratio_scan(g, z, x)
+        values, k_star = curve["value"].reshape(x.shape), curve["k_star"].reshape(x.shape)
+        np.testing.assert_allclose(values, ratios.min(axis=-1), rtol=1e-12, atol=0.0)
+        attained = np.take_along_axis(ratios, k_star[..., None] - 1, axis=-1)[..., 0]
+        np.testing.assert_allclose(attained, values, rtol=1e-12, atol=0.0)
+        # from the first grid point on, each row peaks at a crossing the best
+        # holds or at a grid point; left of it a falling row's supremum, as
+        # x -> 0, is the known limit of the grid
+        sweep = x[:, -1:] * np.linspace(1.0 / x_grid, 1.0, 2001)
+        assert best >= values.max()
+        assert ratio_scan(g, z, sweep).min(axis=-1).max() <= best * (1.0 + 1e-12)
+
+    def test_curve_is_the_game_ratio(self):
+        # the template of 2z jobs of value c_z + x is the construction at
+        # (z, x): min-lcr keeps the curve's k_star of them, the adversary lets
+        # the rest expire and the offline side takes z of those at slot 1
+        rng = np.random.default_rng(7)
+        z_max, x_grid = 12, 4
+        tables = [rising_marginals_table(rng.integers(1, 6, 2 * z_max + 1)),
+                  rising_marginals_table(rng.uniform(0.05, 3.0, 2 * z_max + 1))]
+        costs = [PowerLaw(2.5), *map(TabulatedConvex, tables)]
+        tables.insert(0, (np.arange(2 * z_max + 2.0) ** 2.5).tolist())
+        for cost, g in zip(costs, tables):
+            curve, _ = eval_lower_bound(cost, z_max, x_grid)
+            # x = xcap is left out: there the offline side's z + 1-st job breaks even
+            for i in rng.choice([i for i in range(len(curve)) if i % x_grid != x_grid - 1], 8,
+                                replace=False).tolist():
+                z, x, k, value = (curve[name][i].item() for name in ("z", "x", "k_star", "value"))
+                report = run_adversarial_game(
+                    "min-lcr", InstanceTemplate((g[z] - g[z - 1] + x,) * (2 * z)), cost)
+                assert math.isclose(report.ratio, value, rel_tol=1e-12), (cost, z, x)
+                near = ratio_scan(g, np.array([z]), np.array([[x]]))[0, 0]
+                if np.count_nonzero(near <= value * (1.0 + 1e-12)) == 1:  # no tie in k
+                    assert report.per_slot_lcr[0].i_chosen == k, (cost, z, x)
+
+    def test_flat_cost_is_refused(self):
+        # marginals 1, 2, 2, 3: row 2's xcap is 0, so its grid on (0, xcap]
+        # would hold only x = 0, where every denominator is 0
+        with pytest.raises(ModelError) as refused:
+            eval_lower_bound(TabulatedConvex((0.0, 1.0, 3.0, 5.0, 8.0)), 3, 8)
+        assert str(refused.value) == ("the lower-bound curve needs g(z+1) - 2g(z) + g(z-1) > 0, "
+                                      "got 0.0 at z=2")
+
+    def test_short_table_is_refused(self):
+        # the curve at z-max 3 reads g(0..4)
+        with pytest.raises(ModelError) as refused:
+            eval_lower_bound(TabulatedConvex((0.0, 1.0, 3.0, 6.0)), 3, 8)
+        assert str(refused.value) == "cost table covers k <= 3, got 4"
