@@ -219,8 +219,8 @@ def _inner_min_batch(G: np.ndarray, z: np.ndarray, x: np.ndarray,
     k0, each z's `_last_rising`, with g read from the table G.
 
     With v = c_z + x, the ratio (A k + B) / (v k - g(k)) has A, B > 0 and a
-    concave denominator, positive on 1..z as g(k) <= k c_z for k <= z, so it
-    is unimodal on 1..z: it falls and then rises. A binary search that
+    concave denominator, at least k x > 0 on 1..z as g(k) <= k c_z for k <=
+    z, so it is unimodal on 1..z: it falls and then rises. A binary search that
     goes right wherever ratio(mid + 1) < ratio(mid), and left on a tie,
     therefore ends at the smallest integer minimiser. Each search starts
     from its row's bracket [k0, k0 + 1] clipped to 1..z, which holds every

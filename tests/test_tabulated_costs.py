@@ -170,10 +170,10 @@ class TestLowerBoundCurve:
         # the rest expire and the offline side takes z of those at slot 1
         rng = np.random.default_rng(7)
         z_max, x_grid = 12, 4
-        tables = [rising_marginals_table(rng.integers(1, 6, 2 * z_max + 1)),
+        tables = [(np.arange(2 * z_max + 2.0) ** 2.5).tolist(),
+                  rising_marginals_table(rng.integers(1, 6, 2 * z_max + 1)),
                   rising_marginals_table(rng.uniform(0.05, 3.0, 2 * z_max + 1))]
-        costs = [PowerLaw(2.5), *map(TabulatedConvex, tables)]
-        tables.insert(0, (np.arange(2 * z_max + 2.0) ** 2.5).tolist())
+        costs = [PowerLaw(2.5), TabulatedConvex(tables[1]), TabulatedConvex(tables[2])]
         for cost, g in zip(costs, tables):
             curve, _ = eval_lower_bound(cost, z_max, x_grid)
             # x = xcap is left out: there the offline side's z + 1-st job breaks even
@@ -187,13 +187,17 @@ class TestLowerBoundCurve:
                 if np.count_nonzero(near <= value * (1.0 + 1e-12)) == 1:  # no tie in k
                     assert report.per_slot_lcr[0].i_chosen == k, (cost, z, x)
 
-    def test_flat_cost_is_refused(self):
-        # marginals 1, 2, 2, 3: row 2's xcap is 0, so its grid on (0, xcap]
-        # would hold only x = 0, where every denominator is 0
+    @pytest.mark.parametrize("table, z", [((0.0, 1.0, 2.0, 4.0, 7.0), 1),
+                                          ((0.0, 1.0, 3.0, 5.0, 8.0), 2)])
+    def test_flat_cost_is_refused(self, table, z):
+        # a repeated marginal makes row z's xcap 0, so its grid would hold
+        # only x = 0, outside the construction's (0, xcap]: read as a false
+        # overflow where g is linear up to z (every denominator is 0 there),
+        # and as finite points elsewhere
         with pytest.raises(ModelError) as refused:
-            eval_lower_bound(TabulatedConvex((0.0, 1.0, 3.0, 5.0, 8.0)), 3, 8)
+            eval_lower_bound(TabulatedConvex(table), 3, 8)
         assert str(refused.value) == ("the lower-bound curve needs g(z+1) - 2g(z) + g(z-1) > 0, "
-                                      "got 0.0 at z=2")
+                                      f"got 0.0 at z={z}")
 
     def test_short_table_is_refused(self):
         # the curve at z-max 3 reads g(0..4)
