@@ -232,7 +232,8 @@ def _inner_min_batch(G: np.ndarray, z: np.ndarray, x: np.ndarray,
     Only ratios are compared, never a stationary condition: a numerator that
     overflows reads inf, which is never less than a neighbour, and a nan
     fails the bracket's check, so the search needs no separate overflow
-    path. z and k0 may come once per row (`z[:, None]`).
+    path. A ratio is inf only where den > 0.0 fails, at any scale of g. z
+    and k0 may come once per row (`z[:, None]`).
     """
     import numpy as np
 
@@ -242,7 +243,7 @@ def _inner_min_batch(G: np.ndarray, z: np.ndarray, x: np.ndarray,
     def ratio(k, A, B, v):
         kf = k.astype(float)
         den = v * kf - G[k]
-        return np.where(den > 1e-300, (A * kf + B) / den, np.inf)
+        return np.where(den > 0.0, (A * kf + B) / den, np.inf)
 
     k0 = k0.astype(np.int64)
     hi = np.minimum(k0 + 1, z)
@@ -296,7 +297,7 @@ def _crossings(G: np.ndarray, z: np.ndarray, j: np.ndarray, k: np.ndarray) -> np
     return v - (gz - G[z - 1])
 
 
-def _row_peaks(G: np.ndarray, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
+def _row_peaks(G: np.ndarray, z: np.ndarray, xcap: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """The inner min at each row's peak over x in (0, xcap], for every row
     where that peak is a crossing of two branches in k.
 
@@ -309,19 +310,18 @@ def _row_peaks(G: np.ndarray, z: np.ndarray, xcap: np.ndarray) -> np.ndarray:
     row's inner min is then min(rising, falling), which peaks where the two
     cross or at an end, and by unimodality in k the branches meeting there
     are k0 and k0 + 1, the bracket `_inner_min_batch` starts from. k0 is
-    `_last_rising`, the crossing is `_crossings`, and each root in (0, xcap]
-    goes through `_inner_min_batch`, so every value returned is one the
-    inner min takes.
+    each row's `_last_rising`, the crossing is `_crossings`, and each root
+    in (0, xcap] goes through `_inner_min_batch`, so every value returned
+    is one the inner min takes.
     """
     import numpy as np
 
-    lo = _last_rising(G, z)
-    has = lo >= 1.0  # at z = 1 no branch rises
-    j = lo[has].astype(np.intp)
+    has = k0 >= 1.0  # at z = 1 no branch rises
+    j = k0[has].astype(np.intp)
     roots = _crossings(G, z[has], j, j + 1)
     at = (roots > 0.0) & (roots <= xcap[has])
-    z, lo = (np.broadcast_to(col[has], roots.shape)[at] for col in (z, lo))
-    return _inner_min_batch(G, z, roots[at], lo)[0]
+    z, k0 = (np.broadcast_to(col[has], roots.shape)[at] for col in (z, k0))
+    return _inner_min_batch(G, z, roots[at], k0)[0]
 
 
 def _g_table(cost: CostModel, size: int) -> tuple[np.ndarray, str]:
@@ -381,10 +381,11 @@ def eval_lower_bound(cost: CostModel, z_max: int, x_grid: int) -> tuple[np.ndarr
         if flat.size:
             raise ModelError(f"the lower-bound curve needs g(z+1) - 2g(z) + g(z-1) > 0, "
                              f"got {float(xcap[flat[0]])!r} at z={flat[0] + 1}")
+        k0 = _last_rising(G, z)  # each row settles on its own, whatever rows share the call
         for start in range(0, z_max, _CHUNK):
             zs = z[start:start + _CHUNK]
             x = xcap[start:start + _CHUNK, None] * frac[None, :]
-            values, kstars = _inner_min_batch(G, zs[:, None], x, _last_rising(G, zs)[:, None])
+            values, kstars = _inner_min_batch(G, zs[:, None], x, k0[start:start + _CHUNK, None])
             part = curve[start * x_grid:(start + len(zs)) * x_grid]
             part["z"], part["x"] = np.repeat(zs, x_grid), x.ravel()
             part["k_star"], part["value"] = kstars.ravel(), values.ravel()
@@ -392,7 +393,7 @@ def eval_lower_bound(cost: CostModel, z_max: int, x_grid: int) -> tuple[np.ndarr
         bad = np.count_nonzero(~(np.isfinite(curve["x"]) & np.isfinite(values)))
         best = float(np.fmax.reduce(values))  # nan skipped
         if not bad:
-            best = max(best, float(_row_peaks(G, z, xcap).max(initial=-math.inf)))
+            best = max(best, float(_row_peaks(G, z, xcap, k0).max(initial=-math.inf)))
     if bad or not math.isfinite(best):
         raise ModelError(f"the lower-bound curve overflows a float at {name}: "
                          f"{bad} of {curve.size} grid points are not finite, best is {best}")

@@ -6,6 +6,12 @@ slots from arrival, possibly infinite). Processing k jobs in one slot costs
 g(k) for a convex g with g(0) = 0; the profit of a slot is the payoff sum of
 the processed jobs minus that energy cost.
 
+Payoffs and g carry no units, and no comparison has an absolute tolerance:
+a payoff v beats a marginal cost when v - (g(k) - g(k-1)) > 0.0, exactly, in
+`policies.Policy.decide` and the flow alike, and a profit is zero only when
+it is 0.0. So scaling the values and g by c scales every profit by c and
+changes no decision; for a power of two c, not one bit of either.
+
 Every type here but ``CostTable``, one run's table of g, is immutable and
 safe to share across threads. Input is checked where it enters
 (``_instance_from_checked`` lists where).
@@ -20,10 +26,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 INFINITE = math.inf
 """Deadline sentinel: the job never expires."""
-
-PROFIT_TOL = 1e-9
-"""Absolute tolerance below which `reports.profit_ratio` reads a profit as zero;
-nothing else reads it (the flow's placement threshold is `offline.PLACE_TOL`)."""
 
 
 class ModelError(ValueError):

@@ -39,11 +39,6 @@ from .model import (EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecis
                     cost_table)
 
 
-PLACE_TOL = 1e-12
-"""The flow places a job only when its value beats its path's marginal cost by
-more than this absolute margin."""
-
-
 class OfflineSizeError(ModelError):
     """Brute-force enumeration refused: instance too large for the guard."""
 
@@ -138,10 +133,10 @@ class _FlowState:
         A run is a maximal group of consecutive jobs in pass order that share
         one cut window: `pos` and the jobs that `rest`, the rest of the pass
         order, yields while their window stays the same. Each job is placed on
-        its cheapest residual path when its value beats that path's marginal
-        cost by more than PLACE_TOL; the first job that does not is skipped
-        with the rest of the run: a skip changes no state, and pass order
-        never raises the value. Returns None at the end of the pass.
+        its cheapest residual path when value - price > 0.0, `Policy.decide`'s
+        exact test (see `model`); the first job that fails it is skipped with
+        the rest of the run: a skip changes no state, and pass order never
+        raises the value. Returns None at the end of the pass.
 
         Each job reuses what the run's earlier jobs left standing, exactly. A
         window with an idle slot t is filled there with no search; every slot
@@ -169,7 +164,7 @@ class _FlowState:
             if idle in skip:  # busy: follow the links; most windows start idle, with no call
                 idle = self.first_idle(idle)
             if idle <= end:
-                if not value - idle_price > PLACE_TOL:
+                if not value - idle_price > 0.0:
                     break
                 # a fresh slot: no load, span, job list or skip link yet
                 loads[idle] = 1
@@ -187,7 +182,7 @@ class _FlowState:
                     while True:
                         if len(g) <= load + 1:  # the table grows only as far as loads reach
                             self.table.g(load + 1)
-                        if not value - (g[load + 1] - g[load]) > PLACE_TOL:
+                        if not value - (g[load + 1] - g[load]) > 0.0:
                             break
                         held.append(pos)
                         load += 1
@@ -207,7 +202,7 @@ class _FlowState:
                         if len(g) <= load + 1:
                             self.table.g(load + 1)
                         price = g[load + 1] - g[load]
-                        if not (value - price > PLACE_TOL and start <= target <= end):
+                        if not (value - price > 0.0 and start <= target <= end):
                             break
                         # a target in the window moves no chain: the busy slot
                         # gains the job, and its hull grows to cover the window
@@ -221,7 +216,7 @@ class _FlowState:
                         if pos is None or starts[pos] != start or ends[pos] != end:
                             return pos
                         value = values[pos]
-                if not value - price > PLACE_TOL:
+                if not value - price > 0.0:
                     break
                 self.apply(pos, target, rings)
                 idle = start

@@ -368,13 +368,13 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     slot-by-slot loop already stopped on: until a job arrives the live set
     only shrinks, and a policy that processes nothing keeps doing so on a
     shrinking set (every shipped policy processes nothing exactly when no job
-    beats g(1), and so on an empty view).
+    beats g(1), and so on an empty view). So the loop needs no slot bound:
+    each visited slot processes a job, jumps to a later arrival, or ends it.
     """
     policy = get_policy(policy)
     table = cost_table(cost)
     jobs = instance.jobs
     n = len(jobs)
-    hard_stop = instance.last_arrival + n + 1
     # ids are unique, so the sort never reads past the id
     live: list[tuple[float, int, int, float, float, tuple[int, float]]] = []
     expiries: list[float] = []  # min-heap of the windows' last slots
@@ -382,7 +382,7 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     ledgers: list[SlotLedger] = []
     arrived = 0
     slot = 1
-    while slot <= hard_stop:
+    while True:
         first = arrived
         while arrived < n and jobs[arrived].arrival <= slot:
             job = jobs[arrived]

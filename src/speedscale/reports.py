@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import PROFIT_TOL, Trace
+from .model import Trace
 
 
 class SlotLcr(NamedTuple):
@@ -46,9 +46,10 @@ class RatioReport:
 
 
 def profit_ratio(off_profit: float, alg_profit: float) -> float:
-    if alg_profit > PROFIT_TOL:
+    """`RatioReport.ratio`, by exact tests (see `model`): 2**-80 is a profit."""
+    if alg_profit > 0.0:
         return off_profit / alg_profit
-    if off_profit <= PROFIT_TOL:
+    if off_profit <= 0.0:
         return 1.0
     return math.inf
 

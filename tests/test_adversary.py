@@ -248,6 +248,10 @@ class TestTemplates:
         with pytest.raises(ModelError, match=f"^{message}$"):
             Job(0, 1, value)
 
+    def test_template_refuses_no_jobs(self):
+        with pytest.raises(ModelError, match="^template needs at least one job$"):
+            InstanceTemplate(())
+
     @pytest.mark.parametrize("z", [1, 2, 40, 2000])
     def test_alpha2_equals_checked_template(self, z):
         # built with one value check, it is the template the public constructor makes

@@ -377,6 +377,23 @@ def test_option_the_subcommand_does_not_read_exits_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--alpha", "2", "--policy", "greedy", "--gen", "random:n"),
+     "bad generator parameter 'n' in 'random:n'"),
+    (("lowerbound", "--alpha", "inf"), "alpha values must be finite, got 'inf'"),
+    (("game", "--alpha", "1.5", "--z", "3", "--policy", "greedy"),
+     "game needs alpha >= 2, got 1.5"),
+], ids=["gen-parameter-without-value", "lowerbound-infinite-alpha", "game-alpha-below-2"])
+def test_refused_value_exits_2_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "out.csv")
+    argv = ("game", "--alpha", "2", "--z", "3", "--policy", "greedy", "--out", path)
+    assert run_cli(capsys, *argv) == (2, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+
 # every integer option, in a command line that runs quickly once the option reads 10
 INTEGER_OPTIONS = {
     "--z": ("game", "--alpha", "2", "--policy", "greedy", "--z"),

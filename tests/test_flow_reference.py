@@ -15,7 +15,7 @@ from speedscale import offline
 from speedscale.adversary import adversary_finalize, gen_alpha2_lb_instance
 from speedscale.model import (INFINITE, CostModel, CostTable, Instance, Job, ModelError,
                               PowerLaw, TabulatedConvex, evaluate_trace)
-from speedscale.offline import (PLACE_TOL, OfflineSizeError, _columns, _flow_pass, _FlowState,
+from speedscale.offline import (OfflineSizeError, _columns, _flow_pass, _FlowState,
                                 offline_profit, solve_offline_bruteforce, solve_offline_flow)
 
 
@@ -261,7 +261,7 @@ class PerJobPlaceState(_FlowState):
             if idle in skip:
                 idle = self.first_idle(idle)
             if idle <= end:
-                if not value - self.idle_price > PLACE_TOL:
+                if not value - self.idle_price > 0.0:
                     break
                 loads[idle] = 1
                 skip[idle] = idle + 1
@@ -280,7 +280,7 @@ class PerJobPlaceState(_FlowState):
                         if len(g) <= load + 1:
                             self.table.g(load + 1)
                         price = g[load + 1] - g[load]
-                        if not (value - price > PLACE_TOL and start <= target <= end):
+                        if not (value - price > 0.0 and start <= target <= end):
                             break
                         first, last = spans[target]
                         if start < first or last < end:
@@ -292,7 +292,7 @@ class PerJobPlaceState(_FlowState):
                         if pos is None or starts[pos] != start or ends[pos] != end:
                             return pos
                         value = values[pos]
-                if not value - price > PLACE_TOL:
+                if not value - price > 0.0:
                     break
                 self.apply(pos, target, rings)
                 idle = start
