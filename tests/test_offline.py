@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from collections import Counter
@@ -504,3 +505,84 @@ class TestFirstIdle:
         assert_first_idle_sound(state)
         assert state.slot_jobs == {1: [1], 2: [0]}
         assert state.first_idle(1) == 3
+
+
+def chain_bursts_instance(rng):
+    """The bursty benchmark's make-up: 4 bursts of 40 jobs, 5,000 idle slots apart.
+
+    Poisson(0.3) arrival gaps inside a burst; 6 jobs of each burst, at random
+    positions, never expire and the others stay for 1-6 slots.
+    """
+    jobs, start = [], 1
+    for _ in range(4):
+        gaps = rng.poisson(0.3, size=40)
+        gaps[0] = 0
+        arrivals = start + gaps.cumsum()
+        never = rng.permutation(40) < 6
+        deadlines = rng.integers(1, 7, size=40)
+        values = rng.uniform(0.0, 12.0, size=40)
+        for i in range(40):
+            deadline = INFINITE if never[i] else int(deadlines[i])
+            jobs.append(Job(len(jobs), int(arrivals[i]), float(values[i]), deadline))
+        start = int(arrivals[-1]) + 5000
+    return Instance(tuple(jobs))
+
+
+def attached(alpha, columns, slot_jobs):
+    """A flow state of (value, arrival, expiry) columns with each slot's jobs attached in order."""
+    state = _FlowState(*map(list, zip(*columns)), PowerLaw(alpha))
+    for slot, held in slot_jobs.items():
+        for pos in held:
+            state._attach(pos, slot)
+    return state
+
+
+class TestChainMoves:
+    def test_witness_digest(self, monkeypatch):
+        # solve_offline_flow's profit bits and witness on chain-heavy instances,
+        # pinned: a change to how a chain moves must leave every bit in place
+        hops = []
+        apply = _FlowState.apply
+
+        def counted(state, pos, t, rings):
+            slot = t
+            for first, last, ring_slot in reversed(rings):  # apply's own walk
+                if first <= slot <= last:
+                    hops.append(slot)
+                    slot = ring_slot
+            apply(state, pos, t, rings)
+
+        monkeypatch.setattr(_FlowState, "apply", counted)
+        rng = np.random.default_rng(3838)
+        insts = [chain_bursts_instance(rng) for _ in range(4)]
+        insts += [random_instance(rng, PowerLaw(2.0), n_max=60, mean_gap=0.3) for _ in range(100)]
+        digest = hashlib.sha256()
+        for alpha in (2.0, 3.0):
+            for inst in insts:
+                profit, trace = solve_offline_flow(inst, PowerLaw(alpha))
+                digest.update(profit.hex().encode())
+                for d in trace.decisions:
+                    digest.update(repr((d.slot, sorted(d.processed))).encode())
+        assert len(hops) >= 1000  # every hop moves one job along a ring
+        assert digest.hexdigest() == "17c9e3dae414aa1d5fade58ab89b3f817aa4601a764c39c28ce1c1537c58d1cd"
+
+    def test_first_eligible_job_moves(self):
+        # slot 1 holds jobs 0, 1 and 2; only 1 and 2 may run at slot 2, so the
+        # chain to slot 2 moves job 1, the first of them in the slot's list
+        state = attached(2.0, [(10.0, 1, 1), (10.0, 1, 3), (10.0, 1, 3), (9.0, 1, 1)],
+                         {1: [0, 1, 2]})
+        state.apply(3, 2, [(2, 3, 1)])
+        assert state.slot_jobs == {1: [0, 2, 3], 2: [1]}
+        assert state.loads == {1: 3, 2: 1}
+        assert state.spans == {1: (1, 3), 2: (1, 3)}
+        assert state.skip == {1: 2, 2: 3}
+
+    def test_moving_the_hull_setter_shrinks_the_hull(self):
+        # job 1 sets slot 2's hull to [1, 4]; moved to slot 4, it leaves the
+        # hull of job 0 alone, [1, 2], which job 2's [2, 2] does not widen
+        state = attached(2.0, [(10.0, 1, 2), (10.0, 2, 4), (9.0, 2, 2)], {2: [0, 1]})
+        assert state.spans == {2: (1, 4)}
+        state.apply(2, 4, [(3, 4, 2)])
+        assert state.slot_jobs == {2: [0, 2], 4: [1]}
+        assert state.spans == {2: (1, 2), 4: (2, 4)}
+        assert state.loads == {2: 2, 4: 1}
