@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw, Trace,
-                    _instance_from_checked, _is_int, cost_table)
+from .model import (INFINITE, CostModel, Instance, ModelError, PowerLaw,
+                    _instance_from_checked, _is_int, _trace_from_checked, cost_table)
 from .offline import _flow_pass
 from .policies import _ID, _VALUE, PolicyView, _play_slot, _sorted_view, get_policy
 from .reports import RatioReport, build_report
@@ -162,7 +162,7 @@ def run_adversarial_game(policy, template: InstanceTemplate, cost: CostModel) ->
     order = [*map(_ID, view.candidates)]  # the flow's pass order: position is id here
     _, values, arrivals, expiries = _finalized_columns(template, order[:count])
     off_profit = _flow_pass(order, values, arrivals, expiries, table).profit()
-    return build_report(template.label, off_profit, Trace(decisions, ledgers))
+    return build_report(template.label, off_profit, _trace_from_checked(decisions, ledgers))
 
 
 def alpha2_game_ratio(z: int, k: int) -> float:

@@ -14,7 +14,9 @@ changes no decision; for a power of two c, not one bit of either.
 
 Every type here but ``CostTable``, one run's table of g, is immutable and
 safe to share across threads. Input is checked where it enters
-(``_instance_from_checked`` lists where).
+(``_instance_from_checked`` lists where). Traces the program builds itself
+(the simulator's, the game's, the offline witnesses) skip ``Trace``'s order
+check through ``_trace_from_checked``.
 """
 from __future__ import annotations
 
@@ -330,10 +332,22 @@ class Trace:
         slots = [d.slot for d in decisions]
         if not all(map(operator.lt, slots, slots[1:])):
             raise ModelError("trace decisions must be strictly ordered by slot")
-        object.__setattr__(self, "decisions", decisions)
-        object.__setattr__(self, "ledgers", tuple(self.ledgers))
-        object.__setattr__(self, "total_profit",
-                           float(_ltr_sum([d.payoff_sum - d.energy for d in decisions])))
+        _fill_trace(self, decisions, self.ledgers)
+
+
+def _fill_trace(trace: Trace, decisions, ledgers) -> Trace:
+    object.__setattr__(trace, "decisions", tuple(decisions))
+    object.__setattr__(trace, "ledgers", tuple(ledgers))
+    object.__setattr__(trace, "total_profit",
+                       float(_ltr_sum([d.payoff_sum - d.energy for d in trace.decisions])))
+    return trace
+
+
+def _trace_from_checked(decisions, ledgers=()) -> Trace:
+    """``Trace(decisions, ledgers)``, fields and ``total_profit`` bits alike, for
+    decisions the program made itself in increasing slot order: no order check.
+    """
+    return _fill_trace(object.__new__(Trace), decisions, ledgers)
 
 
 EMPTY_TRACE = Trace(())
@@ -424,6 +438,7 @@ def _job_from_obj(obj: Mapping, line: int) -> Job:
 
 def loads_instance(text: str, label: str = "") -> Instance:
     jobs = []
+    lines: dict[int, int] = {}  # job id -> the line it is first on
     # only "\n" ends a line: str.splitlines also splits at \x0c, U+2028 and
     # others, which may stand unescaped inside a JSON string
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -433,7 +448,11 @@ def loads_instance(text: str, label: str = "") -> Instance:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"invalid JSON ({exc.msg})", line_no) from exc
-        jobs.append(_job_from_obj(obj, line_no))
+        job = _job_from_obj(obj, line_no)
+        first = lines.setdefault(job.id, line_no)
+        if first != line_no:
+            raise InstanceFormatError(f"duplicate job id {job.id} (first on line {first})", line_no)
+        jobs.append(job)
     return Instance(tuple(jobs), label=label)
 
 

@@ -36,7 +36,7 @@ import math
 from collections.abc import Iterator
 
 from .model import (EMPTY_TRACE, CostModel, Instance, Job, ModelError, SlotDecision, Trace,
-                    cost_table)
+                    _trace_from_checked, cost_table)
 
 
 class OfflineSizeError(ModelError):
@@ -44,8 +44,8 @@ class OfflineSizeError(ModelError):
 
 
 def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> Trace:
-    return Trace([SlotDecision.build(slot, slot_jobs[slot], cost)
-                  for slot in sorted(slot_jobs) if slot_jobs[slot]])
+    return _trace_from_checked([SlotDecision.build(slot, slot_jobs[slot], cost)
+                                for slot in sorted(slot_jobs) if slot_jobs[slot]])
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +234,12 @@ class _FlowState:
         load = self.loads.get(slot, 0)
         if load:
             lo, hi = self.spans[slot]
-            start, end = min(lo, start), max(hi, end)
-        else:
-            self.skip.setdefault(slot, slot + 1)
+            start, end = lo if lo < start else start, hi if hi > end else end
+        elif slot not in self.skip:  # busy for the first time
+            self.skip[slot] = slot + 1
+            self.slot_jobs[slot] = []
         self.spans[slot] = (start, end)
-        self.slot_jobs.setdefault(slot, []).append(pos)
+        self.slot_jobs[slot].append(pos)
         self.loads[slot] = load + 1
 
     def apply(self, pos: int, t: int, rings) -> None:
@@ -250,11 +251,13 @@ class _FlowState:
         for first, last, slot in reversed(rings):
             if first <= t <= last:
                 held = self.slot_jobs[slot]
-                moved = next(q for q in held if starts[q] <= t <= ends[q])
+                for moved in held:  # the ring holds one whose window holds t
+                    if starts[moved] <= t <= ends[moved]:
+                        break
                 held.remove(moved)
                 self.loads[slot] -= 1
                 if held:
-                    self.spans[slot] = (min(starts[q] for q in held), max(ends[q] for q in held))
+                    self.spans[slot] = (min([starts[q] for q in held]), max([ends[q] for q in held]))
                 self._attach(moved, t)
                 t = slot
         self._attach(pos, t)

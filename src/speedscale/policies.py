@@ -33,7 +33,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .model import (INFINITE, CostModel, CostTable, Instance, ModelError, PowerLaw,
-                    SlotDecision, Trace, _is_int, _ltr_sum, cost_table)
+                    SlotDecision, Trace, _is_int, _ltr_sum, _trace_from_checked, cost_table)
 
 
 class UnsupportedCostError(ModelError):
@@ -384,8 +384,10 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
     slot = 1
     while True:
         first = arrived
-        while arrived < n and jobs[arrived].arrival <= slot:
+        while arrived < n:
             job = jobs[arrived]
+            if job.arrival > slot:
+                break
             expiry = job.expiry
             # non-increasing value; ties by earlier arrival, then smaller id
             value, job_id = job.value, job.id
@@ -421,4 +423,4 @@ def run_policy(instance: Instance, policy, cost: CostModel) -> Trace:
             slot = jobs[arrived].arrival
         else:
             break
-    return Trace(decisions, ledgers)
+    return _trace_from_checked(decisions, ledgers)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from speedscale.model import (EMPTY_TRACE, INFINITE, CostTable, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
-                              SlotDecision, TabulatedConvex, Trace, cost_table,
-                              dumps_instance, evaluate_trace, loads_instance, union)
+                              SlotDecision, TabulatedConvex, Trace, _trace_from_checked,
+                              cost_table, dumps_instance, evaluate_trace, loads_instance, union)
 
-from speedscale.offline import offline_profit
-from speedscale.policies import Decision, LcrBreakdown, SlotLedger, run_policy
+from speedscale.offline import offline_profit, solve_offline_flow
+from speedscale.policies import Decision, FixedCountPolicy, LcrBreakdown, SlotLedger, run_policy
 from speedscale.reports import SlotLcr
 
 from conftest import (CountingPowerLaw, assert_same_instance, available_jobs,
@@ -424,6 +425,22 @@ class TestTrace:
         assert Trace(decisions).total_profit == 1.0
 
 
+    @given(st.lists(drawn_jobs, max_size=10),
+           st.sampled_from(["min-lcr", "sim-lcr", "greedy", FixedCountPolicy(2)]),
+           st.sampled_from([2.0, 2.5, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_trace_equals_checked(self, specs, policy, alpha):
+        # the traces the program builds itself skip the order check, and nothing else
+        inst = Instance(tuple(Job(i, *spec) for i, spec in enumerate(specs)))
+        cost = PowerLaw(alpha)
+        for trace in (run_policy(inst, policy, cost), solve_offline_flow(inst, cost)[1]):
+            checked = Trace(trace.decisions, trace.ledgers)
+            trusted = _trace_from_checked(list(trace.decisions), list(trace.ledgers))
+            assert trusted == checked == trace
+            assert trusted.total_profit.hex() == checked.total_profit.hex()
+            assert type(trusted.decisions) is tuple and type(trusted.ledgers) is tuple
+
+
 class TestInstanceFiles:
     def test_round_trip(self):
         inst = mk_instance((1, 2.5, 3), (2, 0.0, INFINITE), label="x")
@@ -488,6 +505,14 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError) as err:
             loads_instance('{"id": 0, "arrival": 1, "value": 1.0}\n')
         assert err.value.line == 1
+
+    def test_duplicate_id_names_both_lines(self):
+        text = (Path(__file__).resolve().parent / "duplicate_id_instance.jsonl").read_text()
+        with pytest.raises(InstanceFormatError) as err:
+            loads_instance(text)
+        assert str(err.value) == "line 2: duplicate job id 1 (first on line 1)"
+        assert err.value.line == 2
+        assert isinstance(err.value, ModelError)
 
     def test_line_separator_inside_string(self):
         # U+2028 may stand unescaped inside a JSON string; it ends no line

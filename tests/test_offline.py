@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import time
 from collections import Counter
 from itertools import groupby
@@ -565,6 +566,25 @@ class TestChainMoves:
                     digest.update(repr((d.slot, sorted(d.processed))).encode())
         assert len(hops) >= 1000  # every hop moves one job along a ring
         assert digest.hexdigest() == "17c9e3dae414aa1d5fade58ab89b3f817aa4601a764c39c28ce1c1537c58d1cd"
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
+    def test_no_generator_frame(self, policy):
+        # the chain moves and the simulator enter no generator frame; a
+        # comprehension is not counted (inlined from Python 3.12 on)
+        inst = chain_bursts_instance(np.random.default_rng(38))
+        entered = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            competitive_report(inst, policy, PowerLaw(2.0))
+        finally:
+            sys.setprofile(None)
+        assert entered["apply"] >= 20 and entered["run_policy"] == 1
+        assert entered["<genexpr>"] == 0
 
     def test_first_eligible_job_moves(self):
         # slot 1 holds jobs 0, 1 and 2; only 1 and 2 may run at slot 2, so the
