@@ -53,7 +53,10 @@ def _trace_from_assignment(slot_jobs: dict[int, list[Job]], cost: CostModel) -> 
 # ---------------------------------------------------------------------------
 
 class _FlowState:
-    """The flow of one pass: busy slots, their loads, jobs and hulls.
+    """The flow of one pass: three maps keyed by busy slot.
+
+    `skip` holds the slot's link, `slot_jobs` its jobs (a slot's load is the
+    length of its list) and `spans` the hull of their windows.
 
     State is kept per busy slot, never per slot of the horizon, so idle gaps
     between arrivals cost nothing, however long. `skip` links each busy slot
@@ -72,7 +75,6 @@ class _FlowState:
         self.table = table = cost_table(cost)
         self.values, self.starts = values, arrivals
         self.ends = [e if e < cap else cap for e in expiries]
-        self.loads: dict[int, int] = {}  # busy slot -> number of its jobs
         self.skip: dict[int, int] = {}  # busy slot -> a later slot, every slot before it busy
         self.g = table.values  # the run's g(0), g(1), ...: grown only as far as reads reach
         self.idle_price = table.g(1) - self.g[0]  # the marginal cost of a job in an idle slot
@@ -154,7 +156,7 @@ class _FlowState:
         adaptive game's 2z equal-value jobs make two runs.
         """
         values, starts, ends = self.values, self.starts, self.ends
-        loads, skip, spans, slot_jobs = self.loads, self.skip, self.spans, self.slot_jobs
+        skip, spans, slot_jobs = self.skip, self.spans, self.slot_jobs
         idle_price = self.idle_price
         start, end = starts[pos], ends[pos]
         window = (start, end)  # the hull of every idle slot the run fills
@@ -166,8 +168,7 @@ class _FlowState:
             if idle <= end:
                 if not value - idle_price > 0.0:
                     break
-                # a fresh slot: no load, span, job list or skip link yet
-                loads[idle] = 1
+                # a fresh slot: no span, job list or skip link yet
                 skip[idle] = idle + 1
                 spans[idle] = window
                 slot_jobs[idle] = [pos]
@@ -178,7 +179,7 @@ class _FlowState:
                     price = idle_price
                 elif lo == hi:  # the window itself: only the price test is redone
                     g, held = self.g, slot_jobs[lo]
-                    load, payoff = loads[lo], self.payoff
+                    load, payoff = len(held), self.payoff
                     while True:
                         if len(g) <= load + 1:  # the table grows only as far as loads reach
                             self.table.g(load + 1)
@@ -189,16 +190,17 @@ class _FlowState:
                         payoff += value
                         pos = next(rest, None)
                         if pos is None or starts[pos] != start or ends[pos] != end:
-                            loads[lo], self.payoff = load, payoff
+                            self.payoff = payoff
                             return pos
                         value = values[pos]
-                    loads[lo], self.payoff = load, payoff
+                    self.payoff = payoff
                     break
                 else:  # an all-busy reach: its first least-loaded slot, at most one per placed job
                     g = self.g
                     while True:
-                        target = min(range(lo, hi + 1), key=loads.__getitem__)
-                        load = loads[target]
+                        loads = [*map(len, map(slot_jobs.__getitem__, range(lo, hi + 1)))]
+                        load = min(loads)
+                        target = lo + loads.index(load)
                         if len(g) <= load + 1:
                             self.table.g(load + 1)
                         price = g[load + 1] - g[load]
@@ -210,7 +212,6 @@ class _FlowState:
                         if start < first or last < end:
                             spans[target] = (min(first, start), max(last, end))
                         slot_jobs[target].append(pos)
-                        loads[target] = load + 1
                         self.payoff += value
                         pos = next(rest, None)
                         if pos is None or starts[pos] != start or ends[pos] != end:
@@ -231,16 +232,15 @@ class _FlowState:
 
     def _attach(self, pos: int, slot: int) -> None:
         start, end = self.starts[pos], self.ends[pos]
-        load = self.loads.get(slot, 0)
-        if load:
+        held = self.slot_jobs.get(slot)
+        if held is None:  # busy for the first time
+            self.skip[slot] = slot + 1
+            self.slot_jobs[slot] = held = []
+        elif held:  # widen the hull; an empty list is a chain slot refilled
             lo, hi = self.spans[slot]
             start, end = lo if lo < start else start, hi if hi > end else end
-        elif slot not in self.skip:  # busy for the first time
-            self.skip[slot] = slot + 1
-            self.slot_jobs[slot] = []
         self.spans[slot] = (start, end)
-        self.slot_jobs[slot].append(pos)
-        self.loads[slot] = load + 1
+        held.append(pos)
 
     def apply(self, pos: int, t: int, rings) -> None:
         """Moves the chain from target `t` back to the seed window and attaches `pos` there."""
@@ -255,7 +255,6 @@ class _FlowState:
                     if starts[moved] <= t <= ends[moved]:
                         break
                 held.remove(moved)
-                self.loads[slot] -= 1
                 if held:
                     self.spans[slot] = (min([starts[q] for q in held]), max([ends[q] for q in held]))
                 self._attach(moved, t)
@@ -265,9 +264,9 @@ class _FlowState:
     # -- results -----------------------------------------------------------
 
     def profit(self) -> float:
-        total, g, loads = self.payoff, self.g, self.loads
-        for slot in sorted(loads):  # slot order: rounding independent of placement order
-            total -= g[loads[slot]]
+        total, g, slot_jobs = self.payoff, self.g, self.slot_jobs
+        for slot in sorted(slot_jobs):  # slot order: rounding independent of placement order
+            total -= g[len(slot_jobs[slot])]
         return float(total)
 
 

@@ -380,7 +380,7 @@ class TestPassOrder:
         while pos is not None:
             pos = want.place(pos, rest)
         got = offline._flow_pass(*_columns(inst), cost)
-        assert got.slot_jobs == want.slot_jobs and got.loads == want.loads
+        assert got.slot_jobs == want.slot_jobs
         assert got.profit().hex() == want.profit().hex() == offline_profit(inst, cost).hex()
 
     def test_order_is_by_value_then_id_not_position(self):
@@ -441,14 +441,14 @@ class TestSlotTranslation:
 
 
 def plain_first_idle(state, t):
-    while state.loads.get(t, 0):
+    while state.slot_jobs.get(t):
         t += 1
     return t
 
 
 def assert_first_idle_sound(state):
-    assert set(state.skip) == set(state.loads)  # links only on busy slots
-    assert min(state.loads.values(), default=1) >= 1
+    assert set(state.skip) == set(state.slot_jobs)  # links only on busy slots
+    assert all(state.slot_jobs.values())
     for t in range(1, max(state.ends) + 2):
         assert state.first_idle(t) == plain_first_idle(state, t)
 
@@ -593,7 +593,6 @@ class TestChainMoves:
                          {1: [0, 1, 2]})
         state.apply(3, 2, [(2, 3, 1)])
         assert state.slot_jobs == {1: [0, 2, 3], 2: [1]}
-        assert state.loads == {1: 3, 2: 1}
         assert state.spans == {1: (1, 3), 2: (1, 3)}
         assert state.skip == {1: 2, 2: 3}
 
@@ -605,4 +604,3 @@ class TestChainMoves:
         state.apply(2, 4, [(3, 4, 2)])
         assert state.slot_jobs == {2: [0, 2], 4: [1]}
         assert state.spans == {2: (1, 2), 4: (2, 4)}
-        assert state.loads == {2: 2, 4: 1}
