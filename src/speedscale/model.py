@@ -315,7 +315,7 @@ class SlotDecision(NamedTuple):
 
     @staticmethod
     def build(slot: int, jobs: Sequence[Job], cost: CostModel) -> "SlotDecision":
-        return SlotDecision(slot, frozenset(j.id for j in jobs),
+        return SlotDecision(slot, frozenset([j.id for j in jobs]),
                             float(_ltr_sum([j.value for j in jobs])), cost.g(len(jobs)))
 
 
@@ -461,6 +461,14 @@ def dumps_instance(instance: Instance) -> str:
 
 
 def read_instance(path, label: str | None = None) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"not UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start}: {exc.reason})",
+            data.count(b"\n", 0, exc.start) + 1) from None
+    # the newlines a file opened in text mode reads: "\r\n" and "\r" end a line too
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     return loads_instance(text, label=label if label is not None else str(path))

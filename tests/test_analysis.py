@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from speedscale import offline
-from speedscale.adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1,
+from speedscale import analysis, offline
+from speedscale.adversary import (DELTA, PHI_PLUS_1, SQRT2_PLUS_1, adversary_finalize,
                                   gen_alpha2_lb_instance, run_adversarial_game)
 from speedscale.analysis import (VerificationError, competitive_report,
                                  gamma_root, mincran_ratio, psi,
@@ -67,6 +67,20 @@ class TestCompetitiveReport:
 
         monkeypatch.setattr(offline, "_trace_from_assignment", refuse)
         assert repr(competitive_report(inst, policy, alpha2)) == report
+
+    @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
+    def test_ratio_above_the_ledger_fails(self, monkeypatch, policy):
+        # an optimum far above what the LCR ledger certifies: only the
+        # policies that keep a ledger check their ratio against it
+        monkeypatch.setattr(analysis, "offline_profit", lambda instance, cost: 1e9)
+        inst = adversary_finalize(gen_alpha2_lb_instance(3), range(1))
+        if policy == "greedy":
+            assert competitive_report(inst, policy, PowerLaw(2.5)).off_profit == 1e9
+            return
+        with pytest.raises(VerificationError) as err:
+            competitive_report(inst, policy, PowerLaw(2.5))
+        assert err.value.check == "lcr-ledger-soundness"
+        assert err.value.witness["policy"] == policy
 
 
 class TestMincran:

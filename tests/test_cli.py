@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedscale import adversary
+from speedscale import adversary, analysis
 from speedscale.adversary import eval_lower_bound, lower_bound_ratio
 from speedscale.cli import LOWERBOUND_COLUMNS, _fmt, main
 from speedscale.model import INFINITE, Instance, Job, PowerLaw, dumps_instance
@@ -68,6 +68,22 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--alpha", "2", "--policy", "greedy",
                                "--instance", str(bad))
         assert code == 2 and "line 2" in err
+
+    def test_refused_job_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id":0,"arrival":1,"value":1.0,"deadline":1}\n'
+                       '{"id":1,"arrival":0,"value":1.0,"deadline":1}\n')
+        assert run_cli(capsys, "simulate", "--alpha", "2", "--policy", "greedy",
+                       "--instance", str(bad)) == (
+            2, "", "error: bad instance file: line 2: arrival must be an integer slot >= 1, got 0\n")
+
+    def test_ratio_above_the_ledger_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "offline_profit", lambda instance, cost: 1e9)
+        assert run_cli(capsys, "simulate", "--gen", "alpha2-lb:z=3", "--alpha", "2.5",
+                       "--policy", "min-lcr") == (
+            1, "", "verification failure: [lcr-ledger-soundness] empirical ratio exceeds the "
+            "per-slot LCR certificate (label='alpha2-lb:z=3', policy='min-lcr', "
+            "ratio=200000000.0, max_lcr=2.268629150101524)\n")
 
     def test_empty_file_ratio_one(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -657,6 +673,10 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", suite, *extra)
             assert code == 0, (suite, out)
             assert f"[PASS] {suite}" in out
+
+    def test_smallm_passes(self, capsys):
+        assert run_cli(capsys, "verify", "smallm") == (
+            0, "[PASS] smallm: 155 case bounds <= 2.47173798 <= phi+1=2.618034\n", "")
 
     @pytest.mark.parametrize("suite", ["subadd", "oracle"])
     def test_zero_samples_exits_2(self, capsys, suite):

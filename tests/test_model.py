@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from speedscale.model import (EMPTY_TRACE, INFINITE, CostTable, InfeasibleTraceError, Instance,
                               InstanceFormatError, Job, ModelError, PowerLaw,
                               SlotDecision, TabulatedConvex, Trace, _trace_from_checked,
-                              cost_table, dumps_instance, evaluate_trace, loads_instance, union)
+                              cost_table, dumps_instance, evaluate_trace, loads_instance,
+                              read_instance, union)
 
 from speedscale.offline import offline_profit, solve_offline_flow
 from speedscale.policies import Decision, FixedCountPolicy, LcrBreakdown, SlotLedger, run_policy
@@ -353,6 +354,14 @@ class TestEvaluateTrace:
             evaluate_trace(inst, trace, alpha2)
         assert err.value.job_id == 0 and err.value.slot == 2
 
+    def test_unknown_job_rejected(self, alpha2):
+        inst = mk_instance((1, 10.0, 1))
+        trace = Trace([SlotDecision(1, frozenset([5]), 10.0, 1.0)])
+        with pytest.raises(InfeasibleTraceError) as err:
+            evaluate_trace(inst, trace, alpha2)
+        assert str(err.value) == "job 5 not in instance (slot 1)"
+        assert err.value.job_id == 5 and err.value.slot == 1
+
     def test_double_processing_rejected(self, alpha2):
         inst = mk_instance((1, 10.0, INFINITE))
         job = inst.jobs[0]
@@ -513,6 +522,22 @@ class TestInstanceFiles:
         assert str(err.value) == "line 2: duplicate job id 1 (first on line 1)"
         assert err.value.line == 2
         assert isinstance(err.value, ModelError)
+
+    def test_non_utf8_file_names_the_line(self):
+        # the byte 0xff stands inside line 2's JSON string
+        path = Path(__file__).resolve().parent / "non_utf8_instance.jsonl"
+        with pytest.raises(InstanceFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == "line 2: not UTF-8 (byte 0xff at offset 119: invalid start byte)"
+        assert err.value.line == 2
+
+    def test_job_refusal_names_the_line(self):
+        text = ('{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}\n'
+                '{"id": 1, "arrival": 0, "value": 1.0, "deadline": 1}\n')
+        with pytest.raises(InstanceFormatError) as err:
+            loads_instance(text)
+        assert str(err.value) == "line 2: arrival must be an integer slot >= 1, got 0"
+        assert err.value.line == 2
 
     def test_line_separator_inside_string(self):
         # U+2028 may stand unescaped inside a JSON string; it ends no line

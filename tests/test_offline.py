@@ -508,6 +508,44 @@ class TestFirstIdle:
         assert state.first_idle(1) == 3
 
 
+def assert_flow_state_sound(state):
+    """The three per-slot maps agree: one key set, exact hulls, each job once in its window."""
+    assert set(state.skip) == set(state.spans) == set(state.slot_jobs)
+    seen = set()
+    for t, held in state.slot_jobs.items():
+        assert held
+        assert state.spans[t] == (min(state.starts[p] for p in held),
+                                  max(state.ends[p] for p in held))
+        for p in held:
+            assert state.starts[p] <= t <= state.ends[p] and p not in seen
+            seen.add(p)
+
+
+class TestFlowStateInvariants:
+    def test_after_every_step(self, monkeypatch):
+        # after every run step of 100 burst and 100 random instances at
+        # alpha = 2 and 3, chain moves included
+        steps = []
+        place = _FlowState.place
+
+        def checked_place(state, pos, rest):
+            after = place(state, pos, rest)
+            assert_flow_state_sound(state)
+            steps.append(pos)
+            return after
+
+        monkeypatch.setattr(_FlowState, "place", checked_place)
+        rng = np.random.default_rng(3939)
+        for i in range(200):
+            cost = PowerLaw(2.0 if i % 4 < 2 else 3.0)
+            if i % 2:
+                inst = small_bursts_instance(rng)
+            else:
+                inst = random_instance(rng, cost, n_max=30, mean_gap=0.3)
+            offline_profit(inst, cost)
+        assert len(steps) >= 1000
+
+
 def chain_bursts_instance(rng):
     """The bursty benchmark's make-up: 4 bursts of 40 jobs, 5,000 idle slots apart.
 
@@ -569,8 +607,9 @@ class TestChainMoves:
 
     @pytest.mark.parametrize("policy", ["min-lcr", "sim-lcr", "greedy"])
     def test_no_generator_frame(self, policy):
-        # the chain moves and the simulator enter no generator frame; a
-        # comprehension is not counted (inlined from Python 3.12 on)
+        # the chain moves, the simulator and the flow's witness enter no
+        # generator frame; a comprehension is not counted (inlined from
+        # Python 3.12 on)
         inst = chain_bursts_instance(np.random.default_rng(38))
         entered = Counter()
 
@@ -581,9 +620,11 @@ class TestChainMoves:
         sys.setprofile(profile)
         try:
             competitive_report(inst, policy, PowerLaw(2.0))
+            solve_offline_flow(inst, PowerLaw(2.0))
         finally:
             sys.setprofile(None)
-        assert entered["apply"] >= 20 and entered["run_policy"] == 1
+        assert entered["apply"] >= 40 and entered["run_policy"] == 1
+        assert entered["_trace_from_assignment"] == 1
         assert entered["<genexpr>"] == 0
 
     def test_first_eligible_job_moves(self):

@@ -24,6 +24,12 @@ TRIANGLE = TabulatedConvex(tuple(float(k * (k + 1) // 2) for k in range(12)))  #
 QUADRATIC = TabulatedConvex(tuple(float(k * k) for k in range(12)))
 
 
+def test_short_table_refused():
+    with pytest.raises(ModelError) as err:
+        TabulatedConvex((0.0,))
+    assert str(err.value) == "cost table needs at least g(0) and g(1)"
+
+
 class TestPolicies:
     def test_min_lcr_matches_quadratic_power_law(self, alpha2):
         # the k^2 table must reproduce the power-law decisions exactly
