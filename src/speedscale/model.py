@@ -462,13 +462,12 @@ def dumps_instance(instance: Instance) -> str:
 
 def read_instance(path, label: str | None = None) -> Instance:
     with open(path, "rb") as fh:
-        data = fh.read()
+        # the newlines a file opened in text mode reads: "\r\n" and "\r" end a
+        # line too (neither byte occurs inside a UTF-8 multi-byte sequence)
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InstanceFormatError(
-            f"not UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start}: {exc.reason})",
-            data.count(b"\n", 0, exc.start) + 1) from None
-    # the newlines a file opened in text mode reads: "\r\n" and "\r" end a line too
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raise InstanceFormatError(f"not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
+                                  data.count(b"\n", 0, exc.start) + 1) from None
     return loads_instance(text, label=label if label is not None else str(path))

@@ -528,8 +528,21 @@ class TestInstanceFiles:
         path = Path(__file__).resolve().parent / "non_utf8_instance.jsonl"
         with pytest.raises(InstanceFormatError) as err:
             read_instance(path)
-        assert str(err.value) == "line 2: not UTF-8 (byte 0xff at offset 119: invalid start byte)"
+        assert str(err.value) == "line 2: not UTF-8 (byte 0xff: invalid start byte)"
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_file_newlines(self, tmp_path, newline):
+        # a file reads "\r" and "\r\n" as line ends, for the jobs and for a bad byte
+        path = tmp_path / "jobs.jsonl"
+        lines = [b'{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}',
+                 b'{"id": 1, "arrival": 2, "value": 1.0, "deadline": "inf"}']
+        path.write_bytes(newline.join(lines) + newline)
+        assert read_instance(path).jobs == (Job(0, 1, 1.0, 1), Job(1, 2, 1.0, INFINITE))
+        path.write_bytes(newline.join(lines + [b'"\xff"']) + newline)
+        with pytest.raises(InstanceFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == "line 3: not UTF-8 (byte 0xff: invalid start byte)"
 
     def test_job_refusal_names_the_line(self):
         text = ('{"id": 0, "arrival": 1, "value": 1.0, "deadline": 1}\n'
