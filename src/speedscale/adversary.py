@@ -84,7 +84,7 @@ def gen_alpha2_lb_instance(z: int) -> InstanceTemplate:
     A z too large to allocate is refused with a ModelError; CPython refuses
     such a tuple before touching memory.
     """
-    if z < 1:
+    if not (_is_int(z) and z >= 1):  # 3.0 and True are not coerced
         raise ModelError(f"z must be a positive integer, got {z}")
     try:
         return _repeated_template(float(2 * z), 2 * z, f"alpha2-lb:z={z}")
@@ -326,14 +326,23 @@ def _row_peaks(G: np.ndarray, z: np.ndarray, xcap: np.ndarray, k0: np.ndarray) -
 
 def _g_table(cost: CostModel, size: int) -> tuple[np.ndarray, str]:
     """g(0..size-1), the only g the curve reads, and the cost as its refusals
-    name it. A power law's is numpy's power: `PowerLaw.g` raises on an
-    overflow the curve's finite check refuses, and the pins hold numpy's bits."""
+    name it. A power law's entries are `PowerLaw.g`'s own pow, float(k) **
+    alpha, so the curve reads the g the simulator, the game and the flow read,
+    whatever CPU numpy dispatches to. Where that pow overflows, `PowerLaw.g`
+    raises; here the entry and every later one, as k**alpha rises in k, read
+    inf, which the curve's finite check refuses."""
     import numpy as np
 
     if isinstance(cost, PowerLaw):
         if not cost.alpha >= 2.0:
             raise ModelError(f"lower-bound evaluation needs alpha >= 2, got {cost.alpha}")
-        return np.arange(size, dtype=float) ** cost.alpha, f"alpha={cost.alpha:g}"
+        g, alpha = [], cost.alpha
+        try:
+            for k in map(float, range(size)):
+                g.append(k ** alpha)
+        except OverflowError:
+            g += [math.inf] * (size - len(g))
+        return np.array(g), f"alpha={cost.alpha:g}"
     return np.array([cost.g(k) for k in range(size)], dtype=float), type(cost).__name__
 
 
@@ -361,6 +370,9 @@ def eval_lower_bound(cost: CostModel, z_max: int, x_grid: int) -> tuple[np.ndarr
     """
     import numpy as np
 
+    for name, size in (("z_max", z_max), ("x_grid", x_grid)):
+        if not _is_int(size):  # 10.0 and True are not coerced
+            raise ModelError(f"{name} must be an integer, got {size!r}")
     if z_max < 1:
         raise ModelError(f"z_max must be >= 1, got {z_max}")
     if x_grid < 2:

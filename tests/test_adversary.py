@@ -135,7 +135,8 @@ def stationary_xs(alpha, z, n):
 
 
 def power_table(alpha, z_max):
-    """g(0..z_max+1) for g(k) = k**alpha, as eval_lower_bound builds it."""
+    """g(0..z_max+1) for g(k) = k**alpha from numpy's power, the one the
+    references below compute with; `_inner_min_batch` reads any table."""
     with np.errstate(over="ignore"):
         return np.arange(z_max + 2, dtype=float) ** alpha
 
@@ -789,3 +790,42 @@ class TestLowerBoundCurve:
             eval_lower_bound(PowerLaw(2.0), 0, 8)
         with pytest.raises(ModelError):
             eval_lower_bound(PowerLaw(2.0), 10, 1)
+
+    @pytest.mark.parametrize("build, args, message", [
+        (eval_lower_bound, (PowerLaw(2.0), 0, 8), "z_max must be >= 1, got 0"),
+        (eval_lower_bound, (PowerLaw(2.0), 10, 1), "x_grid must be >= 2, got 1"),
+        (gen_alpha2_lb_instance, (0,), "z must be a positive integer, got 0"),
+        (eval_lower_bound, (PowerLaw(2.0), 10.0, 8), "z_max must be an integer, got 10.0"),
+        (eval_lower_bound, (PowerLaw(2.0), 10, 8.5), "x_grid must be an integer, got 8.5"),
+        (eval_lower_bound, (PowerLaw(2.0), True, 8), "z_max must be an integer, got True"),
+        (gen_alpha2_lb_instance, (True,), "z must be a positive integer, got True"),
+        (gen_alpha2_lb_instance, (3.0,), "z must be a positive integer, got 3.0"),
+    ], ids=["z_max-0", "x_grid-1", "z-0", "z_max-float", "x_grid-float", "z_max-bool",
+            "z-bool", "z-float"])
+    def test_size_refused(self, build, args, message):
+        # a float or bool size is refused by name, never coerced or left to numpy
+        with pytest.raises(ModelError) as refused:
+            build(*args)
+        assert str(refused.value) == message
+
+    def test_numpy_int_sizes_accepted(self):
+        curve, best = eval_lower_bound(PowerLaw(2.0), np.int64(10), np.int64(8))
+        want, want_best = eval_lower_bound(PowerLaw(2.0), 10, 8)
+        assert curve.tobytes() == want.tobytes() and best.hex() == want_best.hex()
+        assert gen_alpha2_lb_instance(np.int64(3)) == gen_alpha2_lb_instance(3)
+
+    @pytest.mark.parametrize("alpha", [round(2.0 + 0.1 * i, 1) for i in range(21)]
+                             + [7.3, 20.0, 80.0, 100.0])
+    def test_g_table_is_power_law_g(self, alpha):
+        # the curve's table holds PowerLaw.g's bits, not numpy's power; from
+        # the first k where g overflows (alpha 80 and 100 here), every entry
+        # is inf, as k**alpha rises in k
+        cost = PowerLaw(alpha)
+        got = adversary._g_table(cost, 10_002)[0].tolist()
+        for k, entry in enumerate(got):
+            try:
+                want = cost.g(k)
+            except ModelError:
+                assert alpha >= 80.0 and got[k:] == [math.inf] * (len(got) - k), k
+                break
+            assert entry == want, k

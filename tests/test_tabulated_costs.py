@@ -140,10 +140,10 @@ def ratio_scan(g, z, x):
 class TestLowerBoundCurve:
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 7.3])
     def test_power_table_gives_the_power_law_curve(self, alpha):
-        # the curve reads g only from its table, so numpy's k**alpha as a
-        # table is the power law, bit for bit
+        # the curve reads g only from its table, so PowerLaw.g as a table is
+        # the power law, bit for bit: _g_table's two branches agree
         for z_max in (2, 200):
-            table = TabulatedConvex((np.arange(z_max + 2.0) ** alpha).tolist())
+            table = TabulatedConvex([PowerLaw(alpha).g(k) for k in range(z_max + 2)])
             curve, best = eval_lower_bound(table, z_max, 64)
             want, want_best = eval_lower_bound(PowerLaw(alpha), z_max, 64)
             assert curve.tobytes() == want.tobytes() and best.hex() == want_best.hex()
@@ -173,18 +173,20 @@ class TestLowerBoundCurve:
     def test_curve_is_the_game_ratio(self):
         # the template of 2z jobs of value c_z + x is the construction at
         # (z, x): min-lcr keeps the curve's k_star of them, the adversary lets
-        # the rest expire and the offline side takes z of those at slot 1
+        # the rest expire and the offline side takes z of those at slot 1.
+        # Every interior point of the power laws, 8 drawn points of each table
         rng = np.random.default_rng(7)
         z_max, x_grid = 12, 4
-        tables = [(np.arange(2 * z_max + 2.0) ** 2.5).tolist(),
-                  rising_marginals_table(rng.integers(1, 6, 2 * z_max + 1)),
-                  rising_marginals_table(rng.uniform(0.05, 3.0, 2 * z_max + 1))]
-        costs = [PowerLaw(2.5), TabulatedConvex(tables[1]), TabulatedConvex(tables[2])]
-        for cost, g in zip(costs, tables):
+        costs = [PowerLaw(2.0), PowerLaw(2.5), PowerLaw(3.0), PowerLaw(3.7),
+                 TabulatedConvex(rising_marginals_table(rng.integers(1, 6, 2 * z_max + 1))),
+                 TabulatedConvex(rising_marginals_table(rng.uniform(0.05, 3.0, 2 * z_max + 1)))]
+        # x = xcap is left out: there the offline side's z + 1-st job breaks even
+        interior = [i for i in range(z_max * x_grid) if i % x_grid != x_grid - 1]
+        for cost in costs:
+            g = [cost.g(k) for k in range(2 * z_max + 2)]
             curve, _ = eval_lower_bound(cost, z_max, x_grid)
-            # x = xcap is left out: there the offline side's z + 1-st job breaks even
-            for i in rng.choice([i for i in range(len(curve)) if i % x_grid != x_grid - 1], 8,
-                                replace=False).tolist():
+            drawn = isinstance(cost, TabulatedConvex)
+            for i in rng.choice(interior, 8, replace=False).tolist() if drawn else interior:
                 z, x, k, value = (curve[name][i].item() for name in ("z", "x", "k_star", "value"))
                 report = run_adversarial_game(
                     "min-lcr", InstanceTemplate((g[z] - g[z - 1] + x,) * (2 * z)), cost)
